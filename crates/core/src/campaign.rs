@@ -7,16 +7,16 @@
 //!   to a versioned on-disk [`Checkpoint`] at bin boundaries, and
 //!   [`CampaignRunner::resume`] continues an interrupted run to a FIT
 //!   rate bit-identical to an uninterrupted one (bins reuse the exact
-//!   per-bin seed `seed + 0xB10C + k·6271` the pipeline derives, and
-//!   checkpointed POFs round-trip as raw f64 bit patterns).
+//!   per-bin seed of `BinPlan::bin_seed` that the pipeline draws from,
+//!   and checkpointed POFs round-trip as raw f64 bit patterns).
 //! - **Degraded coverage instead of aborts** — a bin whose Monte Carlo
 //!   panics (or is forced to fail by the fault-injection plan) becomes an
 //!   error-tagged [`BinOutcome::Failed`] record excluded from the Eq. 8
 //!   integration; the report carries an explicit [`Coverage`] summary so
 //!   an under-integrated FIT is never mistaken for a complete one.
 //! - **NaN quarantine surfaced** — poisoned iterations rejected at the
-//!   accumulator boundary and non-finite bins excluded by
-//!   [`fit_rate_checked`] are both counted in the report.
+//!   accumulator boundary and non-finite bins excluded from the Eq. 8
+//!   fold are both counted in the report.
 //!
 //! Everything that can go wrong maps to a typed [`CampaignError`]; no
 //! degradation path panics or silently returns a wrong FIT.
@@ -24,12 +24,12 @@
 use crate::checkpoint::{
     config_fingerprint, BinRecord, Checkpoint, CheckpointError, CHECKPOINT_VERSION,
 };
-use crate::fit::{fit_rate_checked, FitRate, PofBin};
-use crate::pipeline::{PipelineConfig, SerPipeline};
-use crate::strike::{DepositMode, StrikeSimulator};
+use crate::fit::{FitRate, PofBin};
+use crate::pipeline::{BinExecutor, BinPlan, PipelineConfig, SerPipeline};
 use crate::CoreError;
 use finrad_environment::SpectrumBin;
 use finrad_units::{Particle, Voltage};
+use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -256,14 +256,12 @@ pub enum CampaignStatus {
 /// The fault-tolerant campaign driver.
 pub struct CampaignRunner {
     config: CampaignConfig,
-    pipeline: SerPipeline,
 }
 
 impl CampaignRunner {
     /// Creates a runner.
     pub fn new(config: CampaignConfig) -> Self {
-        let pipeline = SerPipeline::new(config.pipeline.clone());
-        Self { config, pipeline }
+        Self { config }
     }
 
     /// The campaign configuration.
@@ -278,7 +276,7 @@ impl CampaignRunner {
     ///
     /// See [`CampaignError`].
     pub fn run(&self) -> Result<CampaignStatus, CampaignError> {
-        self.execute(Vec::new())
+        self.execute(false)
     }
 
     /// Resumes from the configured checkpoint if one exists (falling back
@@ -292,51 +290,16 @@ impl CampaignRunner {
     /// different configuration, plus everything [`CampaignRunner::run`]
     /// can produce.
     pub fn resume(&self) -> Result<CampaignStatus, CampaignError> {
-        let Some(path) = &self.config.checkpoint_path else {
-            return self.run();
-        };
-        if !path.exists() {
-            return self.run();
-        }
-        let ck = load_checkpoint_classified(path)?;
-        let expected =
-            config_fingerprint(&self.config.pipeline, self.config.particle, self.config.vdd);
-        if ck.fingerprint != expected {
-            return Err(CampaignError::ConfigMismatch {
-                expected,
-                found: ck.fingerprint,
-            });
-        }
-        self.execute(ck.bins)
+        self.execute(true)
     }
 
-    fn execute(&self, prior: Vec<BinRecord>) -> Result<CampaignStatus, CampaignError> {
+    fn execute(&self, resume: bool) -> Result<CampaignStatus, CampaignError> {
         let cfg = &self.config;
-        // The expensive, deterministic step: re-characterization on resume
-        // rebuilds the identical POF table, so tallies from the prior run
-        // compose bit-exactly with freshly computed bins.
-        let table = self.pipeline.build_pof_table(cfg.vdd)?;
-        let spectrum_bins = self.pipeline.energy_bins(cfg.particle);
-        let total = spectrum_bins.len();
-
-        let mut outcomes = prefill_outcomes(prior, &spectrum_bins)?;
-
-        let array = self.pipeline.build_array();
-        let traversal = self.pipeline.traversal();
-        let lut = (cfg.pipeline.deposit == DepositMode::LutMean)
-            .then(|| self.pipeline.build_ehp_lut(cfg.particle));
-        let sim = StrikeSimulator::new(
-            &array,
-            traversal,
-            &table,
-            self.pipeline.direction_for(cfg.particle),
-            cfg.pipeline.deposit,
-            cfg.pipeline.flip_model,
-            lut.as_ref(),
-        );
-
+        let (plan, mut outcomes) = prepare(cfg, resume)?;
+        let total = outcomes.len();
+        let executor = plan.executor();
         let mut new_bins = 0usize;
-        for (k, sb) in spectrum_bins.iter().enumerate() {
+        for k in 0..total {
             if outcomes[k].is_some() {
                 continue;
             }
@@ -347,7 +310,7 @@ impl CampaignRunner {
                     return Ok(CampaignStatus::Paused { completed, total });
                 }
             }
-            outcomes[k] = Some(match supervised_bin(&sim, cfg, k, sb, 0) {
+            outcomes[k] = Some(match supervised_bin(&executor, cfg, k, 0) {
                 Ok(outcome) => outcome,
                 Err(msg) => BinOutcome::Failed {
                     error: format!("bin {k} panicked: {msg}"),
@@ -359,7 +322,7 @@ impl CampaignRunner {
         if new_bins > 0 {
             self.save_checkpoint(&outcomes)?;
         }
-        integrate_outcomes(cfg.particle, cfg.vdd, outcomes, &array, &spectrum_bins)
+        integrate_outcomes(cfg, &plan, outcomes)
             .map(|report| CampaignStatus::Complete(Box::new(report)))
     }
 
@@ -374,6 +337,39 @@ impl CampaignRunner {
     }
 }
 
+/// Builds a campaign's [`BinPlan`] and its outcome table (`None` = not
+/// yet computed). With `resume` set, the configured checkpoint, if one
+/// exists, is loaded, its partial writes classified, its fingerprint
+/// checked against the config, and its bins prefilled. Shared by
+/// [`CampaignRunner`] and the campaign service's prepare step.
+pub(crate) fn prepare(
+    cfg: &CampaignConfig,
+    resume: bool,
+) -> Result<(BinPlan<'static>, Vec<Option<BinOutcome>>), CampaignError> {
+    let prior = match &cfg.checkpoint_path {
+        Some(path) if resume && path.exists() => {
+            let ck = load_checkpoint_classified(path)?;
+            let expected = config_fingerprint(&cfg.pipeline, cfg.particle, cfg.vdd);
+            if ck.fingerprint != expected {
+                return Err(CampaignError::ConfigMismatch {
+                    expected,
+                    found: ck.fingerprint,
+                });
+            }
+            ck.bins
+        }
+        _ => Vec::new(),
+    };
+    // The expensive, deterministic step: re-characterization on resume
+    // rebuilds the identical POF table, so tallies from the prior run
+    // compose bit-exactly with freshly computed bins.
+    let pipeline = SerPipeline::new(cfg.pipeline.clone());
+    let table = pipeline.build_pof_table(cfg.vdd)?;
+    let plan = BinPlan::new(&pipeline, cfg.particle, Cow::Owned(table));
+    let outcomes = prefill_outcomes(prior, &plan.bins)?;
+    Ok((plan, outcomes))
+}
+
 /// Runs one energy bin inside the supervision envelope shared by
 /// [`CampaignRunner`] and the campaign service: fault-plan hooks, panic
 /// capture via `catch_unwind`, and per-bin wall-time/outcome metrics.
@@ -385,24 +381,19 @@ impl CampaignRunner {
 /// `Err` carries the captured panic message so the caller decides between
 /// retrying and quarantining.
 pub(crate) fn supervised_bin(
-    sim: &StrikeSimulator<'_>,
+    executor: &BinExecutor<'_>,
     cfg: &CampaignConfig,
     k: usize,
-    sb: &SpectrumBin,
     attempt: u32,
 ) -> Result<BinOutcome, String> {
     #[cfg(not(feature = "fault-injection"))]
-    let _ = attempt;
+    let _ = (cfg, attempt);
     #[cfg(feature = "fault-injection")]
     if cfg.fault_plan.fail_bins.contains(&k) {
         return Ok(BinOutcome::Failed {
             error: format!("injected fault: bin {k} forced to fail"),
         });
     }
-    // Exactly the per-bin seed SerPipeline::run_with_table derives —
-    // the bit-identical-resume guarantee hangs on this.
-    let seed = cfg.pipeline.seed.wrapping_add(0xB10C + k as u64 * 6271);
-    let iterations = cfg.pipeline.iterations_per_energy;
     let bin_timer = finrad_observe::span(finrad_observe::keys::CAMPAIGN_BIN_SECONDS);
     let result = catch_unwind(AssertUnwindSafe(|| {
         #[cfg(feature = "fault-injection")]
@@ -414,7 +405,7 @@ pub(crate) fn supervised_bin(
                 panic!("injected fault: bin {k} panicked (attempt {attempt})");
             }
         }
-        sim.estimate(cfg.particle, sb.energy, iterations, seed)
+        executor.run_bin(k)
     }));
     drop(bin_timer);
     finrad_observe::counter_add(
@@ -441,31 +432,24 @@ pub(crate) fn supervised_bin(
                 est
             };
             #[allow(unused_mut)]
-            let mut bin = PofBin {
-                spectrum: *sb,
-                pof_total: est.total.mean(),
-                pof_seu: est.seu.mean(),
-                pof_mbu: est.mbu.mean(),
-            };
+            let mut outcome = executor.plan.outcome(k, &est);
             #[cfg(feature = "fault-injection")]
             if cfg.fault_plan.poison_bins.contains(&k) {
-                bin.pof_total = f64::NAN;
-                bin.pof_seu = f64::NAN;
-                bin.pof_mbu = f64::NAN;
+                if let BinOutcome::Ok { bin, .. } = &mut outcome {
+                    bin.pof_total = f64::NAN;
+                    bin.pof_seu = f64::NAN;
+                    bin.pof_mbu = f64::NAN;
+                }
             }
-            Ok(BinOutcome::Ok {
-                bin,
-                quarantined: est.quarantined,
-            })
+            Ok(outcome)
         }
         Err(payload) => Err(payload_message(payload.as_ref())),
     }
 }
 
 /// Maps checkpointed bin records back onto a campaign's outcome table
-/// (`None` = not yet computed). Shared by [`CampaignRunner::resume`] and
-/// the campaign service's prepare step.
-pub(crate) fn prefill_outcomes(
+/// (`None` = not yet computed).
+fn prefill_outcomes(
     prior: Vec<BinRecord>,
     spectrum_bins: &[SpectrumBin],
 ) -> Result<Vec<Option<BinOutcome>>, CampaignError> {
@@ -501,17 +485,14 @@ pub(crate) fn prefill_outcomes(
     Ok(outcomes)
 }
 
-/// Folds per-bin outcomes into a [`CampaignReport`] (Eq. 8 over the
-/// covered bins plus the explicit [`Coverage`] summary). Shared by
-/// [`CampaignRunner`] and the campaign service.
+/// Folds per-bin outcomes into a [`CampaignReport`] with
+/// [`BinPlan::integrate`]; a bin that never ran counts as failed. Shared
+/// by [`CampaignRunner`] and the campaign service.
 pub(crate) fn integrate_outcomes(
-    particle: Particle,
-    vdd: Voltage,
+    cfg: &CampaignConfig,
+    plan: &BinPlan<'_>,
     outcomes: Vec<Option<BinOutcome>>,
-    array: &crate::array::MemoryArray,
-    spectrum_bins: &[SpectrumBin],
 ) -> Result<CampaignReport, CampaignError> {
-    let total = outcomes.len();
     let outcomes: Vec<BinOutcome> = outcomes
         .into_iter()
         .map(|o| {
@@ -520,48 +501,15 @@ pub(crate) fn integrate_outcomes(
             })
         })
         .collect();
-    let ok_pof_bins: Vec<PofBin> = outcomes
-        .iter()
-        .filter_map(|o| match o {
-            BinOutcome::Ok { bin, .. } => Some(*bin),
-            BinOutcome::Failed { .. } => None,
-        })
-        .collect();
-    if ok_pof_bins.is_empty() {
-        return Err(CampaignError::NoCoverage { total_bins: total });
+    let (fit, coverage) = plan.integrate(&outcomes);
+    if coverage.ok_bins == 0 {
+        return Err(CampaignError::NoCoverage {
+            total_bins: coverage.total_bins,
+        });
     }
-    let (fit, non_finite_bins) = fit_rate_checked(&ok_pof_bins, array.footprint());
-    let quarantined_samples: u64 = outcomes
-        .iter()
-        .map(|o| match o {
-            BinOutcome::Ok { quarantined, .. } => *quarantined,
-            BinOutcome::Failed { .. } => 0,
-        })
-        .sum();
-    let total_flux: f64 = spectrum_bins
-        .iter()
-        .map(|sb| sb.integral_flux.per_m2_second())
-        .sum();
-    let covered_flux: f64 = ok_pof_bins
-        .iter()
-        .filter(|b| b.pof_total.is_finite() && b.pof_seu.is_finite() && b.pof_mbu.is_finite())
-        .map(|b| b.spectrum.integral_flux.per_m2_second())
-        .sum();
-    let coverage = Coverage {
-        total_bins: total,
-        ok_bins: ok_pof_bins.len(),
-        failed_bins: total - ok_pof_bins.len(),
-        non_finite_bins,
-        quarantined_samples,
-        flux_fraction: if total_flux > 0.0 {
-            covered_flux / total_flux
-        } else {
-            1.0
-        },
-    };
     Ok(CampaignReport {
-        particle,
-        vdd,
+        particle: cfg.particle,
+        vdd: cfg.vdd,
         fit,
         outcomes,
         coverage,
@@ -612,7 +560,7 @@ pub(crate) fn build_checkpoint(
 /// latter is disambiguated here without touching the parser: a complete
 /// snapshot (`Checkpoint::to_text`) always ends with a newline, so a
 /// `Corrupt` file whose last byte is not `\n` was interrupted mid-write.
-pub(crate) fn load_checkpoint_classified(path: &Path) -> Result<Checkpoint, CampaignError> {
+fn load_checkpoint_classified(path: &Path) -> Result<Checkpoint, CampaignError> {
     match Checkpoint::load(path) {
         Err(CheckpointError::Truncated) => Err(CampaignError::CheckpointTruncated {
             path: path.to_path_buf(),

@@ -6,6 +6,7 @@
 //! bin's representative energy, and `L_x·L_y` is the array footprint. The
 //! result is expressed in FIT (failures per 10⁹ device-hours).
 
+use crate::strike::ArrayPofEstimate;
 use finrad_environment::SpectrumBin;
 use finrad_units::{constants, Area};
 
@@ -20,6 +21,18 @@ pub struct PofBin {
     pub pof_seu: f64,
     /// Mean POF_MBU.
     pub pof_mbu: f64,
+}
+
+impl PofBin {
+    /// The bin's mean POFs from its strike Monte-Carlo estimate.
+    pub(crate) fn from_estimate(spectrum: SpectrumBin, est: &ArrayPofEstimate) -> Self {
+        Self {
+            spectrum,
+            pof_total: est.total.mean(),
+            pof_seu: est.seu.mean(),
+            pof_mbu: est.mbu.mean(),
+        }
+    }
 }
 
 /// FIT rates decomposed by upset multiplicity.
@@ -109,52 +122,6 @@ pub fn fit_rate(bins: &[PofBin], footprint: Area) -> FitRate {
         rate.mbu += b.pof_mbu * particles_per_hour * constants::FIT_HOURS;
     }
     rate
-}
-
-/// Eq. 8 with NaN/Inf quarantine: bins whose POFs or flux are non-finite
-/// are excluded from the integration instead of poisoning the sum.
-///
-/// Returns the FIT rate over the finite bins together with the number of
-/// bins that were excluded, so callers can report degraded spectrum
-/// coverage rather than silently under-integrating.
-///
-/// # Examples
-///
-/// ```
-/// use finrad_core::fit::{fit_rate, fit_rate_checked, PofBin};
-/// use finrad_environment::SpectrumBin;
-/// use finrad_units::{Area, Energy, Flux};
-///
-/// let good = PofBin {
-///     spectrum: SpectrumBin {
-///         energy: Energy::from_mev(1.0),
-///         lo: Energy::from_mev(0.5),
-///         hi: Energy::from_mev(2.0),
-///         integral_flux: Flux::from_per_cm2_hour(0.001),
-///     },
-///     pof_total: 0.5,
-///     pof_seu: 0.4,
-///     pof_mbu: 0.1,
-/// };
-/// let poisoned = PofBin { pof_total: f64::NAN, ..good };
-/// let area = Area::from_square_cm(1.0);
-/// let (fit, excluded) = fit_rate_checked(&[good, poisoned], area);
-/// assert_eq!(excluded, 1);
-/// assert_eq!(fit, fit_rate(&[good], area));
-/// ```
-pub fn fit_rate_checked(bins: &[PofBin], footprint: Area) -> (FitRate, usize) {
-    let finite: Vec<PofBin> = bins
-        .iter()
-        .copied()
-        .filter(|b| {
-            b.pof_total.is_finite()
-                && b.pof_seu.is_finite()
-                && b.pof_mbu.is_finite()
-                && b.spectrum.integral_flux.per_m2_second().is_finite()
-        })
-        .collect();
-    let excluded = bins.len() - finite.len();
-    (fit_rate(&finite, footprint), excluded)
 }
 
 #[cfg(test)]

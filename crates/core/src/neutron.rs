@@ -237,12 +237,7 @@ impl<'a> NeutronSimulator<'a> {
                     iterations_per_bin,
                     seed.wrapping_add(k as u64 * 104_729),
                 );
-                PofBin {
-                    spectrum: *sb,
-                    pof_total: est.total.mean(),
-                    pof_seu: est.seu.mean(),
-                    pof_mbu: est.mbu.mean(),
-                }
+                PofBin::from_estimate(*sb, &est)
             })
             .collect();
         (fit_rate(&pof_bins, self.collection_area()), pof_bins)

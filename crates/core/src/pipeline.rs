@@ -7,6 +7,7 @@
 //! the FIT rate with Eq. 8.
 
 use crate::array::{DataPattern, MemoryArray};
+use crate::campaign::{BinOutcome, Coverage};
 use crate::fit::{fit_rate, FitRate, PofBin};
 use crate::strike::{ArrayPofEstimate, DepositMode, DirectionLaw, FlipModel, StrikeSimulator};
 use crate::CoreError;
@@ -19,6 +20,7 @@ use finrad_transport::lut::EhpLut;
 use finrad_transport::stopping::StoppingModel;
 use finrad_transport::straggling::StragglingModel;
 use finrad_units::{Energy, Particle, Voltage};
+use std::borrow::Cow;
 
 /// Pipeline configuration.
 #[derive(Debug, Clone)]
@@ -186,7 +188,7 @@ impl SerPipeline {
         )
     }
 
-    pub(crate) fn traversal(&self) -> FinTraversal {
+    fn traversal(&self) -> FinTraversal {
         let g = FinGeometry {
             width: self.config.tech.w_fin,
             length: self.config.tech.l_gate,
@@ -277,24 +279,13 @@ impl SerPipeline {
         table: &PofTable,
         energies: &[Energy],
     ) -> Vec<(Energy, ArrayPofEstimate)> {
-        let array = self.build_array();
-        let traversal = self.traversal();
-        let lut =
-            (self.config.deposit == DepositMode::LutMean).then(|| self.build_ehp_lut(particle));
-        let sim = StrikeSimulator::new(
-            &array,
-            traversal,
-            table,
-            self.direction_for(particle),
-            self.config.deposit,
-            self.config.flip_model,
-            lut.as_ref(),
-        );
+        let plan = BinPlan::new(self, particle, Cow::Borrowed(table));
+        let executor = plan.executor();
         energies
             .iter()
             .enumerate()
             .map(|(k, &e)| {
-                let est = sim.estimate(
+                let est = executor.sim.estimate(
                     particle,
                     e,
                     self.config.iterations_per_energy,
@@ -319,53 +310,265 @@ impl SerPipeline {
     /// Full pipeline reusing a prebuilt POF table (`vdd` must match the
     /// table's characterization voltage).
     pub fn run_with_table(&self, particle: Particle, vdd: Voltage, table: &PofTable) -> SerReport {
-        let bins = self.energy_bins(particle);
-        let array = self.build_array();
-        let traversal = self.traversal();
-        let lut =
-            (self.config.deposit == DepositMode::LutMean).then(|| self.build_ehp_lut(particle));
-        let sim = StrikeSimulator::new(
-            &array,
-            traversal,
-            table,
-            self.direction_for(particle),
-            self.config.deposit,
-            self.config.flip_model,
-            lut.as_ref(),
-        );
-        let pof_bins: Vec<PofBin> = bins
-            .iter()
-            .enumerate()
-            .map(|(k, sb)| {
-                let est = sim.estimate(
-                    particle,
-                    sb.energy,
-                    self.config.iterations_per_energy,
-                    self.config.seed.wrapping_add(0xB10C + k as u64 * 6271),
-                );
-                PofBin {
-                    spectrum: *sb,
-                    pof_total: est.total.mean(),
-                    pof_seu: est.seu.mean(),
-                    pof_mbu: est.mbu.mean(),
-                }
+        let plan = BinPlan::new(self, particle, Cow::Borrowed(table));
+        let executor = plan.executor();
+        let outcomes: Vec<BinOutcome> = (0..plan.bins.len())
+            .map(|k| plan.outcome(k, &executor.run_bin(k)))
+            .collect();
+        let (fit, _) = plan.integrate(&outcomes);
+        let bins = outcomes
+            .into_iter()
+            .filter_map(|o| match o {
+                BinOutcome::Ok { bin, .. } => Some(bin),
+                BinOutcome::Failed { .. } => None,
             })
             .collect();
-        let fit: FitRate = fit_rate(&pof_bins, array.footprint());
         SerReport {
             particle,
             vdd,
             fit_total: fit.total,
             fit_seu: fit.seu,
             fit_mbu: fit.mbu,
-            bins: pof_bins,
+            bins,
         }
+    }
+}
+
+/// The Eq. 8 loop for one (particle, V_dd) once its POF table exists: the
+/// array, traversal, optional e-h LUT and spectrum bins, built once.
+///
+/// [`SerPipeline::run_with_table`] runs the bins serially; the campaign
+/// runner and service run each bin inside their supervision envelope.
+/// All of them fold the outcomes with [`BinPlan::integrate`].
+pub(crate) struct BinPlan<'t> {
+    particle: Particle,
+    table: Cow<'t, PofTable>,
+    array: MemoryArray,
+    traversal: FinTraversal,
+    lut: Option<EhpLut>,
+    /// The spectrum's energy bins, indexed by bin number.
+    pub(crate) bins: Vec<SpectrumBin>,
+    direction: DirectionLaw,
+    deposit: DepositMode,
+    flip_model: FlipModel,
+    iterations: u64,
+    seed: u64,
+}
+
+impl<'t> BinPlan<'t> {
+    /// Builds the plan of `pipeline`'s configuration for `particle`.
+    pub(crate) fn new(
+        pipeline: &SerPipeline,
+        particle: Particle,
+        table: Cow<'t, PofTable>,
+    ) -> Self {
+        let config = &pipeline.config;
+        Self {
+            particle,
+            table,
+            array: pipeline.build_array(),
+            traversal: pipeline.traversal(),
+            lut: (config.deposit == DepositMode::LutMean).then(|| pipeline.build_ehp_lut(particle)),
+            bins: pipeline.energy_bins(particle),
+            direction: pipeline.direction_for(particle),
+            deposit: config.deposit,
+            flip_model: config.flip_model,
+            iterations: config.iterations_per_energy,
+            seed: config.seed,
+        }
+    }
+
+    /// The strike-MC seed of energy bin `k`. Every Eq. 8 path draws bin
+    /// `k` from this stream, which is what makes serial, sharded and
+    /// resumed runs bit-identical; `e2ebench/reference.txt` depends on it
+    /// too.
+    pub(crate) fn bin_seed(&self, k: usize) -> u64 {
+        self.seed.wrapping_add(0xB10C + k as u64 * 6271)
+    }
+
+    /// Builds the plan's strike simulator. A caller builds one and runs
+    /// every bin it owns on it.
+    pub(crate) fn executor(&self) -> BinExecutor<'_> {
+        BinExecutor {
+            plan: self,
+            sim: StrikeSimulator::new(
+                &self.array,
+                self.traversal.clone(),
+                &self.table,
+                self.direction,
+                self.deposit,
+                self.flip_model,
+                self.lut.as_ref(),
+            ),
+        }
+    }
+
+    /// Bin `k`'s completed outcome from its strike estimate.
+    pub(crate) fn outcome(&self, k: usize, est: &ArrayPofEstimate) -> BinOutcome {
+        BinOutcome::Ok {
+            bin: PofBin::from_estimate(self.bins[k], est),
+            quarantined: est.quarantined,
+        }
+    }
+
+    /// Eq. 8 over the completed bins plus the [`Coverage`] summary;
+    /// `outcomes[k]` is bin `k`'s outcome. A completed bin with a
+    /// non-finite POF or flux is left out of both the FIT sum and the
+    /// covered flux, and counted in `Coverage::non_finite_bins`.
+    pub(crate) fn integrate(&self, outcomes: &[BinOutcome]) -> (FitRate, Coverage) {
+        let flux = |b: &SpectrumBin| b.integral_flux.per_m2_second();
+        let mut ok_bins = 0;
+        let mut quarantined_samples = 0;
+        let mut covered: Vec<PofBin> = Vec::new();
+        for outcome in outcomes {
+            if let BinOutcome::Ok { bin, quarantined } = outcome {
+                ok_bins += 1;
+                quarantined_samples += quarantined;
+                if [bin.pof_total, bin.pof_seu, bin.pof_mbu, flux(&bin.spectrum)]
+                    .iter()
+                    .all(|v| v.is_finite())
+                {
+                    covered.push(*bin);
+                }
+            }
+        }
+        let total_flux: f64 = self.bins.iter().map(flux).sum();
+        let covered_flux: f64 = covered.iter().map(|b| flux(&b.spectrum)).sum();
+        let coverage = Coverage {
+            total_bins: outcomes.len(),
+            ok_bins,
+            failed_bins: outcomes.len() - ok_bins,
+            non_finite_bins: ok_bins - covered.len(),
+            quarantined_samples,
+            flux_fraction: if total_flux > 0.0 {
+                covered_flux / total_flux
+            } else {
+                1.0
+            },
+        };
+        (fit_rate(&covered, self.array.footprint()), coverage)
+    }
+}
+
+/// A [`BinPlan`] bound to one strike simulator.
+pub(crate) struct BinExecutor<'p> {
+    pub(crate) plan: &'p BinPlan<'p>,
+    sim: StrikeSimulator<'p>,
+}
+
+impl BinExecutor<'_> {
+    /// Runs bin `k`'s strike Monte Carlo at its representative energy on
+    /// the bin's own seed stream.
+    pub(crate) fn run_bin(&self, k: usize) -> ArrayPofEstimate {
+        let plan = self.plan;
+        self.sim.estimate(
+            plan.particle,
+            plan.bins[k].energy,
+            plan.iterations,
+            plan.bin_seed(k),
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use finrad_sram::{PofCurve, StrikeCombo, StrikeTarget};
+    use finrad_units::Flux;
+    use std::collections::BTreeMap;
+
+    /// A one-combo table: enough to build a plan without characterizing.
+    fn one_combo_table() -> PofTable {
+        let mut curves = BTreeMap::new();
+        curves.insert(
+            StrikeCombo::single(StrikeTarget::I1),
+            PofCurve::from_critical_charges(vec![1.0e-17]),
+        );
+        PofTable::new(Voltage::from_volts(0.8), curves)
+    }
+
+    fn smoke_plan(seed: u64, table: &PofTable) -> BinPlan<'_> {
+        let mut cfg = PipelineConfig::smoke_test();
+        cfg.seed = seed;
+        BinPlan::new(
+            &SerPipeline::new(cfg),
+            Particle::Alpha,
+            Cow::Borrowed(table),
+        )
+    }
+
+    #[test]
+    fn bin_seed_is_the_pinned_per_bin_stream() {
+        let table = one_combo_table();
+        for seed in [0, 0xF1A7_5EED, u64::MAX] {
+            let plan = smoke_plan(seed, &table);
+            for k in [0usize, 1, 9] {
+                assert_eq!(
+                    plan.bin_seed(k),
+                    seed.wrapping_add(0xB10C + 6271 * k as u64)
+                );
+            }
+        }
+        assert_eq!(smoke_plan(u64::MAX, &table).bin_seed(0), 0xB10B);
+        assert_eq!(smoke_plan(0, &table).bin_seed(9), 0xB10C + 56_439);
+    }
+
+    #[test]
+    fn integrate_excludes_and_counts_non_finite_bins() {
+        let table = one_combo_table();
+        let plan = smoke_plan(1, &table);
+        let mut outcomes: Vec<BinOutcome> = plan
+            .bins
+            .iter()
+            .map(|&spectrum| BinOutcome::Ok {
+                bin: PofBin {
+                    spectrum,
+                    pof_total: 0.5,
+                    pof_seu: 0.4,
+                    pof_mbu: 0.1,
+                },
+                quarantined: 1,
+            })
+            .collect();
+        let pof_bins = |outcomes: &[BinOutcome]| -> Vec<PofBin> {
+            outcomes
+                .iter()
+                .filter_map(|o| match o {
+                    BinOutcome::Ok { bin, .. } => Some(*bin),
+                    BinOutcome::Failed { .. } => None,
+                })
+                .collect()
+        };
+        let footprint = plan.array.footprint();
+        let (fit, coverage) = plan.integrate(&outcomes);
+        assert!(coverage.is_complete());
+        assert_eq!(coverage.flux_fraction, 1.0);
+        assert_eq!(fit, fit_rate(&pof_bins(&outcomes), footprint));
+
+        // A NaN POF and an infinite flux are both left out of the FIT sum
+        // and the covered flux, and counted; a failed bin is not counted
+        // as non-finite.
+        if let BinOutcome::Ok { bin, .. } = &mut outcomes[0] {
+            bin.pof_total = f64::NAN;
+        }
+        if let BinOutcome::Ok { bin, .. } = &mut outcomes[1] {
+            bin.spectrum.integral_flux = Flux::from_per_m2_second(f64::INFINITY);
+        }
+        outcomes[2] = BinOutcome::Failed {
+            error: "injected".into(),
+        };
+        let (fit, coverage) = plan.integrate(&outcomes);
+        assert_eq!(coverage.total_bins, 5);
+        assert_eq!(coverage.ok_bins, 4);
+        assert_eq!(coverage.failed_bins, 1);
+        assert_eq!(coverage.non_finite_bins, 2);
+        assert_eq!(coverage.quarantined_samples, 4);
+        assert!(!coverage.is_complete());
+        assert_eq!(fit, fit_rate(&pof_bins(&outcomes[3..]), footprint));
+        let flux = |k: usize| plan.bins[k].integral_flux.per_m2_second();
+        let total: f64 = (0..5).map(flux).sum();
+        assert_eq!(coverage.flux_fraction, (flux(3) + flux(4)) / total);
+    }
 
     #[test]
     fn config_validation() {

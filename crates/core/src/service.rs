@@ -31,31 +31,27 @@
 //!   items and flushes each unfinished job's partial checkpoint, so a
 //!   killed daemon resumes to a bit-identical [`CampaignReport`].
 //!
-//! Determinism: bins use the same per-bin seed derivation as
-//! [`CampaignRunner`](crate::campaign::CampaignRunner) and integration
-//! folds outcomes in bin order, so the report is bit-identical regardless
-//! of worker count, scheduling order, retries, or interruption.
+//! Determinism: bins run on the same bin plan as
+//! [`CampaignRunner`](crate::campaign::CampaignRunner): bin `k` draws the
+//! per-bin seed of `BinPlan::bin_seed` and integration folds outcomes in
+//! bin order, so the report is bit-identical regardless of worker count,
+//! scheduling order, retries, or interruption.
 //!
 //! Architecture details and the supervision state machine are documented
 //! in `docs/service.md`.
 
-use crate::array::MemoryArray;
 use crate::campaign::{
-    build_checkpoint, integrate_outcomes, load_checkpoint_classified, payload_message,
-    prefill_outcomes, supervised_bin, BinOutcome, CampaignConfig, CampaignError, CampaignReport,
+    build_checkpoint, integrate_outcomes, payload_message, prepare, supervised_bin, BinOutcome,
+    CampaignConfig, CampaignError, CampaignReport,
 };
 use crate::checkpoint::config_fingerprint;
-use crate::pipeline::SerPipeline;
-use crate::strike::{DepositMode, StrikeSimulator};
+use crate::pipeline::BinPlan;
 use crate::CoreError;
-use finrad_environment::SpectrumBin;
 use finrad_numerics::rng::{Rng, Xoshiro256pp};
 use finrad_observe::keys;
 use finrad_spice::cancel::install_scoped;
 use finrad_spice::sync::{lock_recovering, wait_recovering, wait_timeout_recovering};
 use finrad_spice::{CancelToken, SpiceError};
-use finrad_sram::PofTable;
-use finrad_transport::lut::EhpLut;
 use std::collections::{HashMap, VecDeque};
 use std::error::Error;
 use std::fmt;
@@ -210,31 +206,6 @@ pub fn backoff_schedule(
     }
 }
 
-/// Everything the bin stage needs, built once per job by the prepare
-/// step. All fields are plain owned data, shared across workers by `Arc`.
-struct Prepared {
-    pipeline: SerPipeline,
-    table: PofTable,
-    array: MemoryArray,
-    lut: Option<EhpLut>,
-    bins: Vec<SpectrumBin>,
-}
-
-impl Prepared {
-    fn run_bin(&self, cfg: &CampaignConfig, k: usize, attempt: u32) -> Result<BinOutcome, String> {
-        let sim = StrikeSimulator::new(
-            &self.array,
-            self.pipeline.traversal(),
-            &self.table,
-            self.pipeline.direction_for(cfg.particle),
-            cfg.pipeline.deposit,
-            cfg.pipeline.flip_model,
-            self.lut.as_ref(),
-        );
-        supervised_bin(&sim, cfg, k, &self.bins[k], attempt)
-    }
-}
-
 enum WorkItem {
     Prepare(JobId),
     Bin {
@@ -254,7 +225,9 @@ struct Job {
     fingerprint: u64,
     token: CancelToken,
     submitted: Instant,
-    prepared: Option<Arc<Prepared>>,
+    /// The job's bin plan, built once by the prepare step and shared
+    /// across workers.
+    plan: Option<Arc<BinPlan<'static>>>,
     outcomes: Vec<Option<BinOutcome>>,
     /// Bins not yet in a terminal state. The scheduling invariant: while
     /// the job is live, every non-terminal bin has exactly one item
@@ -335,7 +308,7 @@ impl State {
     }
 
     /// Moves a live job to its terminal state and records the per-job
-    /// metrics. The `Job` (and its `Prepared` data) is dropped; waiters
+    /// metrics. The `Job` (and its bin plan) is dropped; waiters
     /// observe `Slot::Done` after the caller notifies the condvar.
     fn finalize(&mut self, id: JobId, result: JobResult) {
         let Some(Slot::Job(job)) = self.jobs.remove(&id) else {
@@ -468,7 +441,7 @@ impl CampaignService {
                 fingerprint,
                 token: deadline_token,
                 submitted: Instant::now(),
-                prepared: None,
+                plan: None,
                 outcomes: Vec::new(),
                 remaining: 0,
             })),
@@ -500,7 +473,7 @@ impl CampaignService {
         let st = self.shared.lock();
         let rid = st.resolve(id);
         match st.jobs.get(&rid) {
-            Some(Slot::Job(job)) => match &job.prepared {
+            Some(Slot::Job(job)) => match &job.plan {
                 Some(_) => JobStatus::Running {
                     completed_bins: job.outcomes.len() - job.remaining,
                     total_bins: job.outcomes.len(),
@@ -593,7 +566,7 @@ fn flush_partial(st: &mut State, id: JobId) -> JobError {
         return JobError::Draining;
     };
     let has_progress = job.outcomes.iter().any(Option::is_some);
-    if job.prepared.is_none() || !has_progress || job.config.checkpoint_path.is_none() {
+    if job.plan.is_none() || !has_progress || job.config.checkpoint_path.is_none() {
         return JobError::Draining;
     }
     #[cfg(feature = "fault-injection")]
@@ -653,54 +626,15 @@ fn worker_loop(shared: &Arc<Shared>, widx: usize) {
     }
 }
 
-/// Classifies a prepare-stage pipeline error: a characterization aborted
-/// by the job's own cancellation token is a deadline, not a setup bug.
-fn classify_setup(e: CoreError) -> JobError {
+/// Classifies a prepare-stage error: a characterization aborted by the
+/// job's own cancellation token is a deadline, not a setup bug.
+fn classify_setup(e: CampaignError) -> JobError {
     match e {
-        CoreError::Characterization(SpiceError::Cancelled { .. }) => JobError::DeadlineExceeded,
-        other => JobError::Setup(format!("campaign setup failed: {other}")),
-    }
-}
-
-/// The prepare stage, run off-lock: characterize the cell, build the
-/// array/traversal/LUT, and prefill outcomes from a checkpoint if one
-/// exists on disk.
-fn prepare_job(cfg: &CampaignConfig) -> Result<(Prepared, Vec<Option<BinOutcome>>), JobError> {
-    let pipeline = SerPipeline::new(cfg.pipeline.clone());
-    let table = pipeline.build_pof_table(cfg.vdd).map_err(classify_setup)?;
-    let bins = pipeline.energy_bins(cfg.particle);
-    let array = pipeline.build_array();
-    let lut = (cfg.pipeline.deposit == DepositMode::LutMean)
-        .then(|| pipeline.build_ehp_lut(cfg.particle));
-    let mut outcomes = vec![None; bins.len()];
-    if let Some(path) = &cfg.checkpoint_path {
-        if path.exists() {
-            let ck =
-                load_checkpoint_classified(path).map_err(|e| JobError::Setup(e.to_string()))?;
-            let expected = config_fingerprint(&cfg.pipeline, cfg.particle, cfg.vdd);
-            if ck.fingerprint != expected {
-                return Err(JobError::Setup(
-                    CampaignError::ConfigMismatch {
-                        expected,
-                        found: ck.fingerprint,
-                    }
-                    .to_string(),
-                ));
-            }
-            outcomes =
-                prefill_outcomes(ck.bins, &bins).map_err(|e| JobError::Setup(e.to_string()))?;
+        CampaignError::Pipeline(CoreError::Characterization(SpiceError::Cancelled { .. })) => {
+            JobError::DeadlineExceeded
         }
+        other => JobError::Setup(other.to_string()),
     }
-    Ok((
-        Prepared {
-            pipeline,
-            table,
-            array,
-            lut,
-            bins,
-        },
-        outcomes,
-    ))
 }
 
 fn do_prepare(shared: &Arc<Shared>, id: JobId) {
@@ -719,7 +653,7 @@ fn do_prepare(shared: &Arc<Shared>, id: JobId) {
         (Arc::clone(&job.config), token)
     };
     let scope = install_scoped(&token);
-    let built = catch_unwind(AssertUnwindSafe(|| prepare_job(&cfg)));
+    let built = catch_unwind(AssertUnwindSafe(|| prepare(&cfg, true)));
     drop(scope);
     let mut st = shared.lock();
     match built {
@@ -733,14 +667,14 @@ fn do_prepare(shared: &Arc<Shared>, id: JobId) {
             );
         }
         Ok(Err(e)) => {
-            st.finalize(id, Err(e));
+            st.finalize(id, Err(classify_setup(e)));
         }
-        Ok(Ok((prepared, outcomes))) => {
+        Ok(Ok((plan, outcomes))) => {
             let Some(job) = st.job_mut(id) else {
                 return;
             };
             let remaining = outcomes.iter().filter(|o| o.is_none()).count();
-            job.prepared = Some(Arc::new(prepared));
+            job.plan = Some(Arc::new(plan));
             job.outcomes = outcomes;
             job.remaining = remaining;
             if remaining == 0 {
@@ -776,7 +710,7 @@ fn do_prepare(shared: &Arc<Shared>, id: JobId) {
 /// integration and checkpoint flush run off-lock.
 struct CompletionWork {
     config: Arc<CampaignConfig>,
-    prepared: Arc<Prepared>,
+    plan: Arc<BinPlan<'static>>,
     outcomes: Vec<Option<BinOutcome>>,
 }
 
@@ -787,10 +721,10 @@ fn take_completion(st: &mut State, id: JobId) -> Option<CompletionWork> {
     if job.remaining > 0 {
         return None;
     }
-    let prepared = Arc::clone(job.prepared.as_ref()?);
+    let plan = Arc::clone(job.plan.as_ref()?);
     Some(CompletionWork {
         config: Arc::clone(&job.config),
-        prepared,
+        plan,
         outcomes: std::mem::take(&mut job.outcomes),
     })
 }
@@ -814,18 +748,12 @@ fn complete_job(shared: &Arc<Shared>, id: JobId, work: CompletionWork) {
     }
     let result: JobResult = match flush_error {
         Some(e) => Err(e),
-        None => integrate_outcomes(
-            work.config.particle,
-            work.config.vdd,
-            work.outcomes,
-            &work.prepared.array,
-            &work.prepared.bins,
-        )
-        .map(Arc::new)
-        .map_err(|e| match e {
-            CampaignError::NoCoverage { total_bins } => JobError::NoCoverage { total_bins },
-            other => JobError::Setup(other.to_string()),
-        }),
+        None => integrate_outcomes(&work.config, &work.plan, work.outcomes)
+            .map(Arc::new)
+            .map_err(|e| match e {
+                CampaignError::NoCoverage { total_bins } => JobError::NoCoverage { total_bins },
+                other => JobError::Setup(other.to_string()),
+            }),
     };
     let mut st = shared.lock();
     let fingerprint = match st.jobs.get(&id) {
@@ -845,7 +773,7 @@ fn complete_job(shared: &Arc<Shared>, id: JobId, work: CompletionWork) {
 }
 
 fn do_bin(shared: &Arc<Shared>, id: JobId, k: usize, attempt: u32) {
-    let (cfg, token, prepared) = {
+    let (cfg, token, plan) = {
         let mut st = shared.lock();
         let Some(job) = st.job_mut(id) else {
             return; // stale item for a finished job
@@ -857,17 +785,17 @@ fn do_bin(shared: &Arc<Shared>, id: JobId, k: usize, attempt: u32) {
             shared.cv.notify_all();
             return;
         }
-        let Some(prepared) = job.prepared.clone() else {
+        let Some(plan) = job.plan.clone() else {
             return; // cannot happen: bins are enqueued only after prepare
         };
-        (Arc::clone(&job.config), token, prepared)
+        (Arc::clone(&job.config), token, plan)
     };
     #[cfg(feature = "fault-injection")]
     if let Some(delay) = fault::bin_delay() {
         std::thread::sleep(delay);
     }
     let scope = install_scoped(&token);
-    let result = prepared.run_bin(&cfg, k, attempt);
+    let result = supervised_bin(&plan.executor(), &cfg, k, attempt);
     drop(scope);
     let completion = {
         let mut st = shared.lock();

@@ -31,12 +31,14 @@ fn main() {
         job_deadline: Some(Duration::from_secs(120)),
     });
 
-    let mut cfg = campaign();
+    let cfg = campaign();
     #[cfg(feature = "fault-injection")]
-    {
+    let cfg = {
+        let mut cfg = cfg;
         cfg.fault_plan.panic_bins = vec![(2, 2)];
         println!("fault-injection: bin 2 will panic twice before succeeding");
-    }
+        cfg
+    };
 
     println!("submitting the campaign to a 4-worker service...");
     let first = service.submit(cfg.clone());

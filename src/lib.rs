@@ -55,7 +55,7 @@ pub mod prelude {
         Coverage,
     };
     pub use finrad_core::checkpoint::{Checkpoint, CheckpointError};
-    pub use finrad_core::fit::{fit_rate, fit_rate_checked, FitRate, PofBin};
+    pub use finrad_core::fit::{fit_rate, FitRate, PofBin};
     pub use finrad_core::pipeline::{PipelineConfig, SerPipeline, SerReport};
     pub use finrad_core::service::{
         backoff_schedule, CampaignService, DeadLetter, JobError, JobId, JobResult, JobStatus,

@@ -1,6 +1,6 @@
 //! Integration tests for the supervised campaign service: the threaded
 //! job-queue daemon must produce reports bit-identical to the in-process
-//! [`CampaignRunner`], serve duplicate submissions from its result cache
+//! [`CampaignRunner`] and the serial [`SerPipeline`], serve duplicate submissions from its result cache
 //! without re-invoking SPICE, coalesce concurrent duplicates onto one
 //! in-flight job, enforce per-job wall-clock deadlines as typed errors,
 //! and drain gracefully.
@@ -46,29 +46,52 @@ fn service_report_is_bit_identical_to_campaign_runner() {
     let _serial = metrics_lock();
     let _ = recorder();
 
-    // Ground truth: the single-threaded in-process runner.
-    let truth = match CampaignRunner::new(tiny_campaign()).run().expect("runner") {
-        CampaignStatus::Complete(report) => report,
-        CampaignStatus::Paused { .. } => panic!("unbounded run paused"),
-    };
+    // Both strike modes of the mixed service workload: chord-exact
+    // deposits with the expected flip model, and the e-h LUT with sampled
+    // flips. Sampled flips need more iterations to register any upset.
+    for (deposit, flip_model, iterations) in [
+        (DepositMode::ChordExact, FlipModel::Expected, 100),
+        (DepositMode::LutMean, FlipModel::Sampled, 500),
+    ] {
+        let mut campaign = tiny_campaign();
+        campaign.pipeline.deposit = deposit;
+        campaign.pipeline.flip_model = flip_model;
+        campaign.pipeline.iterations_per_energy = iterations;
 
-    // The same campaign through a 3-worker service: bins are sharded
-    // across threads and may compute in any order, but per-bin seeds and
-    // in-order integration make the report bit-identical.
-    let service = CampaignService::start(ServiceConfig {
-        workers: 3,
-        ..ServiceConfig::default()
-    });
-    let job = service.submit(tiny_campaign());
-    let report = service.wait(job).expect("service job");
+        // Ground truth: the single-threaded in-process runner.
+        let truth = match CampaignRunner::new(campaign.clone()).run().expect("runner") {
+            CampaignStatus::Complete(report) => report,
+            CampaignStatus::Paused { .. } => panic!("unbounded run paused"),
+        };
+        assert!(truth.fit.total > 0.0, "{deposit:?}: no upset to compare");
 
-    assert_eq!(report.fit.total.to_bits(), truth.fit.total.to_bits());
-    assert_eq!(report.fit.seu.to_bits(), truth.fit.seu.to_bits());
-    assert_eq!(report.fit.mbu.to_bits(), truth.fit.mbu.to_bits());
-    assert_eq!(report.outcomes.len(), truth.outcomes.len());
-    assert!(report.coverage.is_complete());
-    assert_eq!(service.status(job), JobStatus::Done);
-    assert!(service.dead_letters().is_empty());
+        // The bare serial pipeline runs the same bins on the same seeds.
+        let serial = SerPipeline::new(campaign.pipeline.clone())
+            .run(campaign.particle, campaign.vdd)
+            .expect("pipeline");
+        assert_eq!(serial.fit_total.to_bits(), truth.fit.total.to_bits());
+        assert_eq!(serial.fit_seu.to_bits(), truth.fit.seu.to_bits());
+        assert_eq!(serial.fit_mbu.to_bits(), truth.fit.mbu.to_bits());
+        assert_eq!(serial.bins.len(), truth.outcomes.len());
+
+        // The same campaign through a 3-worker service: bins are sharded
+        // across threads and may compute in any order, but per-bin seeds
+        // and in-order integration make the report bit-identical.
+        let service = CampaignService::start(ServiceConfig {
+            workers: 3,
+            ..ServiceConfig::default()
+        });
+        let job = service.submit(campaign);
+        let report = service.wait(job).expect("service job");
+
+        assert_eq!(report.fit.total.to_bits(), truth.fit.total.to_bits());
+        assert_eq!(report.fit.seu.to_bits(), truth.fit.seu.to_bits());
+        assert_eq!(report.fit.mbu.to_bits(), truth.fit.mbu.to_bits());
+        assert_eq!(report.outcomes.len(), truth.outcomes.len());
+        assert!(report.coverage.is_complete());
+        assert_eq!(service.status(job), JobStatus::Done);
+        assert!(service.dead_letters().is_empty());
+    }
 }
 
 #[test]
