@@ -22,6 +22,9 @@ cargo test -q --offline --features fault-injection --test service_supervision
 echo "==> campaign service smoke example (under fault injection)"
 cargo run -q --offline --release --features fault-injection --example campaign_service
 
+echo "==> end-to-end benchmark smoke test (every workload pinned to e2ebench/reference.txt)"
+cargo test --release --offline --manifest-path e2ebench/Cargo.toml
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 

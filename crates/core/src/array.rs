@@ -9,7 +9,8 @@
 //! for ON devices).
 
 use finrad_finfet::Technology;
-use finrad_geometry::{Aabb, Vec3};
+use finrad_geometry::trace::{BoxIndex, Crossing};
+use finrad_geometry::{Aabb, Ray, Vec3};
 use finrad_sram::layout::CellLayout;
 use finrad_sram::{CellState, StrikeTarget, TransistorRole};
 use finrad_units::Area;
@@ -78,6 +79,8 @@ pub struct MemoryArray {
     pattern: DataPattern,
     states: Vec<CellState>,
     fins: Vec<SensitiveFin>,
+    /// The fin boxes, aligned with `fins`, under the ray tracer's grid.
+    index: BoxIndex,
     bounds: Aabb,
 }
 
@@ -130,12 +133,14 @@ impl MemoryArray {
         }
         let bounds =
             Aabb::from_min_size(Vec3::ZERO, Vec3::new(cols as f64 * w, rows as f64 * d, h));
+        let index = BoxIndex::new(fins.iter().map(|f| f.aabb).collect());
         Self {
             rows,
             cols,
             pattern,
             states,
             fins,
+            index,
             bounds,
         }
     }
@@ -174,10 +179,12 @@ impl MemoryArray {
         &self.fins
     }
 
-    /// Just the geometry boxes, aligned with [`MemoryArray::fins`]
-    /// (for the ray tracer).
-    pub fn fin_boxes(&self) -> Vec<Aabb> {
-        self.fins.iter().map(|f| f.aabb).collect()
+    /// Every fin crossing of `ray`, ordered by entry parameter; each
+    /// [`Crossing::index`] points into [`MemoryArray::fins`]. Bit-identical
+    /// to a linear [`trace_boxes`](finrad_geometry::trace::trace_boxes)
+    /// scan over the fin boxes, but tests only the fins near the ray.
+    pub fn trace(&self, ray: &Ray) -> Vec<Crossing> {
+        self.index.trace(ray)
     }
 
     /// The array's bounding box (footprint × fin height).
@@ -260,6 +267,25 @@ mod tests {
     #[should_panic(expected = "outside [0, 1]")]
     fn clamp_pof_rejects_non_probability() {
         let _ = clamp_pof(1.5);
+    }
+
+    #[test]
+    fn trace_matches_linear_scan_over_the_fins() {
+        use finrad_geometry::sampling;
+        use finrad_geometry::trace::trace_boxes;
+        use finrad_numerics::rng::Xoshiro256pp;
+        let a = array();
+        let boxes: Vec<Aabb> = a.fins().iter().map(|f| f.aabb).collect();
+        let mut rng = Xoshiro256pp::seed_from_u64(8);
+        let mut crossed = 0;
+        for _ in 0..20_000 {
+            let launch = sampling::point_on_top_face(&mut rng, &a.bounds());
+            let ray = Ray::new(launch, sampling::cosine_law_hemisphere(&mut rng));
+            let crossings = a.trace(&ray);
+            assert_eq!(crossings, trace_boxes(&ray, &boxes), "{ray:?}");
+            crossed += crossings.len();
+        }
+        assert!(crossed > 0);
     }
 
     #[test]

@@ -19,7 +19,6 @@ use crate::array::{clamp_pof, MemoryArray};
 use crate::fit::{fit_rate, FitRate, PofBin};
 use crate::strike::{combine_cell_pofs, estimate_chunked, ArrayPofEstimate, IterationOutcome};
 use finrad_environment::{NeutronSpectrum, Spectrum};
-use finrad_geometry::trace::trace_boxes;
 use finrad_geometry::{sampling, Aabb, Ray, Vec3};
 use finrad_numerics::rng::{Rng, Xoshiro256pp};
 use finrad_sram::{PofTable, StrikeCombo, StrikeTarget};
@@ -51,7 +50,6 @@ impl Default for NeutronVolume {
 /// The neutron strike simulator.
 pub struct NeutronSimulator<'a> {
     array: &'a MemoryArray,
-    boxes: Vec<Aabb>,
     interaction: NeutronInteraction,
     pof: &'a PofTable,
     volume: Aabb,
@@ -74,7 +72,6 @@ impl<'a> NeutronSimulator<'a> {
         );
         Self {
             array,
-            boxes: array.fin_boxes(),
             interaction,
             pof,
             volume,
@@ -116,7 +113,7 @@ impl<'a> NeutronSimulator<'a> {
         let ion_ray = Ray::new(site, ion_dir);
 
         // Trace the secondary through the fins, spending its energy.
-        let crossings = trace_boxes(&ion_ray, &self.boxes);
+        let crossings = self.array.trace(&ion_ray);
         if crossings.is_empty() {
             return IterationOutcome::default();
         }

@@ -12,8 +12,8 @@
 //! [`StrikeSimulator::estimate`]).
 
 use crate::array::{clamp_pof, MemoryArray};
-use finrad_geometry::trace::trace_boxes;
-use finrad_geometry::{sampling, Aabb, Ray};
+use finrad_geometry::trace::Crossing;
+use finrad_geometry::{sampling, Ray};
 use finrad_numerics::rng::{Rng, Xoshiro256pp};
 use finrad_numerics::stats::RunningStats;
 use finrad_sram::{PofCurve, PofTable, StrikeCombo, StrikeTarget};
@@ -270,7 +270,6 @@ pub fn multiplicity_pmf(pofs: &[f64]) -> Vec<f64> {
 /// The array strike simulator binding geometry, transport and POF tables.
 pub struct StrikeSimulator<'a> {
     array: &'a MemoryArray,
-    boxes: Vec<Aabb>,
     traversal: FinTraversal,
     lut: Option<&'a EhpLut>,
     pof: &'a PofTable,
@@ -306,7 +305,6 @@ impl<'a> StrikeSimulator<'a> {
         );
         Self {
             array,
-            boxes: array.fin_boxes(),
             traversal,
             lut,
             pof,
@@ -330,6 +328,13 @@ impl<'a> StrikeSimulator<'a> {
         energy: Energy,
         rng: &mut R,
     ) -> IterationOutcome {
+        let ray = self.sample_ray(rng);
+        self.simulate_ray(particle, energy, &ray, rng)
+    }
+
+    /// Draws one forced-hit ray: a uniform launch point on the array's top
+    /// face and a downward direction from the configured law.
+    fn sample_ray<R: Rng + ?Sized>(&self, rng: &mut R) -> Ray {
         let launch = sampling::point_on_top_face(rng, &self.array.bounds());
         let dir = match self.direction {
             DirectionLaw::CosineDown => sampling::cosine_law_hemisphere(rng),
@@ -346,8 +351,7 @@ impl<'a> StrikeSimulator<'a> {
                 d
             }
         };
-        let ray = Ray::new(launch, dir);
-        self.simulate_ray(particle, energy, &ray, rng)
+        Ray::new(launch, dir)
     }
 
     /// Simulates one explicit ray (used by tests and by alternative launch
@@ -372,7 +376,7 @@ impl<'a> StrikeSimulator<'a> {
         ray: &Ray,
         rng: &mut R,
     ) -> Vec<f64> {
-        let crossings = trace_boxes(ray, &self.boxes);
+        let crossings = self.array.trace(ray);
         if crossings.is_empty() {
             return Vec::new();
         }
@@ -387,7 +391,7 @@ impl<'a> StrikeSimulator<'a> {
         &self,
         particle: Particle,
         energy: Energy,
-        crossings: &[finrad_geometry::trace::Crossing],
+        crossings: &[Crossing],
         rng: &mut R,
     ) -> Vec<f64> {
         // Step 2-3: pair generation per struck fin, degrading the particle
@@ -453,7 +457,7 @@ impl<'a> StrikeSimulator<'a> {
         &self,
         particle: Particle,
         energy: Energy,
-        crossings: &[finrad_geometry::trace::Crossing],
+        crossings: &[Crossing],
     ) -> Vec<f64> {
         struct CellHit {
             targets: Vec<StrikeTarget>,
@@ -546,18 +550,7 @@ impl<'a> StrikeSimulator<'a> {
         let mut rng = Xoshiro256pp::seed_from_u64(seed);
         let mut acc = vec![0.0; max_k + 1];
         for _ in 0..iterations {
-            let launch = sampling::point_on_top_face(&mut rng, &self.array.bounds());
-            let dir = match self.direction {
-                DirectionLaw::CosineDown => sampling::cosine_law_hemisphere(&mut rng),
-                DirectionLaw::IsotropicDown => {
-                    let mut d = sampling::isotropic_direction(&mut rng);
-                    if d.z >= 0.0 {
-                        d.z = -(d.z.max(1.0e-6));
-                    }
-                    d
-                }
-            };
-            let ray = Ray::new(launch, dir);
+            let ray = self.sample_ray(&mut rng);
             let pofs = self.cell_pofs_for_ray(particle, energy, &ray, &mut rng);
             let pmf = multiplicity_pmf(&pofs);
             for (k, &p) in pmf.iter().enumerate() {
@@ -654,6 +647,106 @@ mod tests {
         );
         ch.build_table(Voltage::from_volts(vdd), Variation::Nominal, 7)
             .expect("characterization")
+    }
+
+    const GOLDEN_CHORD_EXACT_EXPECTED: [u64; 3] = [
+        4582047818070963949,
+        4581996907073636606,
+        4550648631674730164,
+    ];
+    const GOLDEN_LUT_MEAN_SAMPLED: [u64; 3] = [
+        4574144011933627445,
+        4573567551181324032,
+        4557750909289998850,
+    ];
+
+    /// `(total, seu, mbu)` mean bits of a 9×9 estimate, recorded before
+    /// the ray tracer moved from a linear scan to the bucketed fin index.
+    /// The index must reproduce every crossing bit for bit, so these stay.
+    fn golden_case(deposit: DepositMode, model: FlipModel, direction: DirectionLaw) -> [u64; 3] {
+        let tech = Technology::soi_finfet_14nm();
+        let array = MemoryArray::build(&tech, 9, 9, DataPattern::Checkerboard);
+        let table = pof_table(0.8);
+        let mut rng = Xoshiro256pp::seed_from_u64(21);
+        let lut = EhpLut::build(
+            &FinTraversal::paper_default(),
+            Particle::Alpha,
+            Energy::from_mev(0.5),
+            Energy::from_mev(20.0),
+            6,
+            200,
+            &mut rng,
+        );
+        let sim = StrikeSimulator::new(
+            &array,
+            FinTraversal::paper_default(),
+            &table,
+            direction,
+            deposit,
+            model,
+            (deposit == DepositMode::LutMean).then_some(&lut),
+        );
+        let est = sim.estimate(Particle::Alpha, Energy::from_mev(2.0), 10_000, 5);
+        [est.total.mean(), est.seu.mean(), est.mbu.mean()].map(f64::to_bits)
+    }
+
+    #[test]
+    fn golden_estimate_bits_chord_exact_expected() {
+        let got = golden_case(
+            DepositMode::ChordExact,
+            FlipModel::Expected,
+            DirectionLaw::CosineDown,
+        );
+        assert_eq!(got, GOLDEN_CHORD_EXACT_EXPECTED);
+    }
+
+    #[test]
+    fn golden_estimate_bits_lut_mean_sampled() {
+        let got = golden_case(
+            DepositMode::LutMean,
+            FlipModel::Sampled,
+            DirectionLaw::IsotropicDown,
+        );
+        assert_eq!(got, GOLDEN_LUT_MEAN_SAMPLED);
+    }
+
+    /// Replays a fixed list of raw draws, then zeros.
+    struct Scripted(Vec<u64>);
+
+    impl Rng for Scripted {
+        fn next_u64(&mut self) -> u64 {
+            if self.0.is_empty() {
+                0
+            } else {
+                self.0.remove(0)
+            }
+        }
+    }
+
+    #[test]
+    fn isotropic_ray_flips_a_tiny_upward_z_exactly() {
+        // Every forced-hit ray, from `simulate_one` and from
+        // `estimate_multiplicity`, comes from `sample_ray`: an upward z of
+        // 5e-7 is mirrored to -5e-7, not widened to -1e-6.
+        let tech = Technology::soi_finfet_14nm();
+        let array = MemoryArray::build(&tech, 2, 2, DataPattern::Checkerboard);
+        let table = pof_table(0.8);
+        let sim = StrikeSimulator::new(
+            &array,
+            FinTraversal::paper_default(),
+            &table,
+            DirectionLaw::IsotropicDown,
+            DepositMode::ChordExact,
+            FlipModel::Expected,
+            None,
+        );
+        // Launch x and y, then the isotropic z draw on [-1, 1]: its 53-bit
+        // ladder value u gives z = 2u - 1 = 5e-7.
+        let u = 0.5 * (1.0 + 5.0e-7);
+        let z_bits = ((u * ((1u64 << 53) - 1) as f64) as u64) << 11;
+        let ray = sim.sample_ray(&mut Scripted(vec![0, 0, z_bits]));
+        let z = ray.direction().z;
+        assert!((-6.0e-7..-4.0e-7).contains(&z), "z = {z}");
     }
 
     #[test]

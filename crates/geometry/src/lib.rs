@@ -12,7 +12,8 @@
 //! * [`sampling`] — isotropic and cosine-law random directions, random
 //!   points on boxes and rectangles.
 //! * [`trace`] — chord extraction: given a ray and a collection of boxes,
-//!   the ordered list of (box index, entry, exit, chord length) crossings.
+//!   the ordered list of (box index, entry, exit, chord length) crossings,
+//!   by linear scan or through a bucketed [`trace::BoxIndex`].
 //!
 //! # Examples
 //!

@@ -26,7 +26,6 @@ pub fn erf(x: f64) -> f64 {
     }
     if x < 0.5 {
         // Maclaurin series: erf(x) = 2/sqrt(pi) * sum (-1)^n x^(2n+1) / (n! (2n+1)).
-        const TWO_OVER_SQRT_PI: f64 = 1.128_379_167_095_512_6;
         let x2 = x * x;
         let mut term = x;
         let mut sum = x;
@@ -38,7 +37,7 @@ pub fn erf(x: f64) -> f64 {
                 break;
             }
         }
-        return TWO_OVER_SQRT_PI * sum;
+        return std::f64::consts::FRAC_2_SQRT_PI * sum;
     }
     // Abramowitz & Stegun 7.1.26.
     const A1: f64 = 0.254_829_592;
@@ -89,6 +88,24 @@ mod tests {
         for (x, v) in table {
             assert!((erf(x) - v).abs() < 2e-7, "erf({x}) = {} vs {v}", erf(x));
         }
+    }
+
+    #[test]
+    fn erf_bits_pinned() {
+        // Both branches, pinned bit for bit (the series' 2/sqrt(pi) factor
+        // is `FRAC_2_SQRT_PI`).
+        let got = [1e-8, 0.1, 0.3, 0.49, -0.25, 1.0].map(|x| erf(x).to_bits());
+        assert_eq!(
+            got,
+            [
+                4487902262780728596,
+                4592768227809932084,
+                4599591633323682320,
+                4602783917526128302,
+                13822021510483858952,
+                4605765592569940628,
+            ]
+        );
     }
 
     #[test]
