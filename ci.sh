@@ -28,6 +28,9 @@ cargo test --release --offline --manifest-path e2ebench/Cargo.toml
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
+echo "==> cargo clippy (every target, warnings are errors)"
+cargo clippy --workspace --all-targets --offline -- -D warnings
+
 echo "==> cargo xtask lint (deny-all, all families capped at 0, JSON + SARIF)"
 cargo xtask lint --deny-all \
   --max unit-safety=0 \

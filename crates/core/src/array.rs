@@ -34,7 +34,7 @@ impl DataPattern {
     pub fn state(self, row: usize, col: usize) -> CellState {
         match self {
             DataPattern::Checkerboard => {
-                if (row + col) % 2 == 0 {
+                if (row + col).is_multiple_of(2) {
                     CellState::One
                 } else {
                     CellState::Zero

@@ -108,9 +108,9 @@ impl Matrix {
             });
         }
         let mut y = vec![0.0; self.rows];
-        for r in 0..self.rows {
+        for (r, yr) in y.iter_mut().enumerate() {
             let row = &self.data[r * self.cols..(r + 1) * self.cols];
-            y[r] = row.iter().zip(x).map(|(a, b)| a * b).sum();
+            *yr = row.iter().zip(x).map(|(a, b)| a * b).sum();
         }
         Ok(y)
     }
@@ -248,16 +248,16 @@ impl LuFactors {
         let mut x: Vec<f64> = self.perm.iter().map(|&p| b[p]).collect();
         for r in 1..n {
             let mut acc = x[r];
-            for c in 0..r {
-                acc -= self.lu[(r, c)] * x[c];
+            for (c, xc) in x.iter().enumerate().take(r) {
+                acc -= self.lu[(r, c)] * xc;
             }
             x[r] = acc;
         }
         // Backward substitution with U.
         for r in (0..n).rev() {
             let mut acc = x[r];
-            for c in (r + 1)..n {
-                acc -= self.lu[(r, c)] * x[c];
+            for (c, xc) in x.iter().enumerate().skip(r + 1) {
+                acc -= self.lu[(r, c)] * xc;
             }
             x[r] = acc / self.lu[(r, r)];
         }

@@ -463,7 +463,7 @@ mod tests {
         let mut seen: Vec<f64> = Vec::new();
         let r = bisect_with_expansion(
             |x| {
-                assert!(!seen.iter().any(|&s| s == x), "duplicate evaluation at {x}");
+                assert!(!seen.contains(&x), "duplicate evaluation at {x}");
                 seen.push(x);
                 x - 37.0
             },

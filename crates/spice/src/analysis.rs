@@ -798,8 +798,8 @@ impl<'c> Assembler<'c> {
         let comp = self.cap_companions(cap_state);
         let (j, b) = self.assemble(v, comp.as_deref(), time, gmin);
         let mut x = vec![0.0; self.dim];
-        for n in 1..self.n_nodes {
-            x[n - 1] = v[n];
+        for (xn, &vn) in x.iter_mut().zip(v.iter().take(self.n_nodes).skip(1)) {
+            *xn = vn;
         }
         for (k, &i) in branch.iter().enumerate() {
             x[self.branch_idx(k)] = i;
@@ -1515,6 +1515,10 @@ pub fn transient_until(
     .map(|(res, _trace, stopped)| (res, stopped))
 }
 
+/// Early-stop predicate of [`run_transient`]: called with each accepted
+/// time point and its node voltages; `true` ends the run there.
+type StopPredicate<'a> = &'a mut dyn FnMut(f64, &[f64]) -> bool;
+
 /// Shared transient driver.
 ///
 /// Timestamps are derived, not accumulated: step `i` of a phase runs from
@@ -1530,7 +1534,7 @@ fn run_transient(
     mut v: Vec<f64>,
     probes: &[NodeId],
     opts: &NewtonOptions,
-    mut stop: Option<&mut dyn FnMut(f64, &[f64]) -> bool>,
+    mut stop: Option<StopPredicate<'_>>,
 ) -> Result<(TransientResult, RecoveryTrace, bool), SpiceError> {
     ckt.validate()?;
     let asm = Assembler::new(ckt);

@@ -4,9 +4,10 @@
 //! variation by performing 1000 MC simulations based on accurate SPICE
 //! simulations using the current model described in Section 3.3". Because
 //! the cell upset is monotone in injected charge, each Monte-Carlo sample
-//! is characterized by its **critical charge** (found by bisection over
-//! transient simulations); the POF curve is the empirical CDF of those
-//! critical charges (see [`crate::pof::PofCurve`]).
+//! is characterized by its **critical charge** (bracketed on a geometric
+//! charge lattice, then refined by an ITP root search over transient
+//! simulations); the POF curve is the empirical CDF of those critical
+//! charges (see [`crate::pof::PofCurve`]).
 
 use crate::cell::{CellState, SramCell, TransistorRole};
 use crate::pof::{PofCurve, PofTable, StrikeCombo};
@@ -97,12 +98,17 @@ pub struct CellCharacterizer {
     tech: Technology,
     options: CharacterizeOptions,
     /// Pre-strike DC operating points keyed by `(vdd, deltas)`: the
-    /// ~20–30 bracketing/refinement probes of one critical-charge search
-    /// all share one identical pre-strike state, so it is solved once and
-    /// reused. Clones share the cache (`Arc`), so a characterizer handed
-    /// to worker threads keeps one map.
+    /// bracketing/refinement probes of one critical-charge search (~7
+    /// for an anchored Monte-Carlo sample, ~16 for a search from the
+    /// floor) all share one identical pre-strike state, so it is solved
+    /// once and reused. Clones share the cache (`Arc`), so a
+    /// characterizer handed to worker threads keeps one map.
     op_cache: Arc<Mutex<HashMap<OpKey, Arc<Vec<f64>>>>>,
 }
+
+/// Bottom of the critical-charge lattice, coulombs (~6 electrons): never
+/// probed, because no cell flips this low.
+const Q_FLOOR: f64 = 1.0e-18;
 
 /// Sub-block size of the batched Monte-Carlo warm seeding: one
 /// [`analysis::warm_seed_batch`] call covers this many ΔVth lanes.
@@ -317,10 +323,20 @@ impl CellCharacterizer {
         self.simulate_strike(vdd, &event, deltas)
     }
 
-    /// Finds the critical charge of `combo` at `vdd`: a geometric
-    /// bracketing scan followed by ITP refinement (superlinear, bounded by
+    /// Finds the critical charge of `combo` at `vdd`: a bracketing walk
+    /// on the geometric charge lattice `1e-18 C · 1.6^k` (capped at
+    /// `q_search_max`) followed by ITP refinement (superlinear, bounded by
     /// bisection's worst case) on the flip margin over `ln q`, reusing the
-    /// scan's endpoint evaluations instead of recomputing them.
+    /// walk's endpoint evaluations instead of recomputing them.
+    ///
+    /// A standalone search starts the walk at the lattice's first probe
+    /// point, i.e. it scans upward from the floor to the first flip.
+    /// Under [`Variation::MonteCarlo`],
+    /// [`CellCharacterizer::characterize_combo`] starts every sample's
+    /// walk at the nominal cell's first-flip lattice point instead and
+    /// steps down (if that point flips) or up (if it does not) to the
+    /// same bracket, so each search pays a couple of bracketing
+    /// transients rather than ~10 and returns the same bits.
     ///
     /// If even `q_search_max` does not flip the cell, that bound is
     /// returned (a saturated sample: POF stays 0 up to it).
@@ -334,38 +350,103 @@ impl CellCharacterizer {
         combo: StrikeCombo,
         deltas: &HashMap<TransistorRole, Voltage>,
     ) -> Result<Charge, SpiceError> {
-        // Upward geometric scan to bracket the *first* flip threshold.
-        // The flip response is not globally monotone: extreme charges can
-        // drive the struck node so far past the rail that the pass gate
-        // turns on from its source side and restores the cell from the
-        // precharged bit line. Scanning finds the lower threshold, which is
-        // the physically meaningful critical charge.
-        let q_floor = 1.0e-18; // ~6 electrons: never flips
-        let mut lo = q_floor;
-        let mut m_lo: Option<f64> = None; // margin at lo (q_floor is never probed)
-        let mut hi = lo;
-        let mut bracket = None;
-        while hi < self.options.q_search_max {
-            hi = (hi * 1.6).min(self.options.q_search_max);
-            let m = self.margin_counted(vdd, combo, Charge::from_coulombs(hi), deltas)?;
-            if m <= 0.0 {
-                bracket = Some(m);
-                break;
-            }
-            lo = hi;
-            m_lo = Some(m);
-        }
-        let Some(m_hi) = bracket else {
-            // Saturated sample: never flipped in the search range.
-            return Ok(Charge::from_coulombs(self.options.q_search_max));
-        };
-        let Some(m_lo) = m_lo else {
-            // The very first scan probe already flips: the threshold is at
-            // or below the floor.
-            return Ok(Charge::from_coulombs(lo));
-        };
+        let lattice = self.charge_lattice();
+        Ok(self
+            .critical_charge_from(vdd, combo, deltas, 1, &lattice)?
+            .0)
+    }
 
-        // Refine in ln-space, threading the scan's endpoint margins
+    /// The probe charges the critical-charge search brackets on:
+    /// `lattice[0]` is the floor `Q_FLOOR` (never probed), then each
+    /// point is the previous one `× 1.6`, clamped so the last one is
+    /// exactly `q_search_max`. The points are the iterated products of an
+    /// upward scan from the floor, so a bracket found from any starting
+    /// index has bit-identical endpoints.
+    fn charge_lattice(&self) -> Vec<f64> {
+        let q_max = self.options.q_search_max;
+        let mut lattice = vec![Q_FLOOR];
+        let mut q = Q_FLOOR;
+        while q < q_max {
+            q = (q * 1.6).min(q_max);
+            lattice.push(q);
+        }
+        lattice
+    }
+
+    /// The critical-charge search of [`CellCharacterizer::critical_charge`]
+    /// with its bracketing walk started at lattice index `anchor`
+    /// (clamped to the probe points `1..lattice.len()`). Returns the
+    /// critical charge and the first-flip index on `lattice` (`1` when
+    /// the first probe point already flips, the top index when the
+    /// sample is saturated).
+    ///
+    /// The flip response is not globally monotone: extreme charges can
+    /// drive the struck node so far past the rail that the pass gate
+    /// turns on from its source side and restores the cell from the
+    /// precharged bit line. The search targets the *first* flip
+    /// threshold, the physically meaningful critical charge.
+    ///
+    /// `anchor = 1` is the upward scan from the floor. Any other anchor
+    /// gives the scan's bracket, the same two endpoint margins and hence
+    /// the same bits, provided every lattice point from the first flip up
+    /// to the anchor flips. An anchor at or below the first flip walks up
+    /// through exactly the points the scan probes. One above it walks down
+    /// through flips, and can only disagree if it starts above a point of
+    /// the restore window, which opens at extreme charge, a few lattice
+    /// steps above the threshold.
+    fn critical_charge_from(
+        &self,
+        vdd: Voltage,
+        combo: StrikeCombo,
+        deltas: &HashMap<TransistorRole, Voltage>,
+        anchor: usize,
+        lattice: &[f64],
+    ) -> Result<(Charge, usize), SpiceError> {
+        let top = lattice.len() - 1;
+        if top == 0 {
+            // No probe point above the floor: saturated by construction.
+            return Ok((Charge::from_coulombs(self.options.q_search_max), 0));
+        }
+        let margin =
+            |k: usize| self.margin_counted(vdd, combo, Charge::from_coulombs(lattice[k]), deltas);
+        // `m <= 0.0` is a flip; a NaN margin counts as "no flip".
+        let start = anchor.clamp(1, top);
+        let m_start = margin(start)?;
+        // The bracket: index `lo` does not flip, `lo + 1` flips.
+        let (lo, m_lo, m_hi) = if m_start <= 0.0 {
+            // Walk down to the first point that does not flip.
+            let (mut hi, mut m_hi) = (start, m_start);
+            loop {
+                if hi == 1 {
+                    // The first probe point already flips: the threshold
+                    // is at or below the floor.
+                    return Ok((Charge::from_coulombs(lattice[0]), 1));
+                }
+                let m = margin(hi - 1)?;
+                if m <= 0.0 {
+                    (hi, m_hi) = (hi - 1, m);
+                } else {
+                    break (hi - 1, m, m_hi);
+                }
+            }
+        } else {
+            // Walk up to the first point that flips.
+            let (mut lo, mut m_lo) = (start, m_start);
+            loop {
+                if lo == top {
+                    // Saturated sample: never flipped in the search range.
+                    return Ok((Charge::from_coulombs(self.options.q_search_max), top));
+                }
+                let m = margin(lo + 1)?;
+                if m <= 0.0 {
+                    break (lo, m_lo, m);
+                }
+                (lo, m_lo) = (lo + 1, m);
+            }
+        };
+        let (q_lo, q_hi) = (lattice[lo], lattice[lo + 1]);
+
+        // Refine in ln-space, threading the walk's endpoint margins
         // through so neither endpoint transient is re-run. The stop width
         // ln(1 + rel_tol) reproduces the retired criterion
         // `hi/lo ≤ 1 + rel_tol`, and the returned bracket midpoint is the
@@ -386,8 +467,8 @@ impl CellCharacterizer {
                     }
                 }
             },
-            Endpoint::new(lo.ln(), m_lo),
-            Endpoint::new(hi.ln(), m_hi),
+            Endpoint::new(q_lo.ln(), m_lo),
+            Endpoint::new(q_hi.ln(), m_hi),
             (1.0 + self.options.bisect_rel_tol).ln(),
             200,
         );
@@ -395,7 +476,7 @@ impl CellCharacterizer {
             return Err(e);
         }
         match result {
-            Ok(root) => Ok(Charge::from_coulombs(root.x.exp())),
+            Ok(root) => Ok((Charge::from_coulombs(root.x.exp()), lo + 1)),
             // A genuinely non-finite margin (NaN with no underlying SPICE
             // error) or an iteration blow-up: surface it as a typed solver
             // failure instead of a panic or a silent wrong answer.
@@ -530,6 +611,14 @@ impl CellCharacterizer {
                     .unwrap_or(1)
                     .min(samples);
                 let chunk = samples.div_ceil(n_threads);
+                let lattice = self.charge_lattice();
+                // One nominal search before the workers spawn: its
+                // first-flip index anchors every sample's bracketing
+                // walk, independent of thread chunking, and it caches
+                // the nominal pre-strike state before any worker could
+                // race to solve it.
+                let (_, anchor) =
+                    self.critical_charge_from(vdd, combo, &HashMap::new(), 1, &lattice)?;
                 let results: Vec<Result<Vec<f64>, SpiceError>> = std::thread::scope(|scope| {
                     let mut handles = Vec::new();
                     for t in 0..n_threads {
@@ -539,6 +628,7 @@ impl CellCharacterizer {
                             break;
                         }
                         let var = &var;
+                        let lattice = &lattice;
                         let this = &self;
                         handles.push(scope.spawn(move || {
                             let mut out = Vec::with_capacity(end - start);
@@ -560,7 +650,9 @@ impl CellCharacterizer {
                                     .collect();
                                 this.preseed_op_cache(vdd, &block_deltas);
                                 for deltas in &block_deltas {
-                                    let q = this.critical_charge(vdd, combo, deltas)?;
+                                    let (q, _) = this.critical_charge_from(
+                                        vdd, combo, deltas, anchor, lattice,
+                                    )?;
                                     out.push(q.coulombs());
                                 }
                             }
@@ -847,5 +939,162 @@ mod tests {
             .characterize_combo(vdd, combo, Variation::MonteCarlo { samples: 6 }, 42)
             .unwrap();
         assert_eq!(a, b);
+    }
+
+    /// The upward scan from the floor that the anchored walk replaced,
+    /// kept verbatim as the golden reference: scan up by ×1.6 to the
+    /// first flip, then ITP on the scan's endpoint margins. Also returns
+    /// the number of scan probes, i.e. the first-flip lattice index.
+    fn upward_scan_reference(
+        ch: &CellCharacterizer,
+        vdd: Voltage,
+        combo: StrikeCombo,
+        deltas: &HashMap<TransistorRole, Voltage>,
+    ) -> (Charge, usize) {
+        let margin = |q: f64| {
+            ch.margin_counted(vdd, combo, Charge::from_coulombs(q), deltas)
+                .unwrap()
+        };
+        let q_floor = 1.0e-18;
+        let mut lo = q_floor;
+        let mut m_lo: Option<f64> = None;
+        let mut hi = lo;
+        let mut bracket = None;
+        let mut probes = 0;
+        while hi < ch.options().q_search_max {
+            hi = (hi * 1.6).min(ch.options().q_search_max);
+            probes += 1;
+            let m = margin(hi);
+            if m <= 0.0 {
+                bracket = Some(m);
+                break;
+            }
+            lo = hi;
+            m_lo = Some(m);
+        }
+        let Some(m_hi) = bracket else {
+            return (Charge::from_coulombs(ch.options().q_search_max), probes);
+        };
+        let Some(m_lo) = m_lo else {
+            return (Charge::from_coulombs(lo), probes);
+        };
+        let root = itp_from(
+            |x: f64| margin(x.exp()),
+            Endpoint::new(lo.ln(), m_lo),
+            Endpoint::new(hi.ln(), m_hi),
+            (1.0 + ch.options().bisect_rel_tol).ln(),
+            200,
+        )
+        .unwrap();
+        (Charge::from_coulombs(root.x.exp()), probes)
+    }
+
+    /// Runs 16 variation samples of every combo at `vdd` through the
+    /// anchored walk and checks each against [`upward_scan_reference`].
+    fn check_anchors_against_scan(ch: &CellCharacterizer, vdd: Voltage) {
+        let var = VariationModel::pelgrom(ch.technology());
+        let lattice = ch.charge_lattice();
+        let top = lattice.len() - 1;
+        for (c, combo) in StrikeCombo::all().into_iter().enumerate() {
+            let (_, nominal) = ch
+                .critical_charge_from(vdd, combo, &HashMap::new(), 1, &lattice)
+                .unwrap();
+            for i in 0..16u64 {
+                let mut rng = Xoshiro256pp::salted_stream(c as u64, i, 0x9E37_79B9_7F4A_7C15);
+                let deltas = ch.sample_deltas(&var, &mut rng);
+                let (golden, first_flip) = upward_scan_reference(ch, vdd, combo, &deltas);
+                let flips_at = |j: usize| {
+                    let q = Charge::from_coulombs(lattice[j]);
+                    ch.margin_counted(vdd, combo, q, &deltas).unwrap() <= 0.0
+                };
+                for anchor in [nominal, 1, nominal.saturating_sub(3), nominal + 3, top] {
+                    let (q, k) = ch
+                        .critical_charge_from(vdd, combo, &deltas, anchor, &lattice)
+                        .unwrap();
+                    let in_contract = anchor == nominal
+                        || anchor <= first_flip
+                        || (first_flip..=anchor).all(flips_at);
+                    if in_contract {
+                        assert_eq!(
+                            (q.coulombs().to_bits(), k),
+                            (golden.coulombs().to_bits(), first_flip),
+                            "{vdd:?} {combo:?} sample {i} anchor {anchor}: {} fC vs scan {} fC",
+                            q.femtocoulombs(),
+                            golden.femtocoulombs()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn anchored_walk_matches_upward_scan_bitwise() {
+        // Both ends of the Vdd range, from the production anchor (the
+        // nominal first flip) and from anchors 1, nominal ± 3 and the top
+        // of the lattice. Anchors at or below the sample's first flip must
+        // reproduce the scan's bits, and so must the production anchor.
+        // An anchor above the first flip must too, unless some lattice
+        // point between them does not flip: the restore window the walk's
+        // contract excludes.
+        let ch = characterizer();
+        std::thread::scope(|scope| {
+            for volts in [0.7, 1.1] {
+                let ch = &ch;
+                scope.spawn(move || check_anchors_against_scan(ch, Voltage::from_volts(volts)));
+            }
+        });
+    }
+
+    #[test]
+    fn anchored_walk_saturates_and_floors_like_the_scan() {
+        let combo = StrikeCombo::single(StrikeTarget::I1);
+        let vdd = Voltage::from_volts(0.7);
+        // Forced saturation: no charge up to ~60 electrons flips the cell.
+        let tiny = CellCharacterizer::new(
+            Technology::soi_finfet_14nm(),
+            CharacterizeOptions {
+                q_search_max: 1.0e-17,
+                ..characterizer().options().clone()
+            },
+        );
+        let lattice = tiny.charge_lattice();
+        let top = lattice.len() - 1;
+        assert_eq!(lattice[top], 1.0e-17);
+        let none = HashMap::new();
+        let (golden, _) = upward_scan_reference(&tiny, vdd, combo, &none);
+        assert_eq!(golden.coulombs(), 1.0e-17);
+        for anchor in 1..=top {
+            let (q, k) = tiny
+                .critical_charge_from(vdd, combo, &none, anchor, &lattice)
+                .unwrap();
+            assert_eq!(
+                (q.coulombs().to_bits(), k),
+                (golden.coulombs().to_bits(), top)
+            );
+        }
+
+        // A cell skewed so far towards `Zero` that it does not hold `One`:
+        // the first probe point already flips, and every anchor walks down
+        // to the floor.
+        let ch = characterizer();
+        let lattice = ch.charge_lattice();
+        let skew = |dv: f64| Voltage::from_volts(dv);
+        let deltas: HashMap<_, _> = [
+            (TransistorRole::PullUpLeft, skew(0.3)),
+            (TransistorRole::PullDownLeft, skew(-0.3)),
+            (TransistorRole::PullDownRight, skew(0.3)),
+            (TransistorRole::PullUpRight, skew(-0.3)),
+        ]
+        .into_iter()
+        .collect();
+        let (golden, first_flip) = upward_scan_reference(&ch, vdd, combo, &deltas);
+        assert_eq!((golden.coulombs(), first_flip), (Q_FLOOR, 1));
+        for anchor in [1, 4, 10, lattice.len() - 1] {
+            let (q, k) = ch
+                .critical_charge_from(vdd, combo, &deltas, anchor, &lattice)
+                .unwrap();
+            assert_eq!((q.coulombs().to_bits(), k), (Q_FLOOR.to_bits(), 1));
+        }
     }
 }

@@ -608,7 +608,7 @@ pub mod constants {
     pub const PROTON_REST_MEV: f64 = 938.272_088;
 
     /// Alpha-particle rest energy, MeV.
-    pub const ALPHA_REST_MEV: f64 = 3727.379_4;
+    pub const ALPHA_REST_MEV: f64 = 3_727.379_4;
 
     /// Electron rest energy, MeV.
     pub const ELECTRON_REST_MEV: f64 = 0.510_998_95;

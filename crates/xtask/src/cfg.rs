@@ -336,17 +336,14 @@ impl<'a> Builder<'a> {
                                 }
                             } else {
                                 // Expression arm: up to `,` at depth 0.
-                                let out = {
-                                    let stop = self.expr_arm_end(body_start, close);
-                                    let out = self.walk(body_start, stop, arm);
-                                    self.blocks[out].succs.push(join);
-                                    if self.is_punct(stop, ",") {
-                                        stop + 1
-                                    } else {
-                                        stop
-                                    }
-                                };
-                                out
+                                let stop = self.expr_arm_end(body_start, close);
+                                let out = self.walk(body_start, stop, arm);
+                                self.blocks[out].succs.push(join);
+                                if self.is_punct(stop, ",") {
+                                    stop + 1
+                                } else {
+                                    stop
+                                }
                             };
                             j = next;
                         }

@@ -789,8 +789,8 @@ impl<'a> GuardAnalysis<'a> {
     /// block expression.
     fn rhs_top_level(&self, idxs: &[usize], rhs_start: usize, at: usize) -> bool {
         let mut depth = 0i32;
-        for q in rhs_start..at {
-            let t = &self.toks[idxs[q]];
+        for &q in idxs.iter().take(at).skip(rhs_start) {
+            let t = &self.toks[q];
             if t.kind == TokenKind::Punct {
                 match t.text.as_str() {
                     "(" | "[" | "{" => depth += 1,
@@ -1241,8 +1241,7 @@ pub fn analyze(units: &[FileUnit]) -> Vec<Violation> {
                 && is_punct(toks, i + 1, "(")
             {
                 let close = skip_parens(toks, i + 1);
-                for j in i + 2..close {
-                    let tj = &toks[j];
+                for tj in &toks[i + 2..close] {
                     if tj.kind == TokenKind::Ident
                         && by_name.contains_key(&tj.text)
                         && !origin.contains_key(&tj.text)
@@ -1285,8 +1284,8 @@ pub fn analyze(units: &[FileUnit]) -> Vec<Violation> {
             facts_by_name: &facts_by_name,
         };
         let facts = dataflow::solve(&graph, &analysis);
-        for b in 0..graph.blocks.len() {
-            analysis.walk_block(&graph, b, &facts[b], Some(&mut findings));
+        for (b, fact) in facts.iter().enumerate() {
+            analysis.walk_block(&graph, b, fact, Some(&mut findings));
         }
 
         // Cancellation responsiveness for loops in supervised fns.

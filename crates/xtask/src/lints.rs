@@ -872,7 +872,7 @@ fn lint_raw_escape(path: &Path, lexed: &LexedFile, out: &mut Vec<Violation>) {
             continue;
         }
         let is_escape = matches!(tok.text.as_str(), "si_value" | "from_si");
-        if !is_escape || !tokens.get(i + 1).is_some_and(|t| t.text == "(") {
+        if !is_escape || tokens.get(i + 1).is_none_or(|t| t.text != "(") {
             continue;
         }
         let advice = if tok.text == "si_value" {
@@ -924,11 +924,7 @@ fn split_top_level(params: &str) -> Vec<(usize, &str)> {
             b'(' | b'[' => depth += 1,
             b')' | b']' => depth -= 1,
             b'<' => angle += 1,
-            b'>' => {
-                if i == 0 || bytes[i - 1] != b'-' {
-                    angle -= 1;
-                }
-            }
+            b'>' if i == 0 || bytes[i - 1] != b'-' => angle -= 1,
             b',' if depth == 0 && angle <= 0 => {
                 out.push((start, &params[start..i]));
                 start = i + 1;

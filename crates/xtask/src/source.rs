@@ -356,12 +356,10 @@ fn tag_test_regions(raw: Vec<(String, Vec<Allow>)>) -> Vec<Line> {
                         }
                     }
                 }
-                ';' => {
-                    // `#[cfg(test)] use ...;` — attribute spent on a
-                    // braceless item.
-                    if pending_attr && test_depth.is_none() && !code.contains("#[cfg(test)]") {
-                        pending_attr = false;
-                    }
+                // `#[cfg(test)] use ...;` — attribute spent on a braceless
+                // item.
+                ';' if pending_attr && test_depth.is_none() && !code.contains("#[cfg(test)]") => {
+                    pending_attr = false;
                 }
                 _ => {}
             }
