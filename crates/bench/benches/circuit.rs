@@ -2,7 +2,7 @@
 //! the POF characterization (Section 4 of the paper).
 
 use finrad_bench::harness::Harness;
-use finrad_finfet::{FinFet, Polarity, SmallSignalBatch, Technology};
+use finrad_finfet::{FinFet, Polarity, Technology};
 use finrad_spice::analysis::{self, NewtonOptions, Phase, TimeStepPlan};
 use finrad_sram::scenario::StrikeEvent;
 use finrad_sram::{
@@ -20,24 +20,6 @@ fn bench_device_eval(c: &mut Harness) {
         b.iter(|| {
             v = if v > 0.8 { 0.0 } else { v + 0.001 };
             black_box(nfet.evaluate(v, 0.8 - v, 0.0))
-        })
-    });
-}
-
-fn bench_device_eval_batch(c: &mut Harness) {
-    // SoA kernel behind the variation-MC warm seeding: one bias point,
-    // 32 ΔVth lanes per call. Compare ns/iter ÷ 32 against the scalar
-    // `finfet_model_eval` to read off the per-lane amortization.
-    let tech = Technology::soi_finfet_14nm();
-    let nfet = FinFet::new(&tech, Polarity::Nmos, 1);
-    let deltas: Vec<f64> = (0..32).map(|k| (k as f64 - 16.0) * 1.0e-3).collect();
-    let mut batch = SmallSignalBatch::with_capacity(deltas.len());
-    c.bench_function("finfet_model_eval_batch32", |b| {
-        let mut v = 0.0f64;
-        b.iter(|| {
-            v = if v > 0.8 { 0.0 } else { v + 0.001 };
-            nfet.evaluate_batch(v, 0.8 - v, 0.0, &deltas, &mut batch);
-            black_box(batch.lane(31))
         })
     });
 }
@@ -149,7 +131,6 @@ fn bench_critical_charge(c: &mut Harness) {
 fn main() {
     let mut h = Harness::from_env();
     bench_device_eval(&mut h);
-    bench_device_eval_batch(&mut h);
     bench_dc_operating_point(&mut h);
     bench_hold_transient(&mut h);
     bench_settle_adaptive(&mut h);

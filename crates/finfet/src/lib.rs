@@ -25,6 +25,6 @@ pub mod model;
 pub mod technology;
 pub mod variation;
 
-pub use model::{FinFet, Polarity, SmallSignal, SmallSignalBatch};
+pub use model::{FinFet, Polarity, SmallSignal};
 pub use technology::Technology;
 pub use variation::VariationModel;

@@ -45,8 +45,9 @@ pub const SPICE_NEWTON_REFACTORIZATIONS: &str = "spice.newton.refactorizations";
 /// timestep because the BE truncation-error estimate permitted it.
 pub const SPICE_TRANSIENT_LTE_STEP_GROWTHS: &str = "spice.transient.lte_step_growths";
 
-/// FinFET model evaluations served by the structure-of-arrays batch path
-/// (one lane per Monte-Carlo ΔVth sample).
+/// Retired: FinFET model evaluations of the removed structure-of-arrays
+/// batch path. Nothing emits it any more, so it always reads 0; the
+/// constant stays because the end-to-end benchmark still reports it.
 pub const FINFET_MODEL_BATCHED_EVALS: &str = "finfet.model.batched_evals";
 
 /// Critical-charge bisection/bracketing transient evaluations.

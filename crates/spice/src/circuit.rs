@@ -2,7 +2,7 @@
 
 use crate::source::SourceWaveform;
 use crate::SpiceError;
-use finrad_finfet::{FinFet, SmallSignalBatch};
+use finrad_finfet::FinFet;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -258,45 +258,6 @@ impl Circuit {
     /// Shared access to a MOSFET's device model.
     pub fn mosfet(&self, id: MosfetId) -> &FinFet {
         &self.mosfets[id.0].device
-    }
-
-    /// Number of MOSFET instances; ids `MosfetId` handed out by
-    /// [`Circuit::add_mosfet`] index them densely in insertion order.
-    pub fn mosfet_count(&self) -> usize {
-        self.mosfets.len()
-    }
-
-    /// Ids of all MOSFET instances in insertion order.
-    pub fn mosfet_ids(&self) -> impl Iterator<Item = MosfetId> + '_ {
-        (0..self.mosfets.len()).map(MosfetId)
-    }
-
-    /// Batched stamp-side evaluation of one MOSFET: reads the device's
-    /// terminal voltages from the full node vector `v` and evaluates the
-    /// model across `delta_vths` threshold-shift lanes in one SoA call
-    /// (lane `k` matches `with_delta_vth(delta_vths[k]) + evaluate` bit
-    /// for bit). This is the per-device kernel behind the batched
-    /// Monte-Carlo warm seeding in `finrad-spice::analysis`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` does not belong to this circuit or `v` is shorter
-    /// than the node count.
-    pub fn evaluate_mosfet_batch(
-        &self,
-        id: MosfetId,
-        v: &[f64],
-        delta_vths: &[f64],
-        out: &mut SmallSignalBatch,
-    ) {
-        let m = &self.mosfets[id.0];
-        m.device.evaluate_batch(
-            v[m.gate.index()],
-            v[m.drain.index()],
-            v[m.source.index()],
-            delta_vths,
-            out,
-        );
     }
 
     /// Validates basic netlist sanity: at least one node beyond ground and

@@ -110,10 +110,6 @@ pub struct CellCharacterizer {
 /// probed, because no cell flips this low.
 const Q_FLOOR: f64 = 1.0e-18;
 
-/// Sub-block size of the batched Monte-Carlo warm seeding: one
-/// [`analysis::warm_seed_batch`] call covers this many ΔVth lanes.
-const WARM_SEED_LANES: usize = 32;
-
 /// Cache key for a pre-strike operating point: the supply voltage and the
 /// six per-transistor ΔVth values (in fixed role order), all as exact
 /// f64 bits — two keys are equal iff the circuits are bit-identical.
@@ -515,71 +511,6 @@ impl CellCharacterizer {
             .collect()
     }
 
-    /// Pre-seeds the operating-point cache for a block of Monte-Carlo
-    /// ΔVth samples using the batched SoA model path: the linear MNA
-    /// template is stamped once, every device is evaluated across all
-    /// lanes in one [`analysis::warm_seed_batch`] call, and each sample's
-    /// DC solve then starts from its own single-Newton-step seed —
-    /// typically converging in one confirming iteration.
-    ///
-    /// Purely an accelerator: any failure (singular lane, non-converged
-    /// warm solve) leaves that sample out of the cache and the scalar
-    /// path in [`CellCharacterizer::pre_strike_state`] solves it the old
-    /// way. Each lane depends only on the nominal state and its own
-    /// deltas, so results are independent of thread chunking.
-    fn preseed_op_cache(&self, vdd: Voltage, samples: &[HashMap<TransistorRole, Voltage>]) {
-        let state = CellState::One;
-        let todo: Vec<&HashMap<TransistorRole, Voltage>> = {
-            let cache = lock_recovering(&self.op_cache);
-            samples
-                .iter()
-                .filter(|d| !d.is_empty() && !cache.contains_key(&op_key(vdd, d)))
-                .collect()
-        };
-        if todo.is_empty() {
-            return;
-        }
-        let nominal_cell = SramCell::new(&self.tech, vdd);
-        let Ok(nominal) = self.pre_strike_state(vdd, &HashMap::new(), &nominal_cell, state) else {
-            return;
-        };
-        // Lane matrix in the circuit's MOSFET-id order: transistor roles
-        // map onto ids via the cell, devices outside the role set (none
-        // in a 6T cell) get zero-ΔVth lanes.
-        let circuit = nominal_cell.circuit();
-        let deltas_by_mosfet: Vec<Vec<f64>> = circuit
-            .mosfet_ids()
-            .map(|id| {
-                let role = TransistorRole::ALL
-                    .into_iter()
-                    .find(|&r| nominal_cell.mosfet_id(r) == id);
-                todo.iter()
-                    .map(|d| role.and_then(|r| d.get(&r)).map_or(0.0, |dv| dv.volts()))
-                    .collect()
-            })
-            .collect();
-        let Ok(seeds) =
-            analysis::warm_seed_batch(circuit, &self.options.newton, &nominal, &deltas_by_mosfet)
-        else {
-            return;
-        };
-        for (deltas, lane_seed) in todo.iter().zip(&seeds) {
-            let mut cell = SramCell::new(&self.tech, vdd);
-            for (&role, &dv) in deltas.iter() {
-                let id = cell.mosfet_id(role);
-                let dev = cell.circuit().mosfet(id).with_delta_vth(dv);
-                *cell.circuit_mut().mosfet_mut(id) = dev;
-            }
-            if let Ok(op) =
-                analysis::dc_operating_point_warm(cell.circuit(), &self.options.newton, lane_seed)
-            {
-                finrad_observe::counter_add(finrad_observe::keys::SRAM_DCOP_CACHE_MISSES, 1);
-                lock_recovering(&self.op_cache)
-                    .insert(op_key(vdd, deltas), Arc::new(op.node_voltages().to_vec()));
-            }
-        }
-    }
-
     /// Characterizes one combo: the POF curve at `vdd`.
     ///
     /// For [`Variation::MonteCarlo`] the samples are distributed across
@@ -632,29 +563,19 @@ impl CellCharacterizer {
                         let this = &self;
                         handles.push(scope.spawn(move || {
                             let mut out = Vec::with_capacity(end - start);
-                            // Walk the chunk in sub-blocks sized for the
-                            // batched SoA seeding; each sample keeps its
-                            // own salted RNG stream, so the draws are
-                            // identical to the retired one-at-a-time loop.
-                            for block in (start..end).collect::<Vec<_>>().chunks(WARM_SEED_LANES) {
-                                let block_deltas: Vec<_> = block
-                                    .iter()
-                                    .map(|&i| {
-                                        let mut rng = Xoshiro256pp::salted_stream(
-                                            seed,
-                                            i as u64,
-                                            0x9E37_79B9_7F4A_7C15,
-                                        );
-                                        this.sample_deltas(var, &mut rng)
-                                    })
-                                    .collect();
-                                this.preseed_op_cache(vdd, &block_deltas);
-                                for deltas in &block_deltas {
-                                    let (q, _) = this.critical_charge_from(
-                                        vdd, combo, deltas, anchor, lattice,
-                                    )?;
-                                    out.push(q.coulombs());
-                                }
+                            for i in start..end {
+                                // Each sample draws from its own salted
+                                // stream, so its ΔVth values do not depend
+                                // on how samples are split across workers.
+                                let mut rng = Xoshiro256pp::salted_stream(
+                                    seed,
+                                    i as u64,
+                                    0x9E37_79B9_7F4A_7C15,
+                                );
+                                let deltas = this.sample_deltas(var, &mut rng);
+                                let (q, _) = this
+                                    .critical_charge_from(vdd, combo, &deltas, anchor, lattice)?;
+                                out.push(q.coulombs());
                             }
                             Ok(out)
                         }));
@@ -929,16 +850,74 @@ mod tests {
 
     #[test]
     fn deterministic_under_seed() {
-        let ch = characterizer();
+        // Two fresh characterizers: a shared one would answer every DC
+        // solve of the second call from its operating-point cache.
         let vdd = Voltage::from_volts(0.8);
         let combo = StrikeCombo::single(StrikeTarget::I3);
-        let a = ch
-            .characterize_combo(vdd, combo, Variation::MonteCarlo { samples: 6 }, 42)
-            .unwrap();
-        let b = ch
-            .characterize_combo(vdd, combo, Variation::MonteCarlo { samples: 6 }, 42)
-            .unwrap();
+        let run = || {
+            characterizer()
+                .characterize_combo(vdd, combo, Variation::MonteCarlo { samples: 6 }, 42)
+                .unwrap()
+        };
+        let (a, b) = (run(), run());
         assert_eq!(a, b);
+    }
+
+    /// FNV-1a 64 over the little-endian bytes of each value's `to_bits`.
+    fn fnv1a64_bits(xs: &[f64]) -> u64 {
+        xs.iter()
+            .flat_map(|x| x.to_bits().to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, byte| {
+                (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    }
+
+    #[test]
+    fn golden_variation_qcrit_bits() {
+        // Every sorted per-sample critical charge of a variation-MC table,
+        // pinned by a `to_bits` hash per (vdd, combo). The pins were taken
+        // while the sample loop still ran in 32-sample blocks with batched
+        // warm seeding; 66 samples give each of one or two workers at
+        // least one full block and a remainder. Built on a fresh
+        // characterizer so no other test's cached operating points feed
+        // the solves.
+        const GOLDEN: [[u64; 7]; 2] = [
+            [
+                0x4818_eaba_3a04_5db6,
+                0xb53a_1d34_4ad1_c7ad,
+                0xca7d_e102_14b4_1764,
+                0x9e94_69b2_42e1_903d,
+                0xd7ec_3eee_2c8d_cdf3,
+                0x29be_79ce_04c4_650d,
+                0x8e21_5815_0e2d_1331,
+            ],
+            [
+                0x5fc1_a9be_b27b_56b6,
+                0x72ab_e7f3_4d8e_2092,
+                0xf3c4_ff2b_de22_b54b,
+                0x41e4_c8e8_5f3f_c519,
+                0x3432_f25c_fbe3_156a,
+                0x22c7_8c09_5227_0f42,
+                0x3c7c_598e_97ca_57ee,
+            ],
+        ];
+        let ch = characterizer();
+        let mut got = [[0u64; 7]; 2];
+        for (row, volts) in got.iter_mut().zip([0.7, 1.1]) {
+            let table = ch
+                .build_table(
+                    Voltage::from_volts(volts),
+                    Variation::MonteCarlo { samples: 66 },
+                    17,
+                )
+                .unwrap();
+            for (slot, combo) in row.iter_mut().zip(StrikeCombo::all()) {
+                let curve = table.curve(combo).unwrap();
+                assert_eq!(curve.sample_count(), 66);
+                *slot = fnv1a64_bits(curve.qcrit_samples());
+            }
+        }
+        assert_eq!(got, GOLDEN, "got {got:#018x?}");
     }
 
     /// The upward scan from the floor that the anchored walk replaced,
