@@ -31,6 +31,9 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (every target, warnings are errors)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "==> cargo doc (every rustdoc warning is an error)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> cargo xtask lint (deny-all, all families capped at 0, JSON + SARIF)"
 cargo xtask lint --deny-all \
   --max unit-safety=0 \

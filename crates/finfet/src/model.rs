@@ -103,15 +103,11 @@ fn sigmoid(x: f64) -> f64 {
     }
 }
 
-/// The EKV interpolation function `F(x) = ln²(1 + e^{x/2})`.
-fn ekv_f(x: f64) -> f64 {
+/// The EKV interpolation function `F(x) = ln²(1 + e^{x/2})` and its
+/// derivative `F'(x) = ln(1 + e^{x/2}) · σ(x/2)`, sharing one softplus.
+fn ekv_f_and_prime(x: f64) -> (f64, f64) {
     let s = softplus(0.5 * x);
-    s * s
-}
-
-/// Its derivative `F'(x) = ln(1 + e^{x/2}) · σ(x/2)`.
-fn ekv_f_prime(x: f64) -> f64 {
-    softplus(0.5 * x) * sigmoid(0.5 * x)
+    (s * s, s * sigmoid(0.5 * x))
 }
 
 impl FinFet {
@@ -197,12 +193,49 @@ impl FinFet {
         }
     }
 
+    /// Drain current alone at terminal voltages `(v_gate, v_drain,
+    /// v_source)`, bit-identical to `evaluate(..).id` but without the
+    /// derivative work: one softplus per terminal instead of a softplus
+    /// and a sigmoid. The Newton residual needs only this.
+    pub fn drain_current(&self, v_gate: f64, v_drain: f64, v_source: f64) -> f64 {
+        match self.polarity {
+            Polarity::Nmos => self.drain_current_nmos(v_gate, v_drain, v_source),
+            Polarity::Pmos => -self.drain_current_nmos(-v_gate, -v_drain, -v_source),
+        }
+    }
+
+    fn drain_current_nmos(&self, vg: f64, vd: f64, vs: f64) -> f64 {
+        // Same source/drain swap as `evaluate_nmos`.
+        if vd >= vs {
+            self.drain_current_nmos_forward(self.ekv_args(vg, vd, vs))
+        } else {
+            -self.drain_current_nmos_forward(self.ekv_args(vg, vs, vd))
+        }
+    }
+
+    /// `I_spec · [F(x_s) − F(x_d)]` at the arguments of a forward-biased
+    /// device.
+    fn drain_current_nmos_forward(&self, (xs, xd): (f64, f64)) -> f64 {
+        let (s_s, s_d) = (softplus(0.5 * xs), softplus(0.5 * xd));
+        self.i_spec * (s_s * s_s - s_d * s_d)
+    }
+
+    /// The normalized source and drain arguments `(x_s, x_d)` of the
+    /// interpolation function, for `vd >= vs`.
+    fn ekv_args(&self, vg: f64, vd: f64, vs: f64) -> (f64, f64) {
+        let vgs = vg - vs;
+        let vds = vd - vs;
+        let vth_eff = self.vth0 + self.delta_vth - self.eta * vds;
+        let vp = (vgs - vth_eff) / self.n_slope;
+        (vp / self.phi_t, (vp - vds) / self.phi_t)
+    }
+
     fn evaluate_nmos(&self, vg: f64, vd: f64, vs: f64) -> SmallSignal {
         if vd >= vs {
-            self.evaluate_nmos_forward(vg, vd, vs)
+            self.evaluate_nmos_forward(self.ekv_args(vg, vd, vs))
         } else {
             // Source/drain symmetry: swap terminals, flip the current.
-            let sw = self.evaluate_nmos_forward(vg, vs, vd);
+            let sw = self.evaluate_nmos_forward(self.ekv_args(vg, vs, vd));
             SmallSignal {
                 id: -sw.id,
                 did_dvg: -sw.did_dvg,
@@ -213,20 +246,12 @@ impl FinFet {
         }
     }
 
-    /// Core evaluation with `vd >= vs` guaranteed.
-    fn evaluate_nmos_forward(&self, vg: f64, vd: f64, vs: f64) -> SmallSignal {
+    /// Core evaluation at the arguments [`FinFet::ekv_args`] gives for
+    /// `vd >= vs`.
+    fn evaluate_nmos_forward(&self, (xs, xd): (f64, f64)) -> SmallSignal {
         let (n, eta, phi_t) = (self.n_slope, self.eta, self.phi_t);
-        let vgs = vg - vs;
-        let vds = vd - vs;
-        let vth_eff = self.vth0 + self.delta_vth - eta * vds;
-        let vp = (vgs - vth_eff) / n;
-        let xs = vp / phi_t;
-        let xd = (vp - vds) / phi_t;
-
-        let f_s = ekv_f(xs);
-        let f_d = ekv_f(xd);
-        let fp_s = ekv_f_prime(xs);
-        let fp_d = ekv_f_prime(xd);
+        let (f_s, fp_s) = ekv_f_and_prime(xs);
+        let (f_d, fp_d) = ekv_f_and_prime(xd);
 
         let id = self.i_spec * (f_s - f_d);
 
@@ -439,6 +464,7 @@ mod tests {
 
     #[test]
     fn ekv_f_limits() {
+        let ekv_f = |x| ekv_f_and_prime(x).0;
         // Subthreshold: F(x) ~ e^x for very negative x.
         let x = -20.0;
         assert!((ekv_f(x) / x.exp() - 1.0).abs() < 0.01);
@@ -447,7 +473,7 @@ mod tests {
         assert!((ekv_f(y) / (y / 2.0 + 1.0e-9).powi(2) - 1.0).abs() < 0.05);
         // No overflow at extreme drive.
         assert!(ekv_f(4000.0).is_finite());
-        assert!(ekv_f_prime(4000.0).is_finite());
+        assert!(ekv_f_and_prime(4000.0).1.is_finite());
         assert!(ekv_f(-4000.0) >= 0.0);
     }
 }
@@ -500,5 +526,255 @@ mod randomized_tests {
             let i_hi = d.evaluate(hi, vd, 0.0).id;
             assert!(i_hi >= i_lo - 1e-18);
         }
+    }
+}
+
+/// Bit-identity of the current-only path and the shared-softplus
+/// evaluation against the model as first written: a verbatim copy of the
+/// original two-softplus `F`/`F'` code and evaluation is kept here as the
+/// reference, and every result is compared by `to_bits`.
+#[cfg(test)]
+mod bit_identity_tests {
+    use super::*;
+    use finrad_numerics::rng::{Rng, Xoshiro256pp};
+
+    fn reference_ekv_f(x: f64) -> f64 {
+        let s = softplus(0.5 * x);
+        s * s
+    }
+
+    fn reference_ekv_f_prime(x: f64) -> f64 {
+        softplus(0.5 * x) * sigmoid(0.5 * x)
+    }
+
+    fn reference_evaluate(dev: &FinFet, v_gate: f64, v_drain: f64, v_source: f64) -> SmallSignal {
+        match dev.polarity {
+            Polarity::Nmos => reference_evaluate_nmos(dev, v_gate, v_drain, v_source),
+            Polarity::Pmos => {
+                let m = reference_evaluate_nmos(dev, -v_gate, -v_drain, -v_source);
+                SmallSignal {
+                    id: -m.id,
+                    did_dvg: m.did_dvg,
+                    did_dvd: m.did_dvd,
+                    did_dvs: m.did_dvs,
+                }
+            }
+        }
+    }
+
+    fn reference_evaluate_nmos(dev: &FinFet, vg: f64, vd: f64, vs: f64) -> SmallSignal {
+        if vd >= vs {
+            reference_evaluate_nmos_forward(dev, vg, vd, vs)
+        } else {
+            let sw = reference_evaluate_nmos_forward(dev, vg, vs, vd);
+            SmallSignal {
+                id: -sw.id,
+                did_dvg: -sw.did_dvg,
+                did_dvd: -sw.did_dvs,
+                did_dvs: -sw.did_dvd,
+            }
+        }
+    }
+
+    fn reference_evaluate_nmos_forward(dev: &FinFet, vg: f64, vd: f64, vs: f64) -> SmallSignal {
+        let (n, eta, phi_t) = (dev.n_slope, dev.eta, dev.phi_t);
+        let vgs = vg - vs;
+        let vds = vd - vs;
+        let vth_eff = dev.vth0 + dev.delta_vth - eta * vds;
+        let vp = (vgs - vth_eff) / n;
+        let xs = vp / phi_t;
+        let xd = (vp - vds) / phi_t;
+        reference_at(dev, xs, xd)
+    }
+
+    /// The rest of the reference evaluation, from the arguments on.
+    fn reference_at(dev: &FinFet, xs: f64, xd: f64) -> SmallSignal {
+        let (n, eta, phi_t) = (dev.n_slope, dev.eta, dev.phi_t);
+        let f_s = reference_ekv_f(xs);
+        let f_d = reference_ekv_f(xd);
+        let fp_s = reference_ekv_f_prime(xs);
+        let fp_d = reference_ekv_f_prime(xd);
+
+        let id = dev.i_spec * (f_s - f_d);
+
+        let dvp = [1.0 / n, eta / n, -(1.0 + eta) / n];
+        let dvds = [0.0, 1.0, -1.0];
+        let mut deriv = [0.0f64; 3];
+        for k in 0..3 {
+            let dxs = dvp[k] / phi_t;
+            let dxd = (dvp[k] - dvds[k]) / phi_t;
+            deriv[k] = dev.i_spec * (fp_s * dxs - fp_d * dxd);
+        }
+        SmallSignal {
+            id,
+            did_dvg: deriv[0],
+            did_dvd: deriv[1],
+            did_dvs: deriv[2],
+        }
+    }
+
+    /// NMOS and PMOS, each nominal and shifted by ±50 mV.
+    fn devices() -> Vec<FinFet> {
+        let tech = Technology::soi_finfet_14nm();
+        let mut out = Vec::new();
+        for polarity in [Polarity::Nmos, Polarity::Pmos] {
+            let d = FinFet::new(&tech, polarity, 1);
+            for mv in [0.0, 50.0, -50.0] {
+                out.push(d.with_delta_vth(Voltage::from_mv(mv)));
+            }
+        }
+        out
+    }
+
+    /// Asserts that `got` and the current-only `i` reproduce `want` bit
+    /// for bit.
+    fn assert_same(got: SmallSignal, i: f64, want: SmallSignal, at: &str) {
+        for (name, g, w) in [
+            ("id", got.id, want.id),
+            ("did_dvg", got.did_dvg, want.did_dvg),
+            ("did_dvd", got.did_dvd, want.did_dvd),
+            ("did_dvs", got.did_dvs, want.did_dvs),
+        ] {
+            assert_eq!(g.to_bits(), w.to_bits(), "{name} {g:e} vs {w:e}, {at}");
+        }
+        assert_eq!(
+            i.to_bits(),
+            want.id.to_bits(),
+            "drain current {i:e} vs {:e}, {at}",
+            want.id
+        );
+    }
+
+    /// Both public paths against the reference at one terminal point.
+    fn assert_bits(dev: &FinFet, vg: f64, vd: f64, vs: f64) {
+        assert_same(
+            dev.evaluate(vg, vd, vs),
+            dev.drain_current(vg, vd, vs),
+            reference_evaluate(dev, vg, vd, vs),
+            &format!(
+                "{:?} dvth={} at ({vg:e}, {vd:e}, {vs:e})",
+                dev.polarity, dev.delta_vth
+            ),
+        );
+    }
+
+    /// Maps an `f64` onto an `i64` whose order matches the float order.
+    fn ordered(x: f64) -> i64 {
+        let b = x.to_bits() as i64;
+        if b < 0 {
+            b ^ i64::MAX
+        } else {
+            b
+        }
+    }
+
+    fn unordered(k: i64) -> f64 {
+        f64::from_bits((if k < 0 { k ^ i64::MAX } else { k }) as u64)
+    }
+
+    /// The gate voltage at which `arg(vg)` (non-decreasing in `vg`) first
+    /// reaches `target`, by bisection over the representable gate voltages.
+    fn gate_for(arg: impl Fn(f64) -> f64, target: f64) -> f64 {
+        let (mut lo, mut hi) = (ordered(-20.0), ordered(20.0));
+        assert!(arg(unordered(lo)) < target && arg(unordered(hi)) >= target);
+        while i128::from(hi) - i128::from(lo) > 1 {
+            let mid = ((i128::from(lo) + i128::from(hi)) / 2) as i64;
+            if arg(unordered(mid)) >= target {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        unordered(hi)
+    }
+
+    #[test]
+    fn evaluate_and_drain_current_match_reference_on_random_points() {
+        for (k, dev) in devices().iter().enumerate() {
+            let mut rng = Xoshiro256pp::seed_from_u64(0xB171D + k as u64);
+            for i in 0..100_000 {
+                let vg = rng.gen_range(-1.5..1.5);
+                let vd = rng.gen_range(-1.5..1.5);
+                // Every 16th point has coincident source and drain.
+                let vs = if i % 16 == 0 {
+                    vd
+                } else {
+                    rng.gen_range(-1.5..1.5)
+                };
+                assert_bits(dev, vg, vd, vs);
+            }
+        }
+    }
+
+    /// `softplus` switches branch at |x| = 40: the half-arguments on
+    /// ±40 and one ulp either side.
+    fn softplus_edges() -> [f64; 6] {
+        let (hi, lo) = (40.0f64, -40.0f64);
+        [
+            hi.next_down(),
+            hi,
+            hi.next_up(),
+            lo.next_down(),
+            lo,
+            lo.next_up(),
+        ]
+    }
+
+    #[test]
+    fn forward_paths_match_reference_at_softplus_cutoffs() {
+        // Every pair of forced half-arguments on the two terminals, plus
+        // ordinary interior values, the diagonal `x_s == x_d` (what
+        // `vd == vs` gives) included.
+        let mut halves = vec![0.0, 1.5, -7.25];
+        halves.extend(softplus_edges());
+        for dev in devices() {
+            for &hs in &halves {
+                for &hd in &halves {
+                    let args = (2.0 * hs, 2.0 * hd);
+                    assert_same(
+                        dev.evaluate_nmos_forward(args),
+                        dev.drain_current_nmos_forward(args),
+                        reference_at(&dev, args.0, args.1),
+                        &format!("{:?} dvth={} at x = {args:?}", dev.polarity, dev.delta_vth),
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn terminal_voltages_bracketing_softplus_cutoffs_match_reference() {
+        // Through the public API: for each device the gate voltages whose
+        // half-argument lands closest below and at-or-above each forced
+        // value. Which floats are reachable depends on the rounding of the
+        // threshold arithmetic, so the two bracketing gates stand in for
+        // the exact value where it is not representable.
+        let mut exact = 0;
+        for dev in devices() {
+            // (vd, vs) in the forward frame, including vd == vs.
+            for (vd, vs) in [(0.8, 0.0), (0.3, 0.1), (0.5, 0.5), (0.0, 0.0)] {
+                for t in softplus_edges() {
+                    for on_drain in [false, true] {
+                        let half = |vg| {
+                            let (xs, xd) = dev.ekv_args(vg, vd, vs);
+                            0.5 * if on_drain { xd } else { xs }
+                        };
+                        let vg = gate_for(half, t);
+                        exact += usize::from(half(vg).to_bits() == t.to_bits());
+                        for vg in [vg.next_down(), vg] {
+                            // The forward frame, its source/drain swap, and
+                            // for PMOS the mirrored voltages landing on it.
+                            let (g, d, s) = match dev.polarity {
+                                Polarity::Nmos => (vg, vd, vs),
+                                Polarity::Pmos => (-vg, -vd, -vs),
+                            };
+                            assert_bits(&dev, g, d, s);
+                            assert_bits(&dev, g, s, d);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(exact > 0, "no forced half-argument was hit exactly");
     }
 }

@@ -3,7 +3,7 @@
 //! The array-level Monte Carlo of the paper (Section 5.1, step 1) generates
 //! a random particle with a random direction and position, then finds the
 //! struck fins "by a simple 3-D analysis considering the 3-D layout of
-//! [the] SRAM array and the position of Fins/transistors inside the layout".
+//! \[the\] SRAM array and the position of Fins/transistors inside the layout".
 //! This crate provides that analysis:
 //!
 //! * [`Vec3`] / [`Ray`] — minimal 3-D vector algebra (lengths in metres).

@@ -463,14 +463,29 @@ impl StructuredLu {
     ///
     /// Returns [`NumericsError::Dimension`] if `b` has the wrong length.
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, NumericsError> {
+        let mut x = vec![0.0; self.dim()];
+        self.solve_into(b, &mut x)?;
+        Ok(x)
+    }
+
+    /// Like [`StructuredLu::solve`], but writing the solution into the
+    /// caller-owned `x`, so a solve in a loop allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NumericsError::Dimension`] if `b` or `x` has the wrong
+    /// length.
+    pub fn solve_into(&self, b: &[f64], x: &mut [f64]) -> Result<(), NumericsError> {
         let n = self.lu.rows();
-        if b.len() != n {
+        if b.len() != n || x.len() != n {
             return Err(NumericsError::Dimension {
-                expected: format!("rhs of length {n}"),
-                got: format!("{}", b.len()),
+                expected: format!("rhs and solution of length {n}"),
+                got: format!("{} and {}", b.len(), x.len()),
             });
         }
-        let mut x: Vec<f64> = self.perm.iter().map(|&p| b[p]).collect();
+        for (xi, &p) in x.iter_mut().zip(&self.perm) {
+            *xi = b[p];
+        }
         // Forward substitution, column-oriented over the L pattern.
         for k in 0..n {
             let xk = x[k];
@@ -486,7 +501,7 @@ impl StructuredLu {
             }
             x[k] = acc / self.lu[(k, k)];
         }
-        Ok(x)
+        Ok(())
     }
 
     /// Dimension of the analyzed system.
@@ -656,6 +671,24 @@ mod tests {
         for (d, s) in xd.iter().zip(&xs) {
             assert!((d - s).abs() < 1e-12, "dense {d} vs structured {s}");
         }
+    }
+
+    #[test]
+    fn structured_solve_into_overwrites_and_checks_lengths() {
+        let a = arrow_matrix(6);
+        let dense = LuFactors::factor(a.clone()).unwrap();
+        let mut slu = StructuredLu::analyze(&a, dense.perm().to_vec()).unwrap();
+        slu.factor(&a).unwrap();
+        let b = [2.0, -1.0, 0.5, 3.0, -4.0, 1.0];
+        // Stale contents of the buffer must not leak into the solution.
+        let mut x = vec![f64::NAN; 6];
+        slu.solve_into(&b, &mut x).unwrap();
+        let want = slu.solve(&b).unwrap();
+        for (got, want) in x.iter().zip(&want) {
+            assert_eq!(got.to_bits(), want.to_bits());
+        }
+        assert!(slu.solve_into(&b[..5], &mut x).is_err());
+        assert!(slu.solve_into(&b, &mut x[..5]).is_err());
     }
 
     #[test]

@@ -143,6 +143,9 @@ struct SolverScratch {
     structured: Option<StructuredLu>,
     /// Nonlinear-residual buffer for the chord (quasi-Newton) path.
     r: Vec<f64>,
+    /// Linear-solve output: the chord step `δ` or the full-Newton
+    /// iterate.
+    x: Vec<f64>,
     /// Backward-Euler capacitor companions `(geq, ieq)`, hoisted out of
     /// the Newton loop: both depend only on `(dt, v_prev)`, fixed for a
     /// whole solve. Empty in DC analyses.
@@ -185,6 +188,7 @@ impl<'c> Assembler<'c> {
                 v_next: vec![0.0; n_nodes],
                 structured: None,
                 r: vec![0.0; dim],
+                x: vec![0.0; dim],
                 cap_comp: Vec::new(),
                 factored_key: None,
                 jacobian_age: 0,
@@ -283,30 +287,29 @@ impl<'c> Assembler<'c> {
         (j, b)
     }
 
-    /// Backward-Euler capacitor companions `(geq, ieq)` for the given
-    /// transient state, or `None` in DC (capacitors open). Hoisted out of
-    /// the Newton loop: both values depend only on `(dt, v_prev)`, which
-    /// are fixed for a whole solve, so recomputing them per iteration
-    /// (as the retired assembly did) was pure overhead.
-    fn cap_companions(&self, cap_state: Option<(f64, &[f64])>) -> Option<Vec<(f64, f64)>> {
-        cap_state.map(|(dt, v_prev)| {
-            self.ckt
-                .capacitors
-                .iter()
-                .map(|c| {
-                    let geq = c.farads / dt;
-                    // Companion current source: geq * (v_a_prev − v_b_prev)
-                    // flowing the same way as the conductance.
-                    (geq, geq * (v_prev[c.a.index()] - v_prev[c.b.index()]))
-                })
-                .collect()
-        })
+    /// Fills `comp` with the backward-Euler capacitor companions
+    /// `(geq, ieq)` for the given transient state, or leaves it empty in
+    /// DC (capacitors open). Hoisted out of the Newton loop: both values
+    /// depend only on `(dt, v_prev)`, which are fixed for a whole solve,
+    /// so recomputing them per iteration (as the retired assembly did)
+    /// was pure overhead. Refilling a reused buffer keeps the solve free
+    /// of allocation.
+    fn cap_companions_into(&self, cap_state: Option<(f64, &[f64])>, comp: &mut Vec<(f64, f64)>) {
+        comp.clear();
+        if let Some((dt, v_prev)) = cap_state {
+            comp.extend(self.ckt.capacitors.iter().map(|c| {
+                let geq = c.farads / dt;
+                // Companion current source: geq * (v_a_prev − v_b_prev)
+                // flowing the same way as the conductance.
+                (geq, geq * (v_prev[c.a.index()] - v_prev[c.b.index()]))
+            }));
+        }
     }
 
     /// Like [`Assembler::assemble`], but stamping into caller-owned
     /// buffers so the Newton loop allocates nothing per iteration.
     ///
-    /// `cap_comp`: precomputed [`Assembler::cap_companions`] enables the
+    /// `cap_comp`: precomputed [`Assembler::cap_companions_into`] enables the
     /// backward-Euler companion models; `None` leaves capacitors open
     /// (DC). `time`: evaluation time for source waveforms.
     fn assemble_into(
@@ -410,7 +413,10 @@ impl<'c> Assembler<'c> {
     /// element `F` is exact; for MOSFETs it is the true drain current, so
     /// a chord iterate accepted at `vtol` satisfies the same nonlinear
     /// KCL the full-Newton iterate does: reuse never degrades the
-    /// converged answer, only (at worst) the iteration count.
+    /// converged answer, only (at worst) the iteration count. The chord
+    /// step needs no derivatives, so MOSFETs are evaluated through
+    /// [`FinFet::drain_current`], bit-identical to the `id` of a full
+    /// [`FinFet::evaluate`] at a fraction of its cost.
     fn residual_into(
         &self,
         r: &mut [f64],
@@ -465,14 +471,14 @@ impl<'c> Assembler<'c> {
             r[self.branch_idx(k)] = v[vs.pos.index()] - v[vs.neg.index()] - vs.volts;
         }
         for m in &self.ckt.mosfets {
-            let ss = m
-                .device
-                .evaluate(v[m.gate.index()], v[m.drain.index()], v[m.source.index()]);
+            let id =
+                m.device
+                    .drain_current(v[m.gate.index()], v[m.drain.index()], v[m.source.index()]);
             if let Some(d) = self.idx(m.drain) {
-                r[d] += ss.id;
+                r[d] += id;
             }
             if let Some(s) = self.idx(m.source) {
-                r[s] -= ss.id;
+                r[s] -= id;
             }
         }
     }
@@ -570,10 +576,7 @@ impl<'c> Assembler<'c> {
         // companion current depend only on `(dt, v_prev)`, fixed for the
         // whole solve, so they are computed once here instead of on every
         // Newton iteration.
-        match self.cap_companions(cap_state) {
-            Some(comp) => scratch.cap_comp = comp,
-            None => scratch.cap_comp.clear(),
-        }
+        self.cap_companions_into(cap_state, &mut scratch.cap_comp);
 
         // Retained-factorization freshness across solves (and therefore
         // across transient steps): the factors are only reusable for the
@@ -617,20 +620,23 @@ impl<'c> Assembler<'c> {
                 && scratch.factored_key.is_some()
                 && scratch.jacobian_age < opts.max_jacobian_age
             {
-                let comp = key.0.then_some(&scratch.cap_comp[..]);
-                let SolverScratch { r, .. } = scratch;
+                let SolverScratch {
+                    structured,
+                    r,
+                    x,
+                    cap_comp,
+                    ..
+                } = scratch;
+                let comp = key.0.then_some(&cap_comp[..]);
                 self.residual_into(r, &v, &branch, comp, time, gmin);
                 let rnorm = r.iter().fold(0.0f64, |m, x| m.max(x.abs()));
                 let contracting = prev_residual.is_none_or(|p| rnorm <= CHORD_CONTRACTION * p);
-                let delta = if contracting {
-                    scratch
-                        .structured
+                let solved = contracting
+                    && structured
                         .as_ref()
-                        .and_then(|slu| slu.solve(&scratch.r).ok())
-                } else {
-                    None
-                };
-                if let Some(delta) = delta {
+                        .is_some_and(|slu| slu.solve_into(r, x).is_ok());
+                if solved {
+                    let delta = &scratch.x;
                     let mut max_applied = 0.0f64;
                     scratch.v_next[0] = 0.0;
                     for n in 1..self.n_nodes {
@@ -657,49 +663,53 @@ impl<'c> Assembler<'c> {
             let max_applied = if let Some(applied) = chord_applied {
                 applied
             } else {
-                let comp = key.0.then_some(&scratch.cap_comp[..]);
-                let SolverScratch { j, b, .. } = scratch;
+                let SolverScratch {
+                    structured,
+                    j,
+                    b,
+                    x,
+                    cap_comp,
+                    ..
+                } = scratch;
+                let comp = key.0.then_some(&cap_comp[..]);
                 self.assemble_into(j, b, &v, comp, time, gmin);
 
                 // Linear solve: the structure-exploiting fixed-pattern LU when
                 // its frozen pivot order is stable for this Jacobian, dense
                 // partial pivoting otherwise (also the first iteration, which
                 // picks the pivot order the structured path then freezes).
-                let structured_x = match scratch.structured.as_mut() {
-                    Some(slu) => match slu.factor(&scratch.j) {
+                // Either path leaves the new iterate in `scratch.x`.
+                let numeric_factors_live = match structured.as_mut() {
+                    Some(slu) => match slu.factor(j) {
                         Ok(()) => {
-                            Some(slu.solve(&scratch.b).map_err(|_| SpiceError::Singular {
+                            slu.solve_into(b, x).map_err(|_| SpiceError::Singular {
                                 context: context.to_owned(),
-                            })?)
+                            })?;
+                            true
                         }
-                        Err(_) => None,
+                        Err(_) => false,
                     },
-                    None => None,
+                    None => false,
                 };
-                let numeric_factors_live = structured_x.is_some();
-                let x = match structured_x {
-                    Some(x) => {
-                        scratch.structured_solves += 1;
-                        x
-                    }
-                    None => {
-                        scratch.dense_fallbacks += 1;
-                        let lu = LuFactors::factor(scratch.j.clone()).map_err(|_| {
-                            SpiceError::Singular {
-                                context: context.to_owned(),
-                            }
-                        })?;
-                        let x = lu.solve(&scratch.b).map_err(|_| SpiceError::Singular {
+                if numeric_factors_live {
+                    scratch.structured_solves += 1;
+                } else {
+                    scratch.dense_fallbacks += 1;
+                    let lu =
+                        LuFactors::factor(scratch.j.clone()).map_err(|_| SpiceError::Singular {
                             context: context.to_owned(),
                         })?;
-                        // (Re-)analyze the fixed pattern under the pivot order
-                        // dense pivoting just proved stable, so subsequent
-                        // iterations take the structured path.
-                        let mask = self.stamp_mask();
-                        scratch.structured = StructuredLu::analyze(&mask, lu.perm().to_vec()).ok();
-                        x
-                    }
-                };
+                    let dense_x = lu.solve(&scratch.b).map_err(|_| SpiceError::Singular {
+                        context: context.to_owned(),
+                    })?;
+                    scratch.x.copy_from_slice(&dense_x);
+                    // (Re-)analyze the fixed pattern under the pivot order
+                    // dense pivoting just proved stable, so subsequent
+                    // iterations take the structured path.
+                    let mask = self.stamp_mask();
+                    scratch.structured = StructuredLu::analyze(&mask, lu.perm().to_vec()).ok();
+                }
+                let x = &scratch.x;
                 scratch.refactorizations += 1;
                 scratch.jacobian_age = 0;
                 // The chord path may only reuse factors that numerically
@@ -767,8 +777,9 @@ impl<'c> Assembler<'c> {
         time: f64,
         gmin: f64,
     ) -> f64 {
-        let comp = self.cap_companions(cap_state);
-        let (j, b) = self.assemble(v, comp.as_deref(), time, gmin);
+        let mut comp = Vec::new();
+        self.cap_companions_into(cap_state, &mut comp);
+        let (j, b) = self.assemble(v, cap_state.is_some().then_some(&comp[..]), time, gmin);
         let mut x = vec![0.0; self.dim];
         for (xn, &vn) in x.iter_mut().zip(v.iter().take(self.n_nodes).skip(1)) {
             *xn = vn;

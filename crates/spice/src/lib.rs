@@ -13,7 +13,7 @@
 //! * [`analysis::transient`] — fixed-step backward-Euler integration with a
 //!   full Newton solve per step (L-stable, the right choice for the stiff
 //!   fs-pulse → ps-settling dynamics of an upset event).
-//! * [`waveform::Waveform`] — probed node-voltage traces.
+//! * [`waveform::TransientResult`] — probed node-voltage traces.
 //!
 //! # Examples
 //!

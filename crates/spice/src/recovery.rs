@@ -78,7 +78,7 @@ impl RecoveryTrace {
         Self::default()
     }
 
-    /// Records one attempt (only the first [`MAX_RECORDED_ATTEMPTS`] are
+    /// Records one attempt (only the first `MAX_RECORDED_ATTEMPTS` are
     /// stored verbatim; the rest increment [`suppressed`]).
     ///
     /// [`suppressed`]: RecoveryTrace::suppressed

@@ -30,7 +30,7 @@
 //! * `unused-suppression` — `allow(...)` directives must still fire.
 //!
 //! Phase 3 runs the flow-sensitive concurrency families (see [`flow`]),
-//! which build a control-flow graph per function ([`cfg`]), solve a
+//! which build a control-flow graph per function ([`cfg`](mod@cfg)), solve a
 //! forward dataflow problem over it ([`dataflow`]), and reason across
 //! files through a name-keyed function index:
 //!

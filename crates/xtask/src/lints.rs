@@ -1,11 +1,11 @@
 //! The lint families.
 //!
-//! Per-file lints operate on a [`ScrubbedSource`](crate::source::ScrubbedSource)
+//! Per-file lints operate on a [`ScrubbedSource`]
 //! (substring families inherited from PR 1) and on a
-//! [`LexedFile`](crate::lexer::LexedFile) (token families added with the
+//! [`LexedFile`] (token families added with the
 //! workspace analyzer), so comments and literals can never produce false
 //! positives. The cross-file families additionally consult the phase-1
-//! [`WorkspaceIndex`](crate::index::WorkspaceIndex). All lints honour
+//! [`WorkspaceIndex`]. All lints honour
 //! `// finrad-lint: allow(<id>)` on the violation line, or on the line
 //! above when the directive is a standalone comment; directives that
 //! suppress nothing are themselves reported by the `unused-suppression`
