@@ -58,28 +58,4 @@ cargo xtask lint --check-report target/lint-report.sarif
 echo "==> cargo xtask lint --diff-base (no diagnostics beyond the committed base)"
 cargo xtask lint --diff-base xtask/lint-report-base.json
 
-echo "==> cargo xtask bench --smoke (trajectory schema + hot-path counter gate)"
-cargo xtask bench --smoke --out target/BENCH_smoke.json
-cargo xtask bench --check target/BENCH_smoke.json \
-  --require-counter sram.characterize.dcop_cache_hits \
-  --require-counter spice.newton.warm_starts \
-  --require-counter spice.newton.lu_structured \
-  --require-counter spice.newton.jacobian_reuses \
-  --require-counter spice.transient.lte_step_growths
-
-echo "==> committed trajectory files carry the hot-path counters"
-cargo xtask bench --check BENCH_0005.json \
-  --require-counter sram.characterize.dcop_cache_hits \
-  --require-counter spice.newton.warm_starts \
-  --require-counter spice.newton.lu_structured
-cargo xtask bench --check BENCH_0006.json \
-  --require-counter sram.characterize.dcop_cache_hits \
-  --require-counter spice.newton.warm_starts \
-  --require-counter spice.newton.lu_structured \
-  --require-counter spice.newton.jacobian_reuses \
-  --require-counter spice.transient.lte_step_growths
-
-echo "==> pinned benches did not regress vs the previous trajectory file"
-cargo xtask bench --check BENCH_0006.json --diff-base BENCH_0005.json
-
 echo "CI gate passed."

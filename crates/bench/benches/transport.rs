@@ -1,7 +1,7 @@
 //! Device-level kernels: the Geant4-substitute Monte Carlo (Fig. 4's
 //! engine) and its pieces.
 
-use finrad_bench::harness::{BatchSize, Harness};
+use finrad_bench::harness::Harness;
 use finrad_numerics::rng::Xoshiro256pp;
 use finrad_transport::fin::FinTraversal;
 use finrad_transport::lut::EhpLut;
@@ -47,7 +47,6 @@ fn bench_lut_build_and_lookup(c: &mut Harness) {
                     &mut rng,
                 ))
             },
-            BatchSize::SmallInput,
         )
     });
 

@@ -1,10 +1,10 @@
 //! A tiny, dependency-free micro-benchmark harness.
 //!
 //! The build environment has no registry access, so the workspace cannot
-//! depend on `criterion`. This module provides the small slice of its API
-//! the benches actually use: named benchmarks, a calibrated measurement
-//! loop, and per-iteration setup via [`Bencher::iter_batched`]. Timings are
-//! printed as `name ... <ns>/iter`.
+//! depend on `criterion`. This module provides what the benches use:
+//! named benchmarks, a calibrated measurement loop, and per-iteration
+//! setup via [`Bencher::iter_batched`]. Timings are printed as
+//! `name ... <ns>/iter`.
 //!
 //! The per-benchmark time budget defaults to 300 ms and can be changed with
 //! the `FINRAD_BENCH_MS` environment variable (whole milliseconds, e.g.
@@ -13,16 +13,6 @@
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
-
-/// Batch-size hint, kept for call-site compatibility with criterion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BatchSize {
-    /// Setup output is small; batches can be large.
-    #[default]
-    SmallInput,
-    /// Setup output is large; keep batches small.
-    LargeInput,
-}
 
 /// Top-level harness: owns the time budget and prints results.
 #[derive(Debug, Clone)]
@@ -54,11 +44,6 @@ impl Harness {
     /// Runs one named benchmark. The closure receives a [`Bencher`] and
     /// must call [`Bencher::iter`] or [`Bencher::iter_batched`] exactly
     /// once.
-    ///
-    /// Besides the human-readable line, setting `FINRAD_BENCH_JSON=1`
-    /// emits one machine-readable `BENCHJSON {...}` line per benchmark;
-    /// `cargo xtask bench` scrapes these to build the `BENCH_<n>.json`
-    /// trajectory file (see `docs/observability.md`).
     pub fn bench_function(&mut self, name: &str, mut f: impl FnMut(&mut Bencher)) {
         let mut b = Bencher {
             budget: self.budget,
@@ -72,33 +57,7 @@ impl Harness {
             0
         };
         println!("{name:<40} {per:>12} ns/iter  ({} iters)", b.iters);
-        if std::env::var("FINRAD_BENCH_JSON").as_deref() == Ok("1") {
-            println!(
-                "BENCHJSON {{\"name\":{},\"ns_per_iter\":{per},\"iters\":{}}}",
-                json_escape(name),
-                b.iters
-            );
-        }
     }
-}
-
-/// Escapes `s` as a JSON string literal (quotes included).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Default per-benchmark budget when `FINRAD_BENCH_MS` is unset or
@@ -170,7 +129,6 @@ impl Bencher {
         &mut self,
         mut setup: impl FnMut() -> S,
         mut routine: impl FnMut(S) -> T,
-        _size: BatchSize,
     ) {
         // Calibrate on a handful of timed single calls.
         let mut timed = Duration::ZERO;
@@ -233,8 +191,6 @@ mod tests {
         let mut h = Harness {
             budget: Duration::from_millis(10),
         };
-        h.bench_function("batched", |b| {
-            b.iter_batched(|| vec![1u8; 16], |v| v.len(), BatchSize::SmallInput)
-        });
+        h.bench_function("batched", |b| b.iter_batched(|| vec![1u8; 16], |v| v.len()));
     }
 }

@@ -1,22 +1,30 @@
 //! Work counts of the variation Monte Carlo repeat exactly for the same
-//! seed, not just its results. Lives in its own binary because a process
-//! can install exactly one recorder, and the counter deltas need a process
-//! where nothing else simulates circuits concurrently.
+//! seed, not just its results, and every kept hot-path mechanism (DC-op
+//! cache, warm-started Newton, `StructuredLu`, chord Jacobian reuse,
+//! LTE-adaptive settle stepping) fires. Lives in its own binary because a
+//! process can install exactly one recorder, and the counter deltas need a
+//! process where nothing else simulates circuits concurrently.
 
 use finrad_finfet::Technology;
 use finrad_observe::{keys, InMemoryRecorder};
 use finrad_sram::{CellCharacterizer, CharacterizeOptions, Variation};
 use finrad_units::Voltage;
 
-const COUNTED: [&str; 3] = [
+const COUNTED: [&str; 9] = [
     keys::SRAM_BISECTION_STEPS,
     keys::SRAM_DCOP_CACHE_MISSES,
     keys::SPICE_NEWTON_ITERATIONS,
+    keys::SRAM_DCOP_CACHE_HITS,
+    keys::SPICE_TRANSIENT_LTE_STEP_GROWTHS,
+    keys::SPICE_NEWTON_WARM_STARTS,
+    keys::SPICE_LU_STRUCTURED,
+    keys::SPICE_NEWTON_JACOBIAN_REUSES,
+    keys::SPICE_NEWTON_REFACTORIZATIONS,
 ];
 
 /// Builds a reduced variation-MC POF table on a fresh characterizer (so
 /// an empty operating-point cache) and returns the counter deltas.
-fn build_counts(recorder: &InMemoryRecorder) -> [u64; 3] {
+fn build_counts(recorder: &InMemoryRecorder) -> [u64; COUNTED.len()] {
     let before = recorder.snapshot();
     let ch = CellCharacterizer::new(
         Technology::soi_finfet_14nm(),
@@ -45,4 +53,10 @@ fn variation_table_work_counts_repeat_exactly() {
         assert!(*a > 0, "{key} never counted");
         assert_eq!(a, b, "{key}: {a} then {b} on the same seed");
     }
+    let count = |key: &str| first[COUNTED.iter().position(|k| *k == key).expect("counted")];
+    assert_eq!(
+        count(keys::SPICE_NEWTON_JACOBIAN_REUSES) + count(keys::SPICE_NEWTON_REFACTORIZATIONS),
+        count(keys::SPICE_NEWTON_ITERATIONS),
+        "every Newton iteration either reuses or refactors the Jacobian"
+    );
 }

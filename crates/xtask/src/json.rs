@@ -1,6 +1,6 @@
-//! A minimal JSON parser — just enough to validate and scrape the
-//! machine-readable artifacts this workspace produces (`BENCHJSON` /
-//! `METRICSJSON` lines, `BENCH_<n>.json` trajectory files).
+//! A minimal JSON parser — just enough to validate the machine-readable
+//! artifacts this workspace produces (the lint JSON report and its SARIF
+//! rendering).
 //!
 //! The build environment has no registry access, so `serde_json` is not an
 //! option; the grammar here is the full RFC 8259 value grammar minus

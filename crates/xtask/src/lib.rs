@@ -52,7 +52,6 @@
 #![deny(rust_2018_idioms)]
 
 pub mod baseline;
-pub mod bench;
 pub mod cfg;
 pub mod dataflow;
 pub mod flow;

@@ -11,9 +11,6 @@
 //! cargo xtask lint --diff-base <p>    # fail only on diagnostics absent from a prior report
 //! cargo xtask lint --check-report <p> # schema-validate a JSON or SARIF report
 //! cargo xtask lint --max <lint>=<N>   # fail when a class's total exceeds N
-//! cargo xtask bench                   # write BENCH_<n>.json trajectory file
-//! cargo xtask bench --smoke           # fast CI variant (25 ms/bench budget)
-//! cargo xtask bench --check <path>    # validate an existing trajectory file
 //! ```
 
 #![forbid(unsafe_code)]
@@ -31,7 +28,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => lint_command(&args[1..]),
-        Some("bench") => bench_command(&args[1..]),
         Some(other) => {
             eprintln!("unknown xtask command `{other}`\n{USAGE}");
             ExitCode::from(2)
@@ -45,215 +41,7 @@ fn main() -> ExitCode {
 
 const USAGE: &str = "usage: cargo xtask lint [--deny-all] [--fix-allowlist] [--json <path|->] \
 [--format json|sarif] [--sarif <path>] [--diff-base <report.json>] [--check-report <path>] \
-[--max <lint>=<N>]\n       \
-cargo xtask bench [--smoke] [--out <path>] [--check <path>] [--require-counter <key>] \
-[--diff-base <BENCH_n.json>]";
-
-const BENCH_USAGE: &str = "usage: cargo xtask bench [--smoke] [--out <path>] [--check <path>] \
-[--require-counter <key>] [--diff-base <BENCH_n.json>]";
-
-fn bench_command(args: &[String]) -> ExitCode {
-    let mut smoke = false;
-    let mut out: Option<PathBuf> = None;
-    let mut check: Option<PathBuf> = None;
-    let mut diff_base: Option<PathBuf> = None;
-    let mut required: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => match it.next() {
-                Some(path) => out = Some(PathBuf::from(path)),
-                None => {
-                    eprintln!("--out needs a path\n{BENCH_USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
-            "--check" => match it.next() {
-                Some(path) => check = Some(PathBuf::from(path)),
-                None => {
-                    eprintln!("--check needs a path\n{BENCH_USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
-            "--require-counter" => match it.next() {
-                Some(key) => required.push(key.clone()),
-                None => {
-                    eprintln!("--require-counter needs a metric key\n{BENCH_USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
-            "--diff-base" => match it.next() {
-                Some(path) => diff_base = Some(PathBuf::from(path)),
-                None => {
-                    eprintln!("--diff-base needs a trajectory file path\n{BENCH_USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
-            other => {
-                eprintln!("unknown bench flag `{other}`\n{BENCH_USAGE}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-
-    if let Some(path) = check {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(text) => text,
-            Err(e) => {
-                eprintln!("error: cannot read {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        let mut errors = xtask::bench::validate(&text);
-        errors.extend(xtask::bench::require_counters(&text, &required));
-        if let Some(base_path) = &diff_base {
-            match std::fs::read_to_string(base_path) {
-                Ok(base) => errors.extend(xtask::bench::diff_regressions(&text, &base)),
-                Err(e) => {
-                    eprintln!("error: cannot read {}: {e}", base_path.display());
-                    return ExitCode::from(2);
-                }
-            }
-        }
-        if errors.is_empty() {
-            println!(
-                "{}: schema-valid trajectory file ({} required counter(s) present{})",
-                path.display(),
-                required.len(),
-                if diff_base.is_some() {
-                    ", no pinned-bench regressions"
-                } else {
-                    ""
-                }
-            );
-            return ExitCode::SUCCESS;
-        }
-        for e in &errors {
-            eprintln!("error: {}: {e}", path.display());
-        }
-        return ExitCode::FAILURE;
-    }
-
-    let root = workspace_root();
-    let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".into());
-    let bench_ms: u64 = if smoke { 25 } else { 300 };
-
-    println!("running micro-benchmarks ({bench_ms} ms budget per bench)...");
-    let bench_out = match run_captured(
-        std::process::Command::new(&cargo)
-            .args(["bench", "-p", "finrad-bench"])
-            .env("FINRAD_BENCH_JSON", "1")
-            .env("FINRAD_BENCH_MS", bench_ms.to_string())
-            .current_dir(&root),
-    ) {
-        Ok(stdout) => stdout,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let benches = match xtask::bench::parse_bench_lines(&bench_out) {
-        Ok(benches) if !benches.is_empty() => benches,
-        Ok(_) => {
-            eprintln!("error: the bench run produced no BENCHJSON lines");
-            return ExitCode::FAILURE;
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    println!("running instrumented smoke pipeline...");
-    let metrics_out = match run_captured(
-        std::process::Command::new(&cargo)
-            .args([
-                "run",
-                "--quiet",
-                "--release",
-                "-p",
-                "finrad-bench",
-                "--bin",
-                "pipeline_metrics",
-            ])
-            .current_dir(&root),
-    ) {
-        Ok(stdout) => stdout,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let pipeline_json = match xtask::bench::extract_metrics(&metrics_out) {
-        Ok(json) => json,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let parallelism = std::thread::available_parallelism()
-        .map(|n| n.get() as u64)
-        .unwrap_or(1);
-    let doc = xtask::bench::compose(bench_ms, smoke, parallelism, &benches, &pipeline_json);
-    // Self-check: never write a trajectory file the schema gate rejects,
-    // one missing a counter the caller declared mandatory, or one that
-    // regresses a pinned bench past the differential budget.
-    let mut errors = xtask::bench::validate(&doc);
-    errors.extend(xtask::bench::require_counters(&doc, &required));
-    if let Some(base_path) = &diff_base {
-        match std::fs::read_to_string(base_path) {
-            Ok(base) => errors.extend(xtask::bench::diff_regressions(&doc, &base)),
-            Err(e) => {
-                eprintln!("error: cannot read {}: {e}", base_path.display());
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if !errors.is_empty() {
-        for e in &errors {
-            eprintln!("error: composed document fails its own schema: {e}");
-        }
-        return ExitCode::FAILURE;
-    }
-
-    let path = out.unwrap_or_else(|| {
-        let names: Vec<String> = std::fs::read_dir(&root)
-            .map(|rd| {
-                rd.filter_map(|e| e.ok()?.file_name().into_string().ok())
-                    .collect()
-            })
-            .unwrap_or_default();
-        let n = xtask::bench::next_index(names.iter().map(String::as_str));
-        root.join(format!("BENCH_{n:04}.json"))
-    });
-    if let Err(e) = std::fs::write(&path, &doc) {
-        eprintln!("error: cannot write {}: {e}", path.display());
-        return ExitCode::from(2);
-    }
-    println!(
-        "wrote {}: {} bench(es), {} pipeline counter line(s)",
-        path.display(),
-        benches.len(),
-        doc.lines().count()
-    );
-    ExitCode::SUCCESS
-}
-
-/// Runs a command, forwarding stderr, capturing stdout; errors on
-/// non-zero exit.
-fn run_captured(cmd: &mut std::process::Command) -> Result<String, String> {
-    let out = cmd
-        .stderr(std::process::Stdio::inherit())
-        .output()
-        .map_err(|e| format!("cannot spawn {cmd:?}: {e}"))?;
-    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
-    if !out.status.success() {
-        return Err(format!("{cmd:?} failed with {}", out.status));
-    }
-    Ok(stdout)
-}
+[--max <lint>=<N>]";
 
 fn lint_command(args: &[String]) -> ExitCode {
     let mut deny_all = false;
