@@ -259,6 +259,21 @@ struct State {
 }
 
 impl State {
+    fn new(workers: usize) -> Self {
+        Self {
+            queues: (0..workers).map(|_| VecDeque::new()).collect(),
+            delayed: Vec::new(),
+            jobs: HashMap::new(),
+            cache: HashMap::new(),
+            inflight: HashMap::new(),
+            dead_letters: Vec::new(),
+            draining: false,
+            stopping: false,
+            next_job: 1,
+            cursor: 0,
+        }
+    }
+
     fn queued_items(&self) -> usize {
         self.queues.iter().map(VecDeque::len).sum::<usize>() + self.delayed.len()
     }
@@ -298,6 +313,22 @@ impl State {
             }
         }
         id
+    }
+
+    /// The job's progress. Bin counts come from the plan, not from
+    /// `outcomes`: the completion stage moves the outcomes out while the
+    /// job is still live.
+    fn status(&self, id: JobId) -> JobStatus {
+        match self.jobs.get(&self.resolve(id)) {
+            Some(Slot::Job(job)) => match &job.plan {
+                Some(plan) => JobStatus::Running {
+                    completed_bins: plan.bins.len() - job.remaining,
+                    total_bins: plan.bins.len(),
+                },
+                None => JobStatus::Queued,
+            },
+            _ => JobStatus::Done,
+        }
     }
 
     fn job_mut(&mut self, id: JobId) -> Option<&mut Job> {
@@ -371,18 +402,7 @@ impl CampaignService {
     pub fn start(config: ServiceConfig) -> Self {
         let workers = config.workers.max(1);
         let shared = Arc::new(Shared {
-            state: Mutex::new(State {
-                queues: (0..workers).map(|_| VecDeque::new()).collect(),
-                delayed: Vec::new(),
-                jobs: HashMap::new(),
-                cache: HashMap::new(),
-                inflight: HashMap::new(),
-                dead_letters: Vec::new(),
-                draining: false,
-                stopping: false,
-                next_job: 1,
-                cursor: 0,
-            }),
+            state: Mutex::new(State::new(workers)),
             cv: Condvar::new(),
             config,
         });
@@ -470,18 +490,7 @@ impl CampaignService {
 
     /// Non-blocking progress probe.
     pub fn status(&self, id: JobId) -> JobStatus {
-        let st = self.shared.lock();
-        let rid = st.resolve(id);
-        match st.jobs.get(&rid) {
-            Some(Slot::Job(job)) => match &job.plan {
-                Some(_) => JobStatus::Running {
-                    completed_bins: job.outcomes.len() - job.remaining,
-                    total_bins: job.outcomes.len(),
-                },
-                None => JobStatus::Queued,
-            },
-            _ => JobStatus::Done,
-        }
+        self.shared.lock().status(id)
     }
 
     /// Snapshot of the quarantine list.
@@ -919,18 +928,7 @@ mod tests {
 
     #[test]
     fn queue_depth_round_robins_and_steals() {
-        let mut st = State {
-            queues: vec![VecDeque::new(), VecDeque::new()],
-            delayed: Vec::new(),
-            jobs: HashMap::new(),
-            cache: HashMap::new(),
-            inflight: HashMap::new(),
-            dead_letters: Vec::new(),
-            draining: false,
-            stopping: false,
-            next_job: 1,
-            cursor: 0,
-        };
+        let mut st = State::new(2);
         for k in 0..4 {
             st.enqueue(WorkItem::Bin {
                 job: JobId(1),
@@ -950,5 +948,58 @@ mod tests {
             .collect();
         assert_eq!(order, vec![0, 2, 3, 1]);
         assert!(st.pop(0).is_none());
+    }
+
+    #[test]
+    fn status_reads_running_all_bins_through_the_completion_stage() {
+        use crate::pipeline::{PipelineConfig, SerPipeline};
+        use finrad_sram::{PofCurve, PofTable, StrikeCombo, StrikeTarget};
+        use finrad_units::{Particle, Voltage};
+        use std::borrow::Cow;
+        use std::collections::BTreeMap;
+
+        let vdd = Voltage::from_volts(0.8);
+        let mut curves = BTreeMap::new();
+        curves.insert(
+            StrikeCombo::single(StrikeTarget::I1),
+            PofCurve::from_critical_charges(vec![1.0e-17]),
+        );
+        let pipeline = PipelineConfig::smoke_test();
+        let plan = BinPlan::new(
+            &SerPipeline::new(pipeline.clone()),
+            Particle::Alpha,
+            Cow::Owned(PofTable::new(vdd, curves)),
+        );
+        let total = plan.bins.len();
+        assert!(total > 0);
+
+        let mut st = State::new(1);
+        let id = JobId(1);
+        st.jobs.insert(
+            id,
+            Slot::Job(Box::new(Job {
+                config: Arc::new(CampaignConfig::new(pipeline, Particle::Alpha, vdd)),
+                fingerprint: 0,
+                token: CancelToken::new(),
+                submitted: Instant::now(),
+                plan: Some(Arc::new(plan)),
+                outcomes: vec![None; total],
+                remaining: 1,
+            })),
+        );
+        let running = |completed_bins| JobStatus::Running {
+            completed_bins,
+            total_bins: total,
+        };
+        assert_eq!(st.status(id), running(total - 1));
+        assert!(take_completion(&mut st, id).is_none(), "a bin remains");
+
+        // The last bin lands: the completion stage takes the outcomes off
+        // the still-live job, which must keep reading as fully complete.
+        st.job_mut(id).unwrap().remaining = 0;
+        let work = take_completion(&mut st, id).expect("last bin landed");
+        assert_eq!(work.outcomes.len(), total);
+        assert_eq!(st.status(id), running(total));
+        assert_eq!(st.status(JobId(2)), JobStatus::Done);
     }
 }

@@ -48,7 +48,8 @@ pub enum LintId {
     /// code — shared-state hazards for the parallel Monte-Carlo paths.
     SharedStateAudit,
     /// The checkpoint (de)serialization region changed without a
-    /// `CHECKPOINT_VERSION` bump (fingerprint recorded in the baseline).
+    /// `CHECKPOINT_VERSION` bump (fingerprint pinned in
+    /// `xtask/lint-baseline.toml`).
     CheckpointSchemaDrift,
     /// An `allow(...)` directive that no longer suppresses anything.
     UnusedSuppression,
@@ -68,8 +69,7 @@ pub enum LintId {
 }
 
 impl LintId {
-    /// The stable string ID used in allow directives, the baseline file and
-    /// the JSON report.
+    /// The stable string ID used in allow directives and diagnostics.
     pub fn as_str(self) -> &'static str {
         match self {
             LintId::UnitSafety => "unit-safety",
@@ -87,20 +87,6 @@ impl LintId {
             LintId::CancellationResponsiveness => "cancellation-responsiveness",
             LintId::ResultDiscardAudit => "result-discard-audit",
         }
-    }
-
-    /// Whether violations of this family may be parked in the ratchet
-    /// baseline. Determinism breaks, schema drift, stale suppressions, and
-    /// potential deadlocks must be fixed, never budgeted.
-    pub fn baselineable(self) -> bool {
-        !matches!(
-            self,
-            LintId::RngDeterminism
-                | LintId::RawEscapeAudit
-                | LintId::CheckpointSchemaDrift
-                | LintId::UnusedSuppression
-                | LintId::LockOrderAudit
-        )
     }
 
     /// Every lint family, in reporting order.
@@ -678,7 +664,7 @@ fn lint_shared_state(path: &Path, lexed: &LexedFile, out: &mut Vec<Violation>) {
 // ---------------------------------------------------------------------------
 
 /// Compares the live checkpoint schema in `index` against the
-/// `(fingerprint, format-version)` pair recorded in the baseline. Returns
+/// `(fingerprint, format-version)` pair pinned in `xtask/lint-baseline.toml`. Returns
 /// workspace-level violations anchored at the `CHECKPOINT_VERSION`
 /// constant.
 pub fn checkpoint_drift(index: &WorkspaceIndex, recorded: Option<(u64, u32)>) -> Vec<Violation> {
@@ -860,7 +846,7 @@ fn raw_escape_sanctioned(path: &Path) -> bool {
 /// The escapes exist so the units crate can be built and serialized; in
 /// physics code they reintroduce exactly the raw-f64 plumbing the
 /// `Quantity` types eliminate, so every use outside
-/// [`RAW_ESCAPE_SANCTIONED`] is a violation (pinned at `--max 0` in CI).
+/// [`RAW_ESCAPE_SANCTIONED`] is a violation.
 /// Test code is exempt — asserting on raw SI values is legitimate.
 fn lint_raw_escape(path: &Path, lexed: &LexedFile, out: &mut Vec<Violation>) {
     if raw_escape_sanctioned(path) {

@@ -337,76 +337,17 @@ fn scan_tree_skips_xtask_and_reports_relative_paths() {
     assert!(!scan.index.metric_keys.is_empty());
     assert!(!scan.index.seed_sanctioned.is_empty());
     assert!(scan.index.checkpoint.is_some());
-    // The repo-wide policy: these classes are fully fixed and must stay so.
-    for extinct in [
-        LintId::RngDeterminism,
-        LintId::MetricsKeyRegistry,
-        LintId::SeedDiscipline,
-        LintId::SharedStateAudit,
-        LintId::UnusedSuppression,
-        // The flow families: in particular, the real lock-acquisition graph
-        // (campaign service included) must be cycle-free, and every
-        // supervised loop must poll cancellation.
-        LintId::LockOrderAudit,
-        LintId::GuardLifetimeAudit,
-        LintId::CancellationResponsiveness,
-        LintId::ResultDiscardAudit,
-    ] {
-        let hits: Vec<_> = scan
-            .violations
-            .iter()
-            .filter(|v| v.lint == extinct)
-            .collect();
-        assert!(hits.is_empty(), "[{extinct}] resurfaced: {hits:#?}");
-    }
-}
-
-#[test]
-fn real_scan_report_round_trips_and_validates() {
-    let root = workspace_root();
-    let scan = xtask::scan_tree(root).expect("scan");
-    let base = xtask::baseline::Baseline::load(root).expect("baseline");
-    let mut all = scan.violations.clone();
+    // The repo-wide policy, the same one `cargo xtask lint` enforces: no
+    // diagnostic of any family survives the in-source allow() directives,
+    // and the checkpoint codec matches its committed pin.
+    let pin = xtask::baseline::Baseline::load(workspace_root()).expect("checkpoint pin");
+    let mut all = scan.violations;
     all.extend(lints::checkpoint_drift(
         &scan.index,
-        base.checkpoint_schema(),
+        pin.checkpoint_schema(),
     ));
-    let check = xtask::baseline::check(&all, &base);
-    let json = xtask::report::to_json(scan.files_scanned, true, &check);
-    let problems = xtask::report::validate(&json);
-    assert!(problems.is_empty(), "{problems:#?}");
-    let doc = xtask::json::parse(&json).expect("report parses");
-    assert_eq!(
-        doc.get("schema").and_then(|v| v.as_str()),
-        Some(xtask::report::REPORT_SCHEMA)
+    assert!(
+        all.is_empty(),
+        "the tree carries lint diagnostics: {all:#?}"
     );
-
-    // The same run as SARIF: validates, advertises every family as a rule,
-    // and carries one result per diagnostic.
-    let sarif = xtask::sarif::to_sarif(&check);
-    let problems = xtask::sarif::validate(&sarif);
-    assert!(problems.is_empty(), "{problems:#?}");
-    let doc = xtask::json::parse(&sarif).expect("SARIF parses");
-    let runs = doc.get("runs").and_then(|v| v.as_array()).expect("runs");
-    let results = runs[0]
-        .get("results")
-        .and_then(|v| v.as_array())
-        .expect("results");
-    assert_eq!(
-        results.len(),
-        check.new_violations.len() + check.budgeted.len()
-    );
-
-    // Differential mode against the report we just emitted: an unchanged
-    // tree produces zero fresh diagnostics.
-    let current: Vec<Violation> = check
-        .new_violations
-        .iter()
-        .chain(&check.budgeted)
-        .cloned()
-        .collect();
-    let (fresh, absorbed) =
-        xtask::report::diff_new(&current, &json).expect("self-report is a valid base");
-    assert!(fresh.is_empty(), "{fresh:#?}");
-    assert_eq!(absorbed.len(), current.len());
 }
