@@ -25,6 +25,9 @@ cargo run -q --offline --release --features fault-injection --example campaign_s
 echo "==> end-to-end benchmark smoke test (every workload pinned to e2ebench/reference.txt)"
 cargo test --release --offline --manifest-path e2ebench/Cargo.toml
 
+echo "==> cargo check --all-features (a feature that stops compiling fails the gate)"
+cargo check --workspace --all-targets --all-features --offline
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 

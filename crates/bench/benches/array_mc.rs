@@ -6,9 +6,10 @@
 use finrad_bench::harness::Harness;
 use finrad_core::array::{DataPattern, MemoryArray};
 use finrad_core::strike::{
-    combine_cell_pofs, DepositMode, DirectionLaw, FlipModel, StrikeSimulator,
+    combine_cell_pofs, DepositMode, DirectionLaw, FlipModel, StrikeScratch, StrikeSimulator,
 };
 use finrad_finfet::Technology;
+use finrad_geometry::trace::TraceScratch;
 use finrad_geometry::{Ray, Vec3};
 use finrad_numerics::rng::Xoshiro256pp;
 use finrad_sram::{CellCharacterizer, CharacterizeOptions, PofTable, Variation};
@@ -44,8 +45,9 @@ fn bench_ray_trace(c: &mut Harness) {
         Vec3::new(center.x, center.y, bounds.max_corner().z + 1e-7),
         Vec3::new(0.3, 0.2, -1.0),
     );
+    let mut scratch = TraceScratch::default();
     c.bench_function("trace_9x9_array_indexed", |b| {
-        b.iter(|| black_box(array.trace(black_box(&ray))))
+        b.iter(|| black_box(array.trace_into(black_box(&ray), &mut scratch).len()))
     });
 }
 
@@ -71,9 +73,18 @@ fn bench_strike_iteration(c: &mut Harness) {
             model,
             None,
         );
+        // Through one reused scratch, as each `estimate` chunk runs it.
         c.bench_function(&format!("fig8_strike_iteration/{name}"), |b| {
             let mut rng = Xoshiro256pp::seed_from_u64(7);
-            b.iter(|| black_box(sim.simulate_one(Particle::Alpha, Energy::from_mev(2.0), &mut rng)))
+            let mut scratch = StrikeScratch::default();
+            b.iter(|| {
+                black_box(sim.simulate_one_with(
+                    Particle::Alpha,
+                    Energy::from_mev(2.0),
+                    &mut rng,
+                    &mut scratch,
+                ))
+            })
         });
     }
 }

@@ -9,7 +9,7 @@
 //! for ON devices).
 
 use finrad_finfet::Technology;
-use finrad_geometry::trace::{BoxIndex, Crossing};
+use finrad_geometry::trace::{BoxIndex, Crossing, TraceScratch};
 use finrad_geometry::{Aabb, Ray, Vec3};
 use finrad_sram::layout::CellLayout;
 use finrad_sram::{CellState, StrikeTarget, TransistorRole};
@@ -17,7 +17,6 @@ use finrad_units::Area;
 
 /// The data pattern stored in the array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DataPattern {
     /// Alternating 0/1 in both directions (the physical-design default for
     /// SER testing).
@@ -187,6 +186,12 @@ impl MemoryArray {
         self.index.trace(ray)
     }
 
+    /// [`MemoryArray::trace`] into caller-owned buffers, without
+    /// allocating once they have grown: the strike loops' tracer.
+    pub fn trace_into<'s>(&self, ray: &Ray, scratch: &'s mut TraceScratch) -> &'s [Crossing] {
+        self.index.trace_into(ray, scratch)
+    }
+
     /// The array's bounding box (footprint × fin height).
     pub fn bounds(&self) -> Aabb {
         self.bounds
@@ -273,17 +278,47 @@ mod tests {
     fn trace_matches_linear_scan_over_the_fins() {
         use finrad_geometry::sampling;
         use finrad_geometry::trace::trace_boxes;
-        use finrad_numerics::rng::Xoshiro256pp;
+        use finrad_numerics::rng::{Rng, Xoshiro256pp};
         let a = array();
         let boxes: Vec<Aabb> = a.fins().iter().map(|f| f.aabb).collect();
+        let bits = |c: &[Crossing]| -> Vec<(usize, u64, u64)> {
+            c.iter()
+                .map(|c| (c.index, c.hit.t_enter.to_bits(), c.hit.t_exit.to_bits()))
+                .collect()
+        };
+        let axes = [
+            Vec3::new(1.0, 0.0, 0.0),
+            Vec3::new(-1.0, 0.0, 0.0),
+            Vec3::new(0.0, 1.0, 0.0),
+            Vec3::new(0.0, -1.0, 0.0),
+            Vec3::new(0.0, 0.0, -1.0),
+        ];
         let mut rng = Xoshiro256pp::seed_from_u64(8);
+        // One scratch across every ray: a crossing left over from the
+        // previous ray would fail the next comparison.
+        let mut scratch = TraceScratch::default();
         let mut crossed = 0;
-        for _ in 0..20_000 {
-            let launch = sampling::point_on_top_face(&mut rng, &a.bounds());
-            let ray = Ray::new(launch, sampling::cosine_law_hemisphere(&mut rng));
-            let crossings = a.trace(&ray);
-            assert_eq!(crossings, trace_boxes(&ray, &boxes), "{ray:?}");
-            crossed += crossings.len();
+        for k in 0..30_000 {
+            let ray = if k % 3 == 2 {
+                // Axis-parallel, from a fin's face, edge or corner.
+                let f = a.fins()[(rng.next_u64() % a.fins().len() as u64) as usize];
+                let (lo, hi) = (f.aabb.min_corner(), f.aabb.max_corner());
+                let mut pick = |lo: f64, hi: f64| match rng.next_u64() % 3 {
+                    0 => lo,
+                    1 => hi,
+                    _ => 0.5 * (lo + hi),
+                };
+                let o = Vec3::new(pick(lo.x, hi.x), pick(lo.y, hi.y), pick(lo.z, hi.z));
+                let d = axes[(rng.next_u64() % axes.len() as u64) as usize];
+                Ray::new(o - d * 1e-7, d)
+            } else {
+                let launch = sampling::point_on_top_face(&mut rng, &a.bounds());
+                Ray::new(launch, sampling::cosine_law_hemisphere(&mut rng))
+            };
+            let want = bits(&trace_boxes(&ray, &boxes));
+            assert_eq!(bits(&a.trace(&ray)), want, "{ray:?}");
+            assert_eq!(bits(a.trace_into(&ray, &mut scratch)), want, "{ray:?}");
+            crossed += want.len();
         }
         assert!(crossed > 0);
     }

@@ -15,16 +15,18 @@
 //! micron-scale range, this keeps neutron statistics tractable at the same
 //! iteration counts as the direct flow.
 
-use crate::array::{clamp_pof, MemoryArray};
+use crate::array::MemoryArray;
 use crate::fit::{fit_rate, FitRate, PofBin};
-use crate::strike::{combine_cell_pofs, estimate_chunked, ArrayPofEstimate, IterationOutcome};
+use crate::strike::{
+    charge_pofs, combine_cell_pofs, estimate_chunked, ArrayPofEstimate, IterationOutcome,
+    StrikeScratch,
+};
 use finrad_environment::{NeutronSpectrum, Spectrum};
 use finrad_geometry::{sampling, Aabb, Ray, Vec3};
 use finrad_numerics::rng::{Rng, Xoshiro256pp};
-use finrad_sram::{PofTable, StrikeCombo, StrikeTarget};
+use finrad_sram::PofTable;
 use finrad_transport::neutron::NeutronInteraction;
 use finrad_units::{constants, Charge, Energy, Length};
-use std::collections::BTreeMap;
 use std::num::NonZeroUsize;
 
 /// Geometry of the neutron interaction volume around the array.
@@ -92,6 +94,16 @@ impl<'a> NeutronSimulator<'a> {
 
     /// One importance-weighted neutron history at energy `energy`.
     pub fn simulate_one<R: Rng + ?Sized>(&self, energy: Energy, rng: &mut R) -> IterationOutcome {
+        self.simulate_one_with(energy, rng, &mut StrikeScratch::default())
+    }
+
+    /// [`NeutronSimulator::simulate_one`] through caller-owned buffers.
+    fn simulate_one_with<R: Rng + ?Sized>(
+        &self,
+        energy: Energy,
+        rng: &mut R,
+        scratch: &mut StrikeScratch,
+    ) -> IterationOutcome {
         // Neutron entry on the inflated top plane, cosine-law downward.
         let launch = sampling::point_on_top_face(rng, &self.volume);
         let dir = sampling::cosine_law_hemisphere(rng);
@@ -113,14 +125,15 @@ impl<'a> NeutronSimulator<'a> {
         let ion_ray = Ray::new(site, ion_dir);
 
         // Trace the secondary through the fins, spending its energy.
-        let crossings = self.array.trace(&ion_ray);
+        let crossings = self.array.trace_into(&ion_ray, &mut scratch.trace);
         if crossings.is_empty() {
             return IterationOutcome::default();
         }
         let range = ion.range().meters();
         let mut remaining = ion.energy;
-        let mut per_cell: BTreeMap<usize, Vec<(StrikeTarget, f64)>> = BTreeMap::new();
-        for crossing in &crossings {
+        let cells = &mut scratch.charges;
+        cells.clear();
+        for crossing in crossings {
             if remaining.ev() <= 0.0 || crossing.hit.t_enter > range {
                 break;
             }
@@ -130,29 +143,18 @@ impl<'a> NeutronSimulator<'a> {
             if let Some(target) = fin.target {
                 let pairs = (deposit / constants::EHP_PAIR_ENERGY).value();
                 if pairs >= 1.0 {
-                    per_cell
-                        .entry(fin.cell)
-                        .or_default()
-                        .push((target, Charge::from_electrons(pairs).coulombs()));
+                    *cells.hit(fin.cell, target, || 0.0) +=
+                        Charge::from_electrons(pairs).coulombs();
                 }
             }
         }
-        if per_cell.is_empty() {
+        if cells.is_empty() {
             return IterationOutcome::default();
         }
 
-        let mut pofs: Vec<f64> = Vec::with_capacity(per_cell.len());
-        for (_cell, hits) in per_cell {
-            let targets: Vec<StrikeTarget> = hits.iter().map(|(t, _)| *t).collect();
-            let combo = StrikeCombo::new(&targets);
-            let total: f64 = hits.iter().map(|(_, q)| q).sum();
-            // Uncharacterized combos are quarantined as NaN, not crashed on.
-            pofs.push(match self.pof.pof(combo, Charge::from_coulombs(total)) {
-                Some(p) => clamp_pof(p),
-                None => f64::NAN,
-            });
-        }
-        let outcome = combine_cell_pofs(&pofs);
+        scratch.pofs.clear();
+        charge_pofs(cells, self.pof, &mut scratch.pofs);
+        let outcome = combine_cell_pofs(&scratch.pofs);
         // Importance weight: the forced reaction actually happens with
         // probability p_int per history.
         IterationOutcome {
@@ -196,9 +198,10 @@ impl<'a> NeutronSimulator<'a> {
         let timer = finrad_observe::span(finrad_observe::keys::NEUTRON_ESTIMATE_SECONDS);
         let out = estimate_chunked(iterations, threads, |chunk, len| {
             let mut rng = Xoshiro256pp::salted_stream(seed, chunk + 1, 0xA076_1D64_78BD_642F);
+            let mut scratch = StrikeScratch::default();
             let mut acc = ArrayPofEstimate::default();
             for _ in 0..len {
-                acc.push(self.simulate_one(energy, &mut rng));
+                acc.push(self.simulate_one_with(energy, &mut rng, &mut scratch));
             }
             finrad_observe::counter_add(finrad_observe::keys::NEUTRON_ITERATIONS, len);
             acc

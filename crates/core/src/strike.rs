@@ -12,7 +12,7 @@
 //! [`StrikeSimulator::estimate`]).
 
 use crate::array::{clamp_pof, MemoryArray};
-use finrad_geometry::trace::Crossing;
+use finrad_geometry::trace::{Crossing, TraceScratch};
 use finrad_geometry::{sampling, Ray};
 use finrad_numerics::rng::{Rng, Xoshiro256pp};
 use finrad_numerics::stats::RunningStats;
@@ -21,7 +21,6 @@ use finrad_transport::fin::FinTraversal;
 use finrad_transport::lut::EhpLut;
 use finrad_transport::straggling::{deposit_exceedance, landau_params, LandauParams};
 use finrad_units::{constants, Charge, Energy, Particle};
-use std::collections::BTreeMap;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -267,6 +266,125 @@ pub fn multiplicity_pmf(pofs: &[f64]) -> Vec<f64> {
     pmf
 }
 
+/// Reusable storage for strike iterations: the trace buffers, the struck
+/// cells and their flip probabilities. [`StrikeSimulator::estimate`] keeps
+/// one per chunk, so an iteration allocates nothing once the buffers have
+/// grown. Every iteration overwrites what the last one left, so results
+/// never depend on a scratch's history.
+#[derive(Debug, Clone, Default)]
+pub struct StrikeScratch {
+    pub(crate) trace: TraceScratch,
+    /// Collected charge per struck cell (coulombs): `Sampled` and neutrons.
+    pub(crate) charges: CellHits<f64>,
+    /// Summed Moyal deposit per struck cell: `Expected`.
+    moyal: CellHits<MoyalSum>,
+    pub(crate) pofs: Vec<f64>,
+}
+
+/// One struck cell of an iteration: the sensitive targets hit so far (as a
+/// combo bitmask) and the cell's accumulator.
+#[derive(Debug, Clone, Copy)]
+struct CellHit<T> {
+    cell: usize,
+    combo: StrikeCombo,
+    acc: T,
+}
+
+/// The struck cells of one iteration in ascending cell order, each
+/// accumulated in crossing order. A ray strikes a handful of cells, so a
+/// sorted vector reused across iterations replaces a per-iteration map.
+#[derive(Debug, Clone)]
+pub(crate) struct CellHits<T>(Vec<CellHit<T>>);
+
+impl<T> Default for CellHits<T> {
+    fn default() -> Self {
+        Self(Vec::new())
+    }
+}
+
+impl<T> CellHits<T> {
+    pub(crate) fn clear(&mut self) {
+        self.0.clear();
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &CellHit<T>> {
+        self.0.iter()
+    }
+
+    /// Adds `target` to `cell`'s combo and returns its accumulator,
+    /// inserting the cell with `init()` on its first hit.
+    pub(crate) fn hit(
+        &mut self,
+        cell: usize,
+        target: StrikeTarget,
+        init: impl FnOnce() -> T,
+    ) -> &mut T {
+        let at = self.0.partition_point(|h| h.cell < cell);
+        if self.0.get(at).is_some_and(|h| h.cell == cell) {
+            self.0[at].combo = self.0[at].combo.with(target);
+        } else {
+            self.0.insert(
+                at,
+                CellHit {
+                    cell,
+                    combo: StrikeCombo::single(target),
+                    acc: init(),
+                },
+            );
+        }
+        &mut self.0[at].acc
+    }
+}
+
+/// The summed Moyal deposit of one cell's sensitive crossings.
+#[derive(Debug, Clone, Copy)]
+struct MoyalSum {
+    mean_ev: f64,
+    var_ev2: f64,
+    /// The particle's energy entering the cell's first sensitive crossing:
+    /// the most the cell can collect.
+    available: Energy,
+}
+
+/// Step 4 for charge-collecting iterations: each struck cell's POF at its
+/// collected charge, pushed onto `pofs` in ascending cell order. An
+/// uncharacterized combo becomes NaN, which the accumulator's quarantine
+/// counts instead of crashing the campaign.
+pub(crate) fn charge_pofs(cells: &CellHits<f64>, table: &PofTable, pofs: &mut Vec<f64>) {
+    pofs.extend(cells.iter().map(
+        |hit| match table.pof(hit.combo, Charge::from_coulombs(hit.acc)) {
+            Some(p) => clamp_pof(p),
+            None => f64::NAN,
+        },
+    ));
+}
+
+/// `mean_i P(deposit ≥ Q_crit,i)` over `curve`'s critical-charge samples,
+/// for a deposit described by `params` and capped at `available`.
+///
+/// The samples ascend, and so do their thresholds, so the loop stops at
+/// the first threshold above `available`: from there on
+/// [`deposit_exceedance`] returns exactly `0.0` for every term, and adding
+/// `0.0` leaves the sum's bits unchanged.
+fn expected_flip_probability(curve: &PofCurve, params: &LandauParams, available: Energy) -> f64 {
+    let pair_energy_ev = constants::EHP_PAIR_ENERGY.ev();
+    let electron = constants::ELEMENTARY_CHARGE.coulombs();
+    let samples = curve.qcrit_samples();
+    let mut acc = 0.0;
+    for &qcrit in samples {
+        let threshold = Energy::from_ev(qcrit / electron * pair_energy_ev);
+        if threshold > available {
+            break;
+        }
+        acc += deposit_exceedance(params, threshold, available);
+    }
+    acc / samples.len() as f64
+}
+
 /// The array strike simulator binding geometry, transport and POF tables.
 pub struct StrikeSimulator<'a> {
     array: &'a MemoryArray,
@@ -321,15 +439,30 @@ impl<'a> StrikeSimulator<'a> {
 
     /// Simulates one particle of `energy` forced to arrive on the array
     /// footprint (the paper's Fig. 8 condition: "the particle definitely
-    /// hits the layout of the memory array").
+    /// hits the layout of the memory array"). Allocates fresh buffers; a
+    /// loop keeps a [`StrikeScratch`] and calls
+    /// [`StrikeSimulator::simulate_one_with`].
     pub fn simulate_one<R: Rng + ?Sized>(
         &self,
         particle: Particle,
         energy: Energy,
         rng: &mut R,
     ) -> IterationOutcome {
+        self.simulate_one_with(particle, energy, rng, &mut StrikeScratch::default())
+    }
+
+    /// [`StrikeSimulator::simulate_one`] through caller-owned buffers:
+    /// one iteration of [`StrikeSimulator::estimate`], allocation-free once
+    /// `scratch` has grown.
+    pub fn simulate_one_with<R: Rng + ?Sized>(
+        &self,
+        particle: Particle,
+        energy: Energy,
+        rng: &mut R,
+        scratch: &mut StrikeScratch,
+    ) -> IterationOutcome {
         let ray = self.sample_ray(rng);
-        self.simulate_ray(particle, energy, &ray, rng)
+        combine_cell_pofs(self.cell_pofs_with(particle, energy, &ray, rng, scratch))
     }
 
     /// Draws one forced-hit ray: a uniform launch point on the array's top
@@ -363,7 +496,8 @@ impl<'a> StrikeSimulator<'a> {
         ray: &Ray,
         rng: &mut R,
     ) -> IterationOutcome {
-        combine_cell_pofs(&self.cell_pofs_for_ray(particle, energy, ray, rng))
+        let mut scratch = StrikeScratch::default();
+        combine_cell_pofs(self.cell_pofs_with(particle, energy, ray, rng, &mut scratch))
     }
 
     /// The per-cell flip probabilities of one explicit ray, before the
@@ -376,28 +510,59 @@ impl<'a> StrikeSimulator<'a> {
         ray: &Ray,
         rng: &mut R,
     ) -> Vec<f64> {
-        let crossings = self.array.trace(ray);
-        if crossings.is_empty() {
-            return Vec::new();
-        }
-        match self.flip_model {
-            FlipModel::Sampled => self.resolve_sampled(particle, energy, &crossings, rng),
-            FlipModel::Expected => self.resolve_expected(particle, energy, &crossings),
-        }
+        let mut scratch = StrikeScratch::default();
+        self.cell_pofs_with(particle, energy, ray, rng, &mut scratch)
+            .to_vec()
     }
 
-    /// The paper's literal procedure: one sampled deposit per crossing.
+    /// [`StrikeSimulator::cell_pofs_for_ray`] through caller-owned
+    /// buffers: traces into `scratch`, resolves into it, and returns the
+    /// flip probabilities it leaves there, in ascending cell order.
+    fn cell_pofs_with<'s, R: Rng + ?Sized>(
+        &self,
+        particle: Particle,
+        energy: Energy,
+        ray: &Ray,
+        rng: &mut R,
+        scratch: &'s mut StrikeScratch,
+    ) -> &'s [f64] {
+        let StrikeScratch {
+            trace,
+            charges,
+            moyal,
+            pofs,
+        } = scratch;
+        pofs.clear();
+        let crossings = self.array.trace_into(ray, trace);
+        if !crossings.is_empty() {
+            match self.flip_model {
+                FlipModel::Sampled => {
+                    self.resolve_sampled(particle, energy, crossings, rng, charges);
+                    charge_pofs(charges, self.pof, pofs);
+                }
+                FlipModel::Expected => {
+                    self.resolve_expected(particle, energy, crossings, moyal, pofs);
+                }
+            }
+        }
+        pofs
+    }
+
+    /// The paper's literal procedure: one sampled deposit per crossing,
+    /// summed per struck cell into `cells`.
     fn resolve_sampled<R: Rng + ?Sized>(
         &self,
         particle: Particle,
         energy: Energy,
         crossings: &[Crossing],
         rng: &mut R,
-    ) -> Vec<f64> {
+        cells: &mut CellHits<f64>,
+    ) {
         // Step 2-3: pair generation per struck fin, degrading the particle
-        // energy as it burrows through successive fins.
+        // energy as it burrows through successive fins. Every crossing
+        // draws, sensitive or not, so the stream stays in step.
+        cells.clear();
         let mut energy_left = energy;
-        let mut charge_per_cell: BTreeMap<usize, Vec<(StrikeTarget, f64)>> = BTreeMap::new();
         for crossing in crossings {
             if energy_left.ev() <= 0.0 {
                 break;
@@ -423,55 +588,40 @@ impl<'a> StrikeSimulator<'a> {
                 continue;
             }
             if let Some(target) = fin.target {
-                let q = Charge::from_electrons(pairs as f64).coulombs();
-                charge_per_cell
-                    .entry(fin.cell)
-                    .or_default()
-                    .push((target, q));
+                *cells.hit(fin.cell, target, || 0.0) +=
+                    Charge::from_electrons(pairs as f64).coulombs();
             }
         }
-
-        if charge_per_cell.is_empty() {
-            return Vec::new();
-        }
-
-        // Step 4: POF per struck cell from the circuit-level LUT.
-        let mut pofs: Vec<f64> = Vec::with_capacity(charge_per_cell.len());
-        for (_cell, hits) in charge_per_cell {
-            let targets: Vec<StrikeTarget> = hits.iter().map(|(t, _)| *t).collect();
-            let combo = StrikeCombo::new(&targets);
-            let total: f64 = hits.iter().map(|(_, q)| q).sum();
-            // An uncharacterized combo becomes NaN and is counted by the
-            // accumulator's quarantine instead of crashing the campaign.
-            pofs.push(match self.pof.pof(combo, Charge::from_coulombs(total)) {
-                Some(p) => clamp_pof(p),
-                None => f64::NAN,
-            });
-        }
-        pofs
     }
 
     /// Conditional expectation over straggling: each struck cell
-    /// contributes `mean_i P(deposit ≥ Q_crit,i)` exactly.
+    /// contributes `mean_i P(deposit ≥ Q_crit,i)` exactly, pushed onto
+    /// `pofs` in ascending cell order.
     fn resolve_expected(
         &self,
         particle: Particle,
         energy: Energy,
         crossings: &[Crossing],
-    ) -> Vec<f64> {
-        struct CellHit {
-            targets: Vec<StrikeTarget>,
-            mean_ev: f64,
-            var_ev2: f64,
-            available: Energy,
-        }
-        let mut per_cell: BTreeMap<usize, CellHit> = BTreeMap::new();
+        cells: &mut CellHits<MoyalSum>,
+        pofs: &mut Vec<f64>,
+    ) {
+        cells.clear();
+        let fins = self.array.fins();
+        // Crossings past the last sensitive one only degrade an energy
+        // nothing reads, so the walk stops there; a ray with no sensitive
+        // crossing strikes no cell and costs no stopping-power evaluation.
+        let Some(last) = crossings
+            .iter()
+            .rposition(|c| fins[c.index].target.is_some())
+        else {
+            return;
+        };
         let mut energy_left = energy;
-        for crossing in crossings {
+        for crossing in &crossings[..=last] {
             if energy_left.ev() <= 0.0 {
                 break;
             }
-            let fin = &self.array.fins()[crossing.index];
+            let fin = &fins[crossing.index];
             let params: LandauParams = landau_params(
                 self.traversal.stopping(),
                 particle,
@@ -479,13 +629,11 @@ impl<'a> StrikeSimulator<'a> {
                 crossing.chord(),
             );
             if let Some(target) = fin.target {
-                let hit = per_cell.entry(fin.cell).or_insert_with(|| CellHit {
-                    targets: Vec::new(),
+                let hit = cells.hit(fin.cell, target, || MoyalSum {
                     mean_ev: 0.0,
                     var_ev2: 0.0,
                     available: energy_left,
                 });
-                hit.targets.push(target);
                 hit.mean_ev += params.mean.ev();
                 hit.var_ev2 += params.scale.ev() * params.scale.ev();
             }
@@ -494,16 +642,8 @@ impl<'a> StrikeSimulator<'a> {
             energy_left -= params.mean;
         }
 
-        if per_cell.is_empty() {
-            return Vec::new();
-        }
-
-        let pair_energy_ev = constants::EHP_PAIR_ENERGY.ev();
-        let electron = constants::ELEMENTARY_CHARGE.coulombs();
-        let mut pofs: Vec<f64> = Vec::with_capacity(per_cell.len());
-        for (_cell, hit) in per_cell {
-            let combo = StrikeCombo::new(&hit.targets);
-            let Some(curve): Option<&PofCurve> = self.pof.curve(combo) else {
+        for hit in cells.iter() {
+            let Some(curve): Option<&PofCurve> = self.pof.curve(hit.combo) else {
                 // An uncharacterized combo cannot yield a probability.
                 // Surface the iteration as a poisoned sample so the
                 // accumulator-level NaN quarantine counts it instead of
@@ -515,18 +655,11 @@ impl<'a> StrikeSimulator<'a> {
             // by a single Moyal with summed mean and quadrature-summed
             // scale (exact for the dominant single-fin case).
             let params = LandauParams {
-                mean: Energy::from_ev(hit.mean_ev),
-                scale: Energy::from_ev(hit.var_ev2.sqrt()),
+                mean: Energy::from_ev(hit.acc.mean_ev),
+                scale: Energy::from_ev(hit.acc.var_ev2.sqrt()),
             };
-            let samples = curve.qcrit_samples();
-            let mut acc = 0.0;
-            for &qcrit in samples {
-                let threshold = Energy::from_ev(qcrit / electron * pair_energy_ev);
-                acc += deposit_exceedance(&params, threshold, hit.available);
-            }
-            pofs.push(acc / samples.len() as f64);
+            pofs.push(expected_flip_probability(curve, &params, hit.acc.available));
         }
-        pofs
     }
 
     /// Expected rate of exactly-k-bit upsets per forced-hit particle, for
@@ -548,11 +681,12 @@ impl<'a> StrikeSimulator<'a> {
         assert!(iterations > 0, "need at least one iteration");
         assert!(max_k > 0, "need at least one multiplicity bin");
         let mut rng = Xoshiro256pp::seed_from_u64(seed);
+        let mut scratch = StrikeScratch::default();
         let mut acc = vec![0.0; max_k + 1];
         for _ in 0..iterations {
             let ray = self.sample_ray(&mut rng);
-            let pofs = self.cell_pofs_for_ray(particle, energy, &ray, &mut rng);
-            let pmf = multiplicity_pmf(&pofs);
+            let pofs = self.cell_pofs_with(particle, energy, &ray, &mut rng, &mut scratch);
+            let pmf = multiplicity_pmf(pofs);
             for (k, &p) in pmf.iter().enumerate() {
                 acc[k.min(max_k)] += p;
             }
@@ -606,9 +740,10 @@ impl<'a> StrikeSimulator<'a> {
         let timer = finrad_observe::span(finrad_observe::keys::STRIKE_ESTIMATE_SECONDS);
         let out = estimate_chunked(iterations, threads, |chunk, len| {
             let mut rng = Xoshiro256pp::salted_stream(seed, chunk + 1, 0xD6E8_FEB8_6659_FD93);
+            let mut scratch = StrikeScratch::default();
             let mut acc = ArrayPofEstimate::default();
             for _ in 0..len {
-                acc.push(self.simulate_one(particle, energy, &mut rng));
+                acc.push(self.simulate_one_with(particle, energy, &mut rng, &mut scratch));
             }
             finrad_observe::counter_add(finrad_observe::keys::STRIKE_ITERATIONS, len);
             acc
@@ -747,6 +882,82 @@ mod tests {
         let ray = sim.sample_ray(&mut Scripted(vec![0, 0, z_bits]));
         let z = ray.direction().z;
         assert!((-6.0e-7..-4.0e-7).contains(&z), "z = {z}");
+    }
+
+    #[test]
+    fn exceedance_early_exit_matches_the_full_loop_bitwise() {
+        // A 150-sample variation curve (critical charges spread ±40% about
+        // 0.3 fC), against the loop that adds every term, including the
+        // exact zeros past `available`. `available` is drawn across the
+        // whole threshold range, so many draws cut the loop short.
+        let mut rng = Xoshiro256pp::seed_from_u64(0xE4C1);
+        let qcrits: Vec<f64> = (0..150)
+            .map(|_| 0.3e-15 * rng.gen_range(0.6..1.4))
+            .collect();
+        let curve = PofCurve::from_critical_charges(qcrits);
+        let to_ev =
+            |q: f64| q / constants::ELEMENTARY_CHARGE.coulombs() * constants::EHP_PAIR_ENERGY.ev();
+        let (lo, hi) = (to_ev(0.15e-15), to_ev(0.5e-15));
+        let mut cut_short = 0;
+        for _ in 0..20_000 {
+            let params = LandauParams {
+                mean: Energy::from_ev(rng.gen_range(0.0..hi)),
+                scale: Energy::from_ev(rng.gen_range(0.0..0.2 * hi)),
+            };
+            let available = Energy::from_ev(rng.gen_range(lo..hi));
+            let samples = curve.qcrit_samples();
+            let mut full = 0.0;
+            for &qcrit in samples {
+                let threshold = Energy::from_ev(to_ev(qcrit));
+                full += deposit_exceedance(&params, threshold, available);
+            }
+            let full = full / samples.len() as f64;
+            let got = expected_flip_probability(&curve, &params, available);
+            assert_eq!(got.to_bits(), full.to_bits(), "{params:?} {available:?}");
+            cut_short += usize::from(Energy::from_ev(to_ev(samples[149])) > available);
+        }
+        assert!(
+            cut_short > 10_000,
+            "only {cut_short} draws exercised the exit"
+        );
+    }
+
+    #[test]
+    fn scratch_reuse_matches_fresh_buffers() {
+        // The allocating wrappers and one scratch reused across rays must
+        // agree bit for bit, in both flip models, on rays that strike
+        // several cells and on rays that miss.
+        let tech = Technology::soi_finfet_14nm();
+        let array = MemoryArray::build(&tech, 4, 4, DataPattern::Checkerboard);
+        let table = pof_table(0.8);
+        for model in [FlipModel::Sampled, FlipModel::Expected] {
+            let sim = StrikeSimulator::new(
+                &array,
+                FinTraversal::paper_default(),
+                &table,
+                DirectionLaw::IsotropicDown,
+                DepositMode::ChordExact,
+                model,
+                None,
+            );
+            let mut scratch = StrikeScratch::default();
+            let mut rays = Xoshiro256pp::seed_from_u64(3);
+            let (mut fresh, mut reused) = (
+                Xoshiro256pp::seed_from_u64(4),
+                Xoshiro256pp::seed_from_u64(4),
+            );
+            let mut multi = 0;
+            for _ in 0..5000 {
+                let ray = sim.sample_ray(&mut rays);
+                let e = Energy::from_mev(1.0);
+                let want = sim.cell_pofs_for_ray(Particle::Alpha, e, &ray, &mut fresh);
+                let got = sim.cell_pofs_with(Particle::Alpha, e, &ray, &mut reused, &mut scratch);
+                let bits = |p: &[f64]| p.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(got), bits(&want), "{model:?} {ray:?}");
+                multi += usize::from(want.len() > 1);
+            }
+            assert!(multi > 0, "{model:?}: no multi-cell ray");
+        }
     }
 
     #[test]

@@ -27,7 +27,6 @@ use finrad_units::{Energy, Flux, Particle};
 /// assert!(peak > tail);
 /// ```
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AlphaSpectrum {
     /// Normalized spectral density over [0.1, 10] MeV, 1/(m²·s·MeV).
     density: LinearTable,

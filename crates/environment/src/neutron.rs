@@ -26,7 +26,6 @@ use finrad_units::{Energy, Particle};
 /// assert!((above_10.per_cm2_hour() - 13.0).abs() < 4.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NeutronSpectrum {
     /// Overall scale (1.0 = NYC sea level; ~10–300× at flight altitudes).
     scale: f64,

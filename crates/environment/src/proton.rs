@@ -30,7 +30,6 @@ const COSINE_WEIGHTED_SOLID_ANGLE_SR: f64 = std::f64::consts::PI;
 /// assert!(p.differential(Energy::from_mev(1.0)) > p.differential(Energy::from_mev(100.0)));
 /// ```
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ProtonSpectrum {
     /// Intensity table in 1/(m²·s·sr·MeV) vs energy in MeV.
     intensity: LogLogTable,

@@ -21,7 +21,6 @@ use finrad_units::Voltage;
 
 /// Channel polarity of a FinFET instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Polarity {
     /// N-channel (pull-down and pass-gate devices in the 6T cell).
     Nmos,
@@ -59,7 +58,6 @@ pub struct SmallSignal {
 /// assert!(on.id > 1e3 * off.id); // strong ON/OFF ratio
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FinFet {
     polarity: Polarity,
     n_fins: u32,

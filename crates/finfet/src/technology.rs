@@ -19,7 +19,6 @@ use finrad_units::{Length, Voltage};
 /// assert!(tech.vdd_nominal.volts() > 0.5);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Technology {
     /// Human-readable node name.
     pub name: String,

@@ -25,7 +25,6 @@ use finrad_units::Voltage;
 /// assert!(d.volts().abs() < 0.5); // a few sigma at most
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct VariationModel {
     sigma_one_fin: Voltage,
     /// Global scale knob (1.0 = nominal technology corner).

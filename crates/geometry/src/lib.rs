@@ -38,7 +38,6 @@ use std::ops::{Add, Div, Mul, Neg, Sub};
 
 /// A 3-D vector. Coordinates are metres when used as a position.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Vec3 {
     /// X component.
     pub x: f64,
@@ -119,6 +118,12 @@ impl Vec3 {
     pub fn is_finite(self) -> bool {
         self.x.is_finite() && self.y.is_finite() && self.z.is_finite()
     }
+
+    /// The components as `[x, y, z]`.
+    #[inline]
+    fn to_array(self) -> [f64; 3] {
+        [self.x, self.y, self.z]
+    }
 }
 
 impl Add for Vec3 {
@@ -177,7 +182,6 @@ impl fmt::Display for Vec3 {
 
 /// A half-infinite ray: origin plus unit direction.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Ray {
     origin: Vec3,
     direction: Vec3,
@@ -242,7 +246,6 @@ impl RayHit {
 /// standard-cell SRAM layout, so AABBs are an exact representation, not an
 /// approximation.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Aabb {
     min: Vec3,
     max: Vec3,
@@ -336,32 +339,36 @@ impl Aabb {
     /// so that rays starting inside the box report the chord from the origin
     /// to the exit face.
     pub fn intersect(&self, ray: &Ray) -> Option<RayHit> {
-        let o = ray.origin();
-        let d = ray.direction();
+        self.intersect_slabs(&SlabRay::new(ray))
+    }
+
+    /// [`Aabb::intersect`] for a ray whose reciprocal direction is already
+    /// computed: the one slab test, shared by every box a tracer tests
+    /// against the same ray.
+    pub(crate) fn intersect_slabs(&self, ray: &SlabRay) -> Option<RayHit> {
+        let (lo, hi) = (self.min.to_array(), self.max.to_array());
         let mut t_lo = 0.0f64;
         let mut t_hi = f64::INFINITY;
 
         for axis in 0..3 {
-            let (omin, omax, oo, dd) = match axis {
-                0 => (self.min.x, self.max.x, o.x, d.x),
-                1 => (self.min.y, self.max.y, o.y, d.y),
-                _ => (self.min.z, self.max.z, o.z, d.z),
-            };
-            if dd.abs() < 1.0e-300 {
+            let oo = ray.origin[axis];
+            match ray.inv[axis] {
                 // Ray parallel to this slab: must already be inside it.
-                if oo < omin || oo > omax {
-                    return None;
+                None => {
+                    if oo < lo[axis] || oo > hi[axis] {
+                        return None;
+                    }
                 }
-            } else {
-                let inv = 1.0 / dd;
-                let (mut t1, mut t2) = ((omin - oo) * inv, (omax - oo) * inv);
-                if t1 > t2 {
-                    std::mem::swap(&mut t1, &mut t2);
-                }
-                t_lo = t_lo.max(t1);
-                t_hi = t_hi.min(t2);
-                if t_lo > t_hi {
-                    return None;
+                Some(inv) => {
+                    let (mut t1, mut t2) = ((lo[axis] - oo) * inv, (hi[axis] - oo) * inv);
+                    if t1 > t2 {
+                        std::mem::swap(&mut t1, &mut t2);
+                    }
+                    t_lo = t_lo.max(t1);
+                    t_hi = t_hi.min(t2);
+                    if t_lo > t_hi {
+                        return None;
+                    }
                 }
             }
         }
@@ -372,6 +379,33 @@ impl Aabb {
             t_enter: t_lo,
             t_exit: t_hi,
         })
+    }
+}
+
+/// A ray prepared for slab tests: its origin and, per axis, the reciprocal
+/// direction, or `None` where the ray runs parallel to that axis's slabs
+/// (`|d| < 1e-300`). Depends only on the ray, so a tracer builds it once
+/// per ray instead of dividing three times per box.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SlabRay {
+    origin: [f64; 3],
+    inv: [Option<f64>; 3],
+}
+
+impl SlabRay {
+    pub(crate) fn new(ray: &Ray) -> Self {
+        let inv = |dd: f64| {
+            if dd.abs() < 1.0e-300 {
+                None
+            } else {
+                Some(1.0 / dd)
+            }
+        };
+        let d = ray.direction();
+        Self {
+            origin: ray.origin().to_array(),
+            inv: [inv(d.x), inv(d.y), inv(d.z)],
+        }
     }
 }
 
@@ -622,6 +656,110 @@ mod randomized_tests {
         for _ in 0..500 {
             let ray = Ray::new(Vec3::ZERO, rand_dir(&mut rng));
             assert!((ray.direction().norm() - 1.0).abs() < 1e-12);
+        }
+    }
+
+    /// The slab test as it was before the reciprocal direction moved into
+    /// [`SlabRay`]: three divisions per box, inline parallel check.
+    fn intersect_per_box(b: &Aabb, ray: &Ray) -> Option<RayHit> {
+        let o = ray.origin();
+        let d = ray.direction();
+        let mut t_lo = 0.0f64;
+        let mut t_hi = f64::INFINITY;
+        for axis in 0..3 {
+            let (omin, omax, oo, dd) = match axis {
+                0 => (b.min.x, b.max.x, o.x, d.x),
+                1 => (b.min.y, b.max.y, o.y, d.y),
+                _ => (b.min.z, b.max.z, o.z, d.z),
+            };
+            if dd.abs() < 1.0e-300 {
+                if oo < omin || oo > omax {
+                    return None;
+                }
+            } else {
+                let inv = 1.0 / dd;
+                let (mut t1, mut t2) = ((omin - oo) * inv, (omax - oo) * inv);
+                if t1 > t2 {
+                    std::mem::swap(&mut t1, &mut t2);
+                }
+                t_lo = t_lo.max(t1);
+                t_hi = t_hi.min(t2);
+                if t_lo > t_hi {
+                    return None;
+                }
+            }
+        }
+        if t_hi <= 0.0 {
+            return None;
+        }
+        Some(RayHit {
+            t_enter: t_lo,
+            t_exit: t_hi,
+        })
+    }
+
+    #[test]
+    fn shared_reciprocal_matches_per_box_division() {
+        // One SlabRay per ray, shared across boxes, gives every box the
+        // bits the per-box division gave: random rays, and axis-parallel
+        // rays (the parallel branch) from the faces, edges and corners.
+        let mut rng = Xoshiro256pp::seed_from_u64(0x51AB);
+        let boxes: Vec<Aabb> = (0..16)
+            .map(|_| {
+                let min = Vec3::new(
+                    rng.gen_range(-2.0..2.0),
+                    rng.gen_range(-2.0..2.0),
+                    rng.gen_range(-2.0..2.0),
+                );
+                Aabb::from_min_size(
+                    min,
+                    Vec3::new(
+                        rng.gen_range(0.0..1.0),
+                        rng.gen_range(0.0..1.0),
+                        rng.gen_range(0.0..1.0),
+                    ),
+                )
+            })
+            .collect();
+        let axes = [
+            Vec3::new(1.0, 0.0, 0.0),
+            Vec3::new(-1.0, 0.0, 0.0),
+            Vec3::new(0.0, 1.0, 0.0),
+            Vec3::new(0.0, -1.0, 0.0),
+            Vec3::new(0.0, 0.0, 1.0),
+            Vec3::new(0.0, 0.0, -1.0),
+        ];
+        let bits = |h: Option<RayHit>| h.map(|h| (h.t_enter.to_bits(), h.t_exit.to_bits()));
+        for k in 0..20_000 {
+            let ray = if k % 2 == 0 {
+                let o = Vec3::new(
+                    rng.gen_range(-4.0..4.0),
+                    rng.gen_range(-4.0..4.0),
+                    rng.gen_range(-4.0..4.0),
+                );
+                Ray::new(o, rand_dir(&mut rng))
+            } else {
+                let b = boxes[(rng.next_u64() % 16) as usize];
+                let pick = |rng: &mut Xoshiro256pp, lo: f64, hi: f64| match rng.next_u64() % 3 {
+                    0 => lo,
+                    1 => hi,
+                    _ => 0.5 * (lo + hi),
+                };
+                let (lo, hi) = (b.min_corner(), b.max_corner());
+                let o = Vec3::new(
+                    pick(&mut rng, lo.x, hi.x),
+                    pick(&mut rng, lo.y, hi.y),
+                    pick(&mut rng, lo.z, hi.z),
+                );
+                let d = axes[(rng.next_u64() % 6) as usize];
+                Ray::new(o - d * rng.gen_range(0.0..3.0), d)
+            };
+            let slabs = SlabRay::new(&ray);
+            for b in &boxes {
+                let want = bits(intersect_per_box(b, &ray));
+                assert_eq!(bits(b.intersect_slabs(&slabs)), want, "{b} {ray:?}");
+                assert_eq!(bits(b.intersect(&ray)), want, "{b} {ray:?}");
+            }
         }
     }
 

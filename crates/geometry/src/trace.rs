@@ -7,7 +7,7 @@
 //! paper's Section 5.1. [`BoxIndex`] returns the same crossings from a
 //! uniform xy bucket grid, testing only the boxes near the ray.
 
-use crate::{Aabb, Ray, RayHit};
+use crate::{Aabb, Ray, RayHit, SlabRay};
 use finrad_units::Length;
 use std::ops::RangeInclusive;
 
@@ -33,8 +33,8 @@ impl Crossing {
 /// This is a linear scan that slab-tests every box. It is the reference
 /// [`BoxIndex::trace`] is pinned against. The paper's 9×9 array has 486
 /// fin boxes, and a strike ray crosses only a handful of them. The
-/// bucketed index traces the same rays ~8× faster (262 ns against
-/// 2.2 µs per ray on a 2-core Xeon), with bit-identical crossings.
+/// bucketed index traces the same rays with bit-identical crossings,
+/// testing only the few boxes near the ray (see docs/performance.md).
 ///
 /// # Examples
 ///
@@ -53,25 +53,32 @@ impl Crossing {
 /// assert_eq!(crossings[1].index, 1);
 /// ```
 pub fn trace_boxes(ray: &Ray, boxes: &[Aabb]) -> Vec<Crossing> {
-    crossings(ray, boxes.iter().enumerate())
+    let mut out = Vec::new();
+    crossings_into(&SlabRay::new(ray), boxes.iter().enumerate(), &mut out);
+    out
 }
 
-/// The one crossing routine: slab-tests each `(index, box)` candidate and
-/// orders the hits by `(t_enter, index)`.
-fn crossings<'b>(ray: &Ray, candidates: impl Iterator<Item = (usize, &'b Aabb)>) -> Vec<Crossing> {
-    let mut crossings: Vec<Crossing> = candidates
-        .filter_map(|(index, b)| {
-            b.intersect(ray)
-                .and_then(|hit| (hit.chord_length() > 0.0).then_some(Crossing { index, hit }))
-        })
-        .collect();
-    crossings.sort_by(|a, b| {
+/// The one crossing routine: slab-tests each `(index, box)` candidate
+/// against the prepared ray and leaves the hits in `out`, ordered by
+/// `(t_enter, index)`. The indices must be distinct, which makes that key
+/// a strict order: the in-place unstable sort then has one possible
+/// result.
+fn crossings_into<'b>(
+    ray: &SlabRay,
+    candidates: impl Iterator<Item = (usize, &'b Aabb)>,
+    out: &mut Vec<Crossing>,
+) {
+    out.clear();
+    out.extend(candidates.filter_map(|(index, b)| {
+        b.intersect_slabs(ray)
+            .and_then(|hit| (hit.chord_length() > 0.0).then_some(Crossing { index, hit }))
+    }));
+    out.sort_unstable_by(|a, b| {
         a.hit
             .t_enter
             .total_cmp(&b.hit.t_enter)
             .then(a.index.cmp(&b.index))
     });
-    crossings
 }
 
 /// Total chord length the ray cuts through all boxes.
@@ -84,6 +91,17 @@ pub fn total_chord(ray: &Ray, boxes: &[Aabb]) -> Length {
 /// `Ray::at` is ~1e-16 relative, so 1e-9 keeps every bin lookup
 /// conservative while widening a bin by a negligible sliver.
 const PAD_REL: f64 = 1.0e-9;
+
+/// Caller-owned storage for [`BoxIndex::trace_into`]: the candidate boxes
+/// and the crossings of the last traced ray. Keeping one per worker makes
+/// tracing allocation-free once the buffers have grown to the largest ray
+/// seen; each trace overwrites both, so what a previous ray left behind
+/// never reaches the result.
+#[derive(Debug, Clone, Default)]
+pub struct TraceScratch {
+    candidates: Vec<usize>,
+    crossings: Vec<Crossing>,
+}
 
 /// A fixed box set under a uniform xy bucket grid: the production ray
 /// tracer.
@@ -101,7 +119,7 @@ const PAD_REL: f64 = 1.0e-9;
 ///
 /// ```
 /// use finrad_geometry::{Aabb, Ray, Vec3};
-/// use finrad_geometry::trace::{trace_boxes, BoxIndex};
+/// use finrad_geometry::trace::{trace_boxes, BoxIndex, TraceScratch};
 ///
 /// let boxes: Vec<Aabb> = (0..50)
 ///     .map(|i| Aabb::from_min_size(Vec3::new(i as f64 * 2.0, 0.0, 0.0), Vec3::new(1.0, 1.0, 1.0)))
@@ -109,12 +127,17 @@ const PAD_REL: f64 = 1.0e-9;
 /// let index = BoxIndex::new(boxes.clone());
 /// let ray = Ray::new(Vec3::new(10.5, 0.5, 2.0), Vec3::new(0.3, 0.0, -1.0));
 /// assert_eq!(index.trace(&ray), trace_boxes(&ray, &boxes));
+///
+/// let mut scratch = TraceScratch::default();
+/// assert_eq!(index.trace_into(&ray, &mut scratch), &trace_boxes(&ray, &boxes)[..]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct BoxIndex {
     boxes: Vec<Aabb>,
     /// Union of all boxes; `None` for an empty set.
     bounds: Option<Aabb>,
+    /// The union's largest xy coordinate magnitude (0 for an empty set).
+    magnitude: f64,
     x: Axis,
     y: Axis,
     /// Bin `row * x.bins + col` lists `items[start[bin]..start[bin + 1]]`.
@@ -135,7 +158,8 @@ impl BoxIndex {
             ),
             None => (Axis::new(0.0, 0.0, 1), Axis::new(0.0, 0.0, 1)),
         };
-        let pad = PAD_REL * bounds.map_or(0.0, |u| xy_magnitude(&u));
+        let magnitude = bounds.map_or(0.0, |u| xy_magnitude(&u));
+        let pad = PAD_REL * magnitude;
         let footprint = |b: &Aabb| {
             (
                 y.bins_over(b.min.y, b.max.y, pad),
@@ -171,6 +195,7 @@ impl BoxIndex {
         Self {
             boxes,
             bounds,
+            magnitude,
             x,
             y,
             start,
@@ -180,28 +205,43 @@ impl BoxIndex {
 
     /// Traces `ray` through the boxes: the same crossings, in the same
     /// order and to the bit, as [`trace_boxes`] over the boxes the index
-    /// was built from.
+    /// was built from. Allocates fresh buffers; hot loops keep a
+    /// [`TraceScratch`] and call [`BoxIndex::trace_into`].
     pub fn trace(&self, ray: &Ray) -> Vec<Crossing> {
-        let candidates = self.candidates(ray);
-        crossings(ray, candidates.iter().map(|&i| (i, &self.boxes[i])))
+        let mut scratch = TraceScratch::default();
+        self.trace_into(ray, &mut scratch);
+        scratch.crossings
     }
 
-    /// Indices of the boxes listed in the bins the ray's xy segment
-    /// through the union box overlaps, ascending and without repeats.
-    fn candidates(&self, ray: &Ray) -> Vec<usize> {
-        let mut out = Vec::new();
-        let Some(hit) = self.bounds.and_then(|u| u.intersect(ray)) else {
-            return out;
+    /// [`BoxIndex::trace`] into caller-owned buffers: the crossings are
+    /// returned from, and left in, `scratch`. The ray's reciprocal
+    /// direction is computed once and shared by the union clip and every
+    /// candidate's slab test.
+    pub fn trace_into<'s>(&self, ray: &Ray, scratch: &'s mut TraceScratch) -> &'s [Crossing] {
+        let slabs = SlabRay::new(ray);
+        self.candidates_into(ray, &slabs, &mut scratch.candidates);
+        crossings_into(
+            &slabs,
+            scratch.candidates.iter().map(|&i| (i, &self.boxes[i])),
+            &mut scratch.crossings,
+        );
+        &scratch.crossings
+    }
+
+    /// Fills `out` with the indices of the boxes listed in the bins the
+    /// ray's xy segment through the union box overlaps, each once, in the
+    /// order the bins are visited (the crossing sort fixes the final
+    /// order).
+    fn candidates_into(&self, ray: &Ray, slabs: &SlabRay, out: &mut Vec<usize>) {
+        out.clear();
+        let Some(hit) = self.bounds.and_then(|u| u.intersect_slabs(slabs)) else {
+            return;
         };
         let (p0, p1) = (ray.at(hit.t_enter), ray.at(hit.t_exit));
         // Positions along the ray round relative to the origin's and the
         // travelled distance's magnitude as well as the grid's.
         let o = ray.origin();
-        let reach = self
-            .bounds
-            .map_or(0.0, |u| xy_magnitude(&u))
-            .max(o.x.abs().max(o.y.abs()))
-            .max(hit.t_exit);
+        let reach = self.magnitude.max(o.x.abs().max(o.y.abs())).max(hit.t_exit);
         let pad = PAD_REL * reach;
 
         // Walk the bins along the segment's major xy axis; on each, the
@@ -230,12 +270,15 @@ impl BoxIndex {
                 } else {
                     i * self.x.bins + j
                 };
-                out.extend_from_slice(&self.items[self.start[bin]..self.start[bin + 1]]);
+                // A box spans several bins; a ray touches only a handful
+                // of candidates, so a linear scan is the cheapest dedup.
+                for &item in &self.items[self.start[bin]..self.start[bin + 1]] {
+                    if !out.contains(&item) {
+                        out.push(item);
+                    }
+                }
             }
         }
-        out.sort_unstable();
-        out.dedup();
-        out
     }
 }
 
@@ -269,16 +312,13 @@ impl Axis {
         }
     }
 
-    /// The bin holding coordinate `v`, clamped into the grid.
+    /// The bin holding coordinate `v`, clamped into the grid. The
+    /// saturating cast truncates, which equals `floor` on `[0, bins - 1)`,
+    /// and sends NaN and everything below 0 to bin 0 and everything from
+    /// `bins - 1` up (+∞ included) to the last bin: the same bin as
+    /// clamping `floor` for every input.
     fn bin(&self, v: f64) -> usize {
-        let f = ((v - self.min) * self.inv_size).floor();
-        if f >= (self.bins - 1) as f64 {
-            self.bins - 1
-        } else if f > 0.0 {
-            f as usize
-        } else {
-            0
-        }
+        (((v - self.min) * self.inv_size) as usize).min(self.bins - 1)
     }
 
     /// The bins overlapping `[lo - pad, hi + pad]`.
@@ -355,8 +395,23 @@ mod tests {
         boxes.iter().copied().reduce(|a, b| a.union(&b)).unwrap()
     }
 
+    /// Asserts `got` is `want` bit for bit: same boxes in the same order,
+    /// and the same `t_enter`/`t_exit` bits (`==` would let `-0.0` pass
+    /// for `0.0`).
+    fn assert_same_bits(got: &[Crossing], want: &[Crossing], ray: &Ray) {
+        let bits = |c: &[Crossing]| -> Vec<(usize, u64, u64)> {
+            c.iter()
+                .map(|c| (c.index, c.hit.t_enter.to_bits(), c.hit.t_exit.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(got), bits(want), "{ray:?}");
+    }
+
     /// Asserts the indexed trace equals the linear scan for `n` rays drawn
-    /// by `ray`, returning the mean candidate count per ray.
+    /// by `ray`, returning the mean candidate count per ray. Both index
+    /// paths are checked: the allocating `trace`, and `trace_into` with one
+    /// scratch reused across all `n` rays, so anything a ray leaves behind
+    /// in the buffers would show up in the next ray's crossings.
     fn assert_matches_scan(
         boxes: &[Aabb],
         n: usize,
@@ -365,13 +420,23 @@ mod tests {
     ) -> f64 {
         let index = BoxIndex::new(boxes.to_vec());
         let mut rng = Xoshiro256pp::seed_from_u64(seed);
+        let mut scratch = TraceScratch::default();
         let mut candidates = 0;
-        for k in 0..n {
+        for _ in 0..n {
             let r = ray(&mut rng);
-            assert_eq!(index.trace(&r), trace_boxes(&r, boxes), "ray {k}: {r:?}");
-            candidates += index.candidates(&r).len();
+            let want = trace_boxes(&r, boxes);
+            assert_same_bits(index.trace_into(&r, &mut scratch), &want, &r);
+            assert_same_bits(&index.trace(&r), &want, &r);
+            candidates += scratch.candidates.len();
         }
         candidates as f64 / n as f64
+    }
+
+    /// The candidate list `trace_into` leaves for `ray`.
+    fn candidates(index: &BoxIndex, ray: &Ray) -> Vec<usize> {
+        let mut scratch = TraceScratch::default();
+        index.trace_into(ray, &mut scratch);
+        scratch.candidates
     }
 
     fn pick_index(rng: &mut Xoshiro256pp, n: usize) -> usize {
@@ -488,7 +553,7 @@ mod tests {
         for r in &rays {
             assert!(trace_boxes(r, &boxes).is_empty());
             assert!(index.trace(r).is_empty());
-            assert!(index.candidates(r).is_empty(), "{r:?}");
+            assert!(candidates(&index, r).is_empty(), "{r:?}");
         }
     }
 
@@ -539,7 +604,7 @@ mod tests {
         let index = BoxIndex::new(Vec::new());
         let ray = Ray::new(Vec3::ZERO, Vec3::new(1.0, 0.0, 0.0));
         assert!(index.trace(&ray).is_empty());
-        assert!(index.candidates(&ray).is_empty());
+        assert!(candidates(&index, &ray).is_empty());
     }
 
     #[test]
@@ -550,6 +615,61 @@ mod tests {
         let ray = Ray::new(Vec3::new(0.0, 0.0, 2.0), Vec3::new(0.0, 0.0, -1.0));
         assert_eq!(index.trace(&ray).len(), 1);
         assert_eq!(index.trace(&ray), trace_boxes(&ray, &boxes));
+    }
+
+    #[test]
+    fn bin_truncation_matches_clamped_floor() {
+        // The bin lookup casts instead of flooring. Reference: the floor
+        // lookup it replaced, on grids of 1 (degenerate), 1 and 23 bins,
+        // across integers and their neighbouring floats, signed zeros,
+        // subnormals, huge values, infinities and NaN.
+        fn floor_bin(axis: &Axis, v: f64) -> usize {
+            let f = ((v - axis.min) * axis.inv_size).floor();
+            if f >= (axis.bins - 1) as f64 {
+                axis.bins - 1
+            } else if f > 0.0 {
+                f as usize
+            } else {
+                0
+            }
+        }
+        let axes = [
+            Axis::new(0.0, 0.0, 1),
+            Axis::new(-1.0, 3.0, 1),
+            Axis::new(0.0, 23.0, 23),
+            Axis::new(-1.7e-6, 2.3e-6, 23),
+        ];
+        let mut values = vec![
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            5e-324,
+            -5e-324,
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            1e30,
+            -1e30,
+        ];
+        for axis in &axes {
+            for k in -3..=(axis.bins as i64 + 3) {
+                let v = axis.min + k as f64 * axis.size;
+                values.extend([v, v.next_down(), v.next_up()]);
+                let u = k as f64;
+                values.extend([u, u.next_down(), u.next_up()]);
+            }
+        }
+        let mut rng = Xoshiro256pp::seed_from_u64(10);
+        values.extend((0..10_000).map(|_| rng.gen_range(-30.0..30.0)));
+        values.extend((0..10_000).map(|_| rng.gen_range(-3e-6..3e-6)));
+        for axis in &axes {
+            for &v in &values {
+                assert_eq!(axis.bin(v), floor_bin(axis, v), "{axis:?} at {v:e}");
+            }
+        }
     }
 
     #[test]

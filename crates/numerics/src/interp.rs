@@ -61,7 +61,6 @@ fn segment(xs: &[f64], x: f64) -> usize {
 /// # Ok::<(), finrad_numerics::NumericsError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LinearTable {
     xs: Vec<f64>,
     ys: Vec<f64>,
@@ -150,7 +149,6 @@ impl LinearTable {
 /// # Ok::<(), finrad_numerics::NumericsError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LogLogTable {
     log_xs: Vec<f64>,
     log_ys: Vec<f64>,

@@ -22,7 +22,6 @@ use std::ops::{Index, IndexMut};
 /// assert_eq!(a.rows(), 2);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Matrix {
     rows: usize,
     cols: usize,

@@ -22,7 +22,6 @@
 /// assert!((s.sample_variance() - 5.0 / 3.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RunningStats {
     count: u64,
     mean: f64,
@@ -189,7 +188,6 @@ impl FromIterator<f64> for RunningStats {
 /// assert!(lo < 0.25 && 0.25 < hi);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BernoulliCounter {
     successes: u64,
     trials: u64,

@@ -18,9 +18,10 @@
 //!   configuration. Instrumented code also batches its reports at chunk or
 //!   solve granularity, never per random sample.
 //! * [`InMemoryRecorder`] is the batteries-included sink: thread-safe
-//!   aggregation into sorted maps, with a [`MetricsSnapshot`] that
-//!   serializes itself to JSON for the machine-readable bench trajectory
-//!   (`BENCH_*.json`, see `docs/observability.md`).
+//!   aggregation into sorted maps, with a [`MetricsSnapshot`] that can
+//!   also serialize itself to JSON. The end-to-end benchmark
+//!   (`e2ebench/`) installs it for its traced run and reads its counters
+//!   and histograms as the per-layer metrics (see `docs/observability.md`).
 //!
 //! # Examples
 //!

@@ -9,7 +9,6 @@ use finrad_units::Charge;
 
 /// Shape of a current pulse.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PulseShape {
     /// Constant amplitude over the pulse width (the paper's Fig. 3(b)).
     #[default]
@@ -21,7 +20,6 @@ pub enum PulseShape {
 
 /// A time-dependent scalar waveform for current sources.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SourceWaveform {
     /// Constant value.
     Dc(f64),

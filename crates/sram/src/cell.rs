@@ -17,7 +17,6 @@ use std::fmt;
 ///
 /// "Left" is the side whose internal node is `Q`, "right" the `QB` side.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TransistorRole {
     /// Left pull-down NMOS (drain on Q, gate on QB).
     PullDownLeft,
@@ -81,7 +80,6 @@ impl fmt::Display for TransistorRole {
 
 /// The stored logic value of the cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum CellState {
     /// `Q = 0`, `QB = V_dd`.
     Zero,

@@ -32,7 +32,6 @@ use finrad_units::Length;
 /// assert!(pd.volume() > 0.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CellLayout {
     /// Cell footprint in x (bit-line direction).
     pub width: Length,

@@ -17,7 +17,6 @@ use std::fmt;
 /// A non-empty subset of `{I1, I2, I3}` — which sensitive transistors were
 /// struck together.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StrikeCombo(u8);
 
 impl StrikeCombo {
@@ -31,21 +30,32 @@ impl StrikeCombo {
             !targets.is_empty(),
             "combo must contain at least one target"
         );
-        let mut bits = 0u8;
-        for t in targets {
-            bits |= 1
-                << match t {
-                    StrikeTarget::I1 => 0,
-                    StrikeTarget::I2 => 1,
-                    StrikeTarget::I3 => 2,
-                };
-        }
-        Self(bits)
+        Self(targets.iter().fold(0, |bits, &t| bits | Self::bit(t)))
     }
 
     /// A single-target combo.
     pub fn single(target: StrikeTarget) -> Self {
-        Self::new(&[target])
+        Self(Self::bit(target))
+    }
+
+    /// This combo with `target` added (a no-op if already present).
+    ///
+    /// ```
+    /// use finrad_sram::{StrikeCombo, StrikeTarget};
+    ///
+    /// let c = StrikeCombo::single(StrikeTarget::I3).with(StrikeTarget::I1);
+    /// assert_eq!(c, StrikeCombo::new(&[StrikeTarget::I1, StrikeTarget::I3]));
+    /// ```
+    pub fn with(self, target: StrikeTarget) -> Self {
+        Self(self.0 | Self::bit(target))
+    }
+
+    fn bit(target: StrikeTarget) -> u8 {
+        1 << match target {
+            StrikeTarget::I1 => 0,
+            StrikeTarget::I2 => 1,
+            StrikeTarget::I3 => 2,
+        }
     }
 
     /// All seven non-empty combinations, in ascending bitmask order.
@@ -116,7 +126,6 @@ impl fmt::Display for StrikeCombo {
 /// assert_eq!(curve.pof(Charge::from_coulombs(9.0e-17)), 1.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PofCurve {
     /// Sorted critical-charge samples, coulombs.
     qcrit_sorted: Vec<f64>,
@@ -189,7 +198,6 @@ impl PofCurve {
 
 /// The POF LUT for one supply voltage: a curve per strike combination.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PofTable {
     vdd: Voltage,
     curves: BTreeMap<StrikeCombo, PofCurve>,

@@ -25,7 +25,6 @@ use std::fmt;
 /// uses the mirrored transistors and is handled by
 /// [`StrikeTarget::from_role`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum StrikeTarget {
     /// The OFF pull-down on the high node (paper's I1).
     I1,
@@ -114,7 +113,6 @@ impl fmt::Display for StrikeTarget {
 /// A concrete strike: charge injected at each target. Used to build the
 /// current sources of one transient simulation.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StrikeEvent {
     /// Charge per struck target, coulombs.
     pub charges: Vec<(StrikeTarget, f64)>,

@@ -31,7 +31,6 @@ use finrad_units::{Energy, Length, Particle};
 /// assert!(b.volume() > 0.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FinGeometry {
     /// Fin width (x): the thin dimension the paper's Eq. 1 calls `w_Fin`.
     pub width: Length,

@@ -6,7 +6,7 @@
 //! results are stored in look-up tables" (Section 2). [`EhpLut`] is that
 //! table: per species, mean pairs per fin traversal indexed by energy,
 //! reproducing the paper's Fig. 4. It is built once (the expensive step)
-//! and serialized with `serde` so downstream runs can reuse it.
+//! and shared by every strike run that needs it.
 
 use crate::fin::FinTraversal;
 use finrad_numerics::interp::{log_space, LinearTable};
@@ -17,7 +17,6 @@ use finrad_units::{Energy, Particle};
 
 /// One row of the LUT: traversal statistics at a single energy.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LutRow {
     /// Particle energy of the row.
     pub energy_mev: f64,
@@ -51,7 +50,6 @@ pub struct LutRow {
 /// assert!(lut.mean_pairs(Energy::from_mev(1.0)) > 0.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EhpLut {
     particle: Particle,
     rows: Vec<LutRow>,

@@ -50,7 +50,6 @@ impl SecondaryIon {
 /// assert!(p > 0.0 && p < 1.0e-3); // reactions are rare per micron
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NeutronInteraction {
     /// Reaction (upset-relevant) cross-section vs energy, barns.
     sigma_barn: LogLogTable,

@@ -36,7 +36,6 @@ use finrad_units::{constants, kinematics, Energy, Length, Particle, StoppingPowe
 /// assert!(s1.kev_per_um() > s10.kev_per_um());
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StoppingModel {
     /// Target atomic number.
     z_target: f64,

@@ -36,7 +36,6 @@ pub fn sample_standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 
 /// Which fluctuation model to apply on top of the mean energy loss.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum StragglingModel {
     /// No fluctuation: deposit exactly the mean loss. Useful for ablations
     /// and for deterministic tests.
@@ -190,6 +189,10 @@ pub fn landau_params(
 /// Survival function of the standard Moyal distribution:
 /// `P(λ > x) = P(χ²₁ < e^(−x)) = erf(√(e^(−x)/2))`.
 ///
+/// For `x ≤ −5` the erf argument is at least √(e⁵/2) ≈ 8.6, where erf
+/// already rounds to exactly `1.0` (and stays there once `e^(−x)`
+/// overflows to +∞), so the function returns `1.0` without evaluating it.
+///
 /// # Examples
 ///
 /// ```
@@ -201,6 +204,9 @@ pub fn landau_params(
 /// assert!(p > 0.4 && p < 0.7); // median is near the mode
 /// ```
 pub fn moyal_survival(x: f64) -> f64 {
+    if x <= -5.0 {
+        return 1.0;
+    }
     finrad_numerics::special::erf((0.5 * (-x).exp()).sqrt())
 }
 
@@ -256,6 +262,35 @@ fn landau_params_from_mean(
 mod tests {
     use super::*;
     use finrad_numerics::rng::Xoshiro256pp;
+
+    #[test]
+    fn moyal_survival_shortcut_is_exact() {
+        // Where the shortcut returns 1.0, the formula it skips already
+        // rounds to exactly 1.0: a dense grid over [-800, -5], the far
+        // end, where exp overflows, and -5 itself.
+        let formula = |x: f64| finrad_numerics::special::erf((0.5 * (-x).exp()).sqrt());
+        let grid = (0..=795_000).map(|k| -800.0 + k as f64 * 1e-3);
+        let edges = [
+            f64::MIN,
+            -1e300,
+            -709.8,
+            -709.782_712_893_384,
+            -5.0,
+            (-5.0f64).next_down(),
+        ];
+        for x in grid.chain(edges) {
+            if x > -5.0 {
+                continue;
+            }
+            assert_eq!(moyal_survival(x).to_bits(), 1.0f64.to_bits(), "x = {x}");
+            assert_eq!(formula(x).to_bits(), 1.0f64.to_bits(), "x = {x}");
+        }
+        // Above the cut the function is the formula, bit for bit.
+        for k in 1..=60_000 {
+            let x = -5.0 + k as f64 * 1e-3;
+            assert_eq!(moyal_survival(x).to_bits(), formula(x).to_bits(), "x = {x}");
+        }
+    }
 
     fn model() -> StoppingModel {
         StoppingModel::silicon()

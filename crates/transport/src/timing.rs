@@ -51,7 +51,6 @@ pub fn transit_time(l_fin: Length, vds: Voltage) -> Time {
 /// A rectangular parasitic current pulse (the paper's Fig. 3(b)):
 /// amplitude `I = Q/τ` over width `τ`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CurrentPulse {
     /// Pulse amplitude.
     pub amplitude: Current,

@@ -648,7 +648,6 @@ pub mod constants {
 /// assert!(Particle::Alpha.rest_energy_mev() > Particle::Proton.rest_energy_mev());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Particle {
     /// A proton (hydrogen nucleus), charge +1.
     Proton,

@@ -210,20 +210,6 @@ impl<M, L, T, I> PartialOrd for Quantity<M, L, T, I> {
     }
 }
 
-#[cfg(feature = "serde")]
-impl<M, L, T, I> serde::Serialize for Quantity<M, L, T, I> {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_f64(self.value)
-    }
-}
-
-#[cfg(feature = "serde")]
-impl<'de, M, L, T, I> serde::Deserialize<'de> for Quantity<M, L, T, I> {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        f64::deserialize(deserializer).map(Self::from_si)
-    }
-}
-
 // ------------------------------------------------------------------
 // Same-dimension arithmetic
 // ------------------------------------------------------------------
