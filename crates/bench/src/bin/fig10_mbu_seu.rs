@@ -10,6 +10,7 @@
 use finrad_bench::{figure_config, Scale, VDD_SWEEP};
 use finrad_core::pipeline::SerPipeline;
 use finrad_core::strike::{DepositMode, FlipModel};
+use finrad_sram::PofTable;
 use finrad_units::{Particle, Voltage};
 
 fn main() {
@@ -26,6 +27,22 @@ fn main() {
     lut_cfg.flip_model = FlipModel::Sampled;
     let lut_mode = SerPipeline::new(lut_cfg);
 
+    // The POF table depends on neither the deposit mode nor the flip
+    // model, so each Vdd is characterized once for both modes.
+    let tables: Vec<PofTable> = VDD_SWEEP
+        .iter()
+        .map(|&vdd_v| {
+            let vdd = Voltage::from_volts(vdd_v);
+            debug_assert_eq!(
+                chord_exact.table_fingerprint(vdd),
+                lut_mode.table_fingerprint(vdd)
+            );
+            chord_exact
+                .build_pof_table(vdd)
+                .expect("characterization failed")
+        })
+        .collect();
+
     for (label, pipeline) in [
         ("chord-exact deposits", &chord_exact),
         ("paper LUT deposits", &lut_mode),
@@ -35,13 +52,10 @@ fn main() {
             "# {:>6}  {:>16}  {:>16}",
             "Vdd", "proton MBU/SEU %", "alpha MBU/SEU %"
         );
-        for &vdd_v in &VDD_SWEEP {
+        for (&vdd_v, table) in VDD_SWEEP.iter().zip(&tables) {
             let vdd = Voltage::from_volts(vdd_v);
-            let table = pipeline
-                .build_pof_table(vdd)
-                .expect("characterization failed");
-            let alpha = pipeline.run_with_table(Particle::Alpha, vdd, &table);
-            let proton = pipeline.run_with_table(Particle::Proton, vdd, &table);
+            let alpha = pipeline.run_with_table(Particle::Alpha, vdd, table);
+            let proton = pipeline.run_with_table(Particle::Proton, vdd, table);
             println!(
                 "{:>8.2}  {:>16.4}  {:>16.4}",
                 vdd_v,

@@ -28,6 +28,7 @@ use crate::fit::{FitRate, PofBin};
 use crate::pipeline::{BinExecutor, BinPlan, PipelineConfig, SerPipeline};
 use crate::CoreError;
 use finrad_environment::SpectrumBin;
+use finrad_sram::PofTable;
 use finrad_units::{Particle, Voltage};
 use std::borrow::Cow;
 use std::error::Error;
@@ -295,7 +296,7 @@ impl CampaignRunner {
 
     fn execute(&self, resume: bool) -> Result<CampaignStatus, CampaignError> {
         let cfg = &self.config;
-        let (plan, mut outcomes) = prepare(cfg, resume)?;
+        let (plan, mut outcomes) = prepare(cfg, resume, |p| p.build_pof_table(cfg.vdd))?;
         let total = outcomes.len();
         let executor = plan.executor();
         let mut new_bins = 0usize;
@@ -342,9 +343,14 @@ impl CampaignRunner {
 /// exists, is loaded, its partial writes classified, its fingerprint
 /// checked against the config, and its bins prefilled. Shared by
 /// [`CampaignRunner`] and the campaign service's prepare step.
+///
+/// `pof_table` supplies the validated pipeline's POF table at `cfg.vdd`:
+/// [`SerPipeline::build_pof_table`] for the runner, the service's table
+/// cache in front of it for the service.
 pub(crate) fn prepare(
     cfg: &CampaignConfig,
     resume: bool,
+    pof_table: impl FnOnce(&SerPipeline) -> Result<PofTable, CoreError>,
 ) -> Result<(BinPlan<'static>, Vec<Option<BinOutcome>>), CampaignError> {
     let prior = match &cfg.checkpoint_path {
         Some(path) if resume && path.exists() => {
@@ -360,11 +366,12 @@ pub(crate) fn prepare(
         }
         _ => Vec::new(),
     };
+    cfg.pipeline.validate()?;
     // The expensive, deterministic step: re-characterization on resume
     // rebuilds the identical POF table, so tallies from the prior run
     // compose bit-exactly with freshly computed bins.
     let pipeline = SerPipeline::new(cfg.pipeline.clone());
-    let table = pipeline.build_pof_table(cfg.vdd)?;
+    let table = pof_table(&pipeline)?;
     let plan = BinPlan::new(&pipeline, cfg.particle, Cow::Owned(table));
     let outcomes = prefill_outcomes(prior, &plan.bins)?;
     Ok((plan, outcomes))

@@ -8,12 +8,15 @@
 
 use crate::array::{DataPattern, MemoryArray};
 use crate::campaign::{BinOutcome, Coverage};
+use crate::checkpoint::fnv1a64;
 use crate::fit::{fit_rate, FitRate, PofBin};
 use crate::strike::{ArrayPofEstimate, DepositMode, DirectionLaw, FlipModel, StrikeSimulator};
 use crate::CoreError;
 use finrad_environment::{AlphaSpectrum, ProtonSpectrum, Spectrum, SpectrumBin};
 use finrad_finfet::Technology;
 use finrad_numerics::rng::Xoshiro256pp;
+use finrad_observe::keys;
+use finrad_spice::sync::lock_recovering;
 use finrad_sram::{CellCharacterizer, CharacterizeOptions, PofTable, Variation};
 use finrad_transport::fin::{FinGeometry, FinTraversal};
 use finrad_transport::lut::EhpLut;
@@ -21,6 +24,7 @@ use finrad_transport::stopping::StoppingModel;
 use finrad_transport::straggling::StragglingModel;
 use finrad_units::{Energy, Particle, Voltage};
 use std::borrow::Cow;
+use std::sync::{Arc, Mutex};
 
 /// Pipeline configuration.
 #[derive(Debug, Clone)]
@@ -105,7 +109,7 @@ impl PipelineConfig {
         }
     }
 
-    fn validate(&self) -> Result<(), CoreError> {
+    pub(crate) fn validate(&self) -> Result<(), CoreError> {
         if self.rows == 0 || self.cols == 0 {
             return Err(CoreError::InvalidConfig(
                 "array dimensions must be non-zero".into(),
@@ -153,12 +157,21 @@ impl SerReport {
 /// The end-to-end pipeline.
 pub struct SerPipeline {
     config: PipelineConfig,
+    /// Each species' e-h pair LUT (proton, alpha), built on first use: it
+    /// depends only on the seed, the particle and the traversal model, so
+    /// every V_dd and every run of this pipeline shares it. A mutex, not
+    /// a `OnceLock` per species: with two `OnceLock`s in the struct,
+    /// constructing a pipeline measured ~20 ns (~25%) slower.
+    luts: Mutex<[Option<Arc<EhpLut>>; 2]>,
 }
 
 impl SerPipeline {
     /// Creates a pipeline.
     pub fn new(config: PipelineConfig) -> Self {
-        Self { config }
+        Self {
+            config,
+            luts: Mutex::new([None, None]),
+        }
     }
 
     /// The configuration.
@@ -176,6 +189,29 @@ impl SerPipeline {
         self.config.validate()?;
         let ch = CellCharacterizer::new(self.config.tech.clone(), self.config.characterize.clone());
         Ok(ch.build_table(vdd, self.config.variation, self.config.seed)?)
+    }
+
+    /// Identifies the POF table [`SerPipeline::build_pof_table`] builds at
+    /// `vdd`: FNV-1a over exactly its inputs — the technology, the
+    /// characterization options, the variation treatment, the `vdd` bits
+    /// and, under [`Variation::MonteCarlo`] only, the seed (a nominal
+    /// characterization draws nothing). Pipelines that differ only in
+    /// particle, deposit mode, flip model, iteration counts or a nominal
+    /// run's seed share a fingerprint, and their tables are identical.
+    pub fn table_fingerprint(&self, vdd: Voltage) -> u64 {
+        let c = &self.config;
+        let seed = match c.variation {
+            Variation::MonteCarlo { .. } => Some(c.seed),
+            Variation::Nominal => None,
+        };
+        let vdd_bits = vdd.volts().to_bits();
+        fnv1a64(
+            format!(
+                "{:?}|{:?}|{:?}|{vdd_bits:016x}|{seed:?}",
+                c.tech, c.characterize, c.variation
+            )
+            .as_bytes(),
+        )
     }
 
     /// The memory array for the configured geometry.
@@ -207,13 +243,18 @@ impl SerPipeline {
 
     /// Builds the device-level electron-hole pair LUT for `particle`
     /// (needed by [`DepositMode::LutMean`]; built over 0.1-10^3 MeV).
+    ///
+    /// Every call builds afresh and records one `transport.lut.build_seconds`
+    /// span and `lut_energy_points × lut_samples` traversals; the runs of
+    /// this pipeline use the memoized [`SerPipeline::ehp_lut`] instead.
     pub fn build_ehp_lut(&self, particle: Particle) -> EhpLut {
+        let _span = finrad_observe::span(keys::TRANSPORT_LUT_BUILD_SECONDS);
         // The 0x1A7 tag decorrelates the LUT-build stream from the MC
         // streams; it predates `salted_stream` and its draws are pinned by
         // golden tests, so the inline derivation stays.
         // finrad-lint: allow(seed-discipline)
         let mut rng = Xoshiro256pp::seed_from_u64(self.config.seed ^ 0x1A7 ^ particle as u64);
-        EhpLut::build(
+        let lut = EhpLut::build(
             &self.traversal(),
             particle,
             Energy::from_mev(0.1),
@@ -221,7 +262,29 @@ impl SerPipeline {
             self.config.lut_energy_points,
             self.config.lut_samples,
             &mut rng,
-        )
+        );
+        finrad_observe::counter_add(
+            keys::TRANSPORT_LUT_TRAVERSALS,
+            self.config.lut_energy_points as u64 * self.config.lut_samples,
+        );
+        lut
+    }
+
+    /// `particle`'s e-h pair LUT, built by [`SerPipeline::build_ehp_lut`]
+    /// on the first call and shared by every later one.
+    pub fn ehp_lut(&self, particle: Particle) -> Arc<EhpLut> {
+        let k = match particle {
+            Particle::Proton => 0,
+            Particle::Alpha => 1,
+        };
+        let cached = lock_recovering(&self.luts)[k].clone();
+        if let Some(lut) = cached {
+            return lut;
+        }
+        // Built off-lock. Two threads that miss at once both build; the
+        // LUTs are identical and the first one stored is kept.
+        let lut = Arc::new(self.build_ehp_lut(particle));
+        Arc::clone(lock_recovering(&self.luts)[k].get_or_insert(lut))
     }
 
     /// The ground-level spectrum for `particle`.
@@ -335,7 +398,8 @@ impl SerPipeline {
 }
 
 /// The Eq. 8 loop for one (particle, V_dd) once its POF table exists: the
-/// array, traversal, optional e-h LUT and spectrum bins, built once.
+/// array, traversal and spectrum bins, built once, and the pipeline's
+/// shared e-h LUT when the deposit mode needs it.
 ///
 /// [`SerPipeline::run_with_table`] runs the bins serially; the campaign
 /// runner and service run each bin inside their supervision envelope.
@@ -345,7 +409,7 @@ pub(crate) struct BinPlan<'t> {
     table: Cow<'t, PofTable>,
     array: MemoryArray,
     traversal: FinTraversal,
-    lut: Option<EhpLut>,
+    lut: Option<Arc<EhpLut>>,
     /// The spectrum's energy bins, indexed by bin number.
     pub(crate) bins: Vec<SpectrumBin>,
     direction: DirectionLaw,
@@ -368,7 +432,7 @@ impl<'t> BinPlan<'t> {
             table,
             array: pipeline.build_array(),
             traversal: pipeline.traversal(),
-            lut: (config.deposit == DepositMode::LutMean).then(|| pipeline.build_ehp_lut(particle)),
+            lut: (config.deposit == DepositMode::LutMean).then(|| pipeline.ehp_lut(particle)),
             bins: pipeline.energy_bins(particle),
             direction: pipeline.direction_for(particle),
             deposit: config.deposit,
@@ -398,7 +462,7 @@ impl<'t> BinPlan<'t> {
                 self.direction,
                 self.deposit,
                 self.flip_model,
-                self.lut.as_ref(),
+                self.lut.as_deref(),
             ),
         }
     }
@@ -568,6 +632,96 @@ mod tests {
         let flux = |k: usize| plan.bins[k].integral_flux.per_m2_second();
         let total: f64 = (0..5).map(flux).sum();
         assert_eq!(coverage.flux_fraction, (flux(3) + flux(4)) / total);
+    }
+
+    #[test]
+    fn table_fingerprint_covers_exactly_the_table_inputs() {
+        let vdd = Voltage::from_volts(0.8);
+        let fp = |cfg: PipelineConfig| SerPipeline::new(cfg).table_fingerprint(vdd);
+        let base = PipelineConfig::smoke_test();
+        let want = fp(base.clone());
+        // Inputs of the strike stage only: same table.
+        let same = [
+            PipelineConfig {
+                seed: base.seed ^ 1,
+                ..base.clone()
+            },
+            PipelineConfig {
+                deposit: DepositMode::LutMean,
+                flip_model: FlipModel::Sampled,
+                iterations_per_energy: 7,
+                energy_bins: 3,
+                rows: 4,
+                ..base.clone()
+            },
+            PipelineConfig {
+                straggling: StragglingModel::Landau,
+                lut_samples: 9,
+                ..base.clone()
+            },
+        ];
+        for cfg in same {
+            assert_eq!(fp(cfg), want);
+        }
+        // Inputs of the characterization: a different table.
+        let mut other_opts = base.clone();
+        other_opts.characterize.bisect_rel_tol = 0.05;
+        let mut other_tech = base.clone();
+        other_tech.tech.h_fin *= 1.5;
+        let mc = PipelineConfig {
+            variation: Variation::MonteCarlo { samples: 4 },
+            ..base.clone()
+        };
+        let differ = [
+            other_opts,
+            other_tech,
+            mc.clone(),
+            PipelineConfig {
+                variation: Variation::MonteCarlo { samples: 5 },
+                ..base.clone()
+            },
+        ];
+        for cfg in differ {
+            assert_ne!(fp(cfg), want);
+        }
+        let p = SerPipeline::new(base);
+        assert_ne!(
+            p.table_fingerprint(Voltage::from_volts(0.9)),
+            p.table_fingerprint(vdd)
+        );
+        // Under variation MC the seed draws the samples.
+        let mc_fp = fp(mc.clone());
+        assert_ne!(
+            fp(PipelineConfig {
+                seed: mc.seed ^ 1,
+                ..mc.clone()
+            }),
+            mc_fp
+        );
+        assert_eq!(
+            fp(PipelineConfig {
+                deposit: DepositMode::LutMean,
+                ..mc
+            }),
+            mc_fp
+        );
+    }
+
+    #[test]
+    fn ehp_lut_is_built_once_per_species() {
+        let cfg = PipelineConfig {
+            lut_energy_points: 4,
+            lut_samples: 50,
+            ..PipelineConfig::smoke_test()
+        };
+        let p = SerPipeline::new(cfg);
+        for particle in [Particle::Proton, Particle::Alpha] {
+            let first = p.ehp_lut(particle);
+            assert!(Arc::ptr_eq(&first, &p.ehp_lut(particle)));
+            assert_eq!(first.particle(), particle);
+            assert_eq!(*first, p.build_ehp_lut(particle));
+        }
+        assert_ne!(*p.ehp_lut(Particle::Proton), *p.ehp_lut(Particle::Alpha));
     }
 
     #[test]

@@ -26,6 +26,15 @@
 //!   checkpoint fingerprint; an identical spec returns the cached report
 //!   without re-running SPICE, and concurrent identical submissions
 //!   coalesce onto one execution.
+//! - **Characterization reuse** — the prepare step takes each POF table
+//!   from a per-service map keyed by
+//!   [`SerPipeline::table_fingerprint`](crate::pipeline::SerPipeline::table_fingerprint),
+//!   which covers exactly the table's inputs. Campaigns that differ only
+//!   in particle, deposit mode, flip model, iteration count or a nominal
+//!   run's seed characterize once. Only successfully built tables enter
+//!   the map, and the map belongs to the service instance, never to the
+//!   process: SPICE fault arming is process-global, and a shared map
+//!   would let a campaign skip an armed fault.
 //! - **Graceful shutdown** — [`CampaignService::drain`] finishes the
 //!   queue first; [`CampaignService::shutdown_now`] stops after in-flight
 //!   items and flushes each unfinished job's partial checkpoint, so a
@@ -45,13 +54,15 @@ use crate::campaign::{
     CampaignConfig, CampaignError, CampaignReport,
 };
 use crate::checkpoint::config_fingerprint;
-use crate::pipeline::BinPlan;
+use crate::pipeline::{BinPlan, SerPipeline};
 use crate::CoreError;
 use finrad_numerics::rng::{Rng, Xoshiro256pp};
 use finrad_observe::keys;
 use finrad_spice::cancel::install_scoped;
 use finrad_spice::sync::{lock_recovering, wait_recovering, wait_timeout_recovering};
 use finrad_spice::{CancelToken, SpiceError};
+use finrad_sram::PofTable;
+use finrad_units::Voltage;
 use std::collections::{HashMap, VecDeque};
 use std::error::Error;
 use std::fmt;
@@ -249,6 +260,8 @@ struct State {
     delayed: Vec<Delayed>,
     jobs: HashMap<JobId, Slot>,
     cache: HashMap<u64, Arc<CampaignReport>>,
+    /// Characterized POF tables keyed by `SerPipeline::table_fingerprint`.
+    tables: HashMap<u64, PofTable>,
     /// Fingerprint → leader job currently executing it (for coalescing).
     inflight: HashMap<u64, JobId>,
     dead_letters: Vec<DeadLetter>,
@@ -265,6 +278,7 @@ impl State {
             delayed: Vec::new(),
             jobs: HashMap::new(),
             cache: HashMap::new(),
+            tables: HashMap::new(),
             inflight: HashMap::new(),
             dead_letters: Vec::new(),
             draining: false,
@@ -662,7 +676,11 @@ fn do_prepare(shared: &Arc<Shared>, id: JobId) {
         (Arc::clone(&job.config), token)
     };
     let scope = install_scoped(&token);
-    let built = catch_unwind(AssertUnwindSafe(|| prepare(&cfg, true)));
+    let built = catch_unwind(AssertUnwindSafe(|| {
+        prepare(&cfg, true, |pipeline| {
+            cached_pof_table(shared, pipeline, cfg.vdd)
+        })
+    }));
     drop(scope);
     let mut st = shared.lock();
     match built {
@@ -713,6 +731,26 @@ fn do_prepare(shared: &Arc<Shared>, id: JobId) {
     }
     drop(st);
     shared.cv.notify_all();
+}
+
+/// `pipeline`'s POF table at `vdd`: a copy of the service's cached table
+/// with the same fingerprint, else characterized off-lock and cached. A
+/// failed or panicking characterization caches nothing. Two jobs that
+/// miss on the same fingerprint at once both characterize; the tables
+/// they build are identical.
+fn cached_pof_table(
+    shared: &Shared,
+    pipeline: &SerPipeline,
+    vdd: Voltage,
+) -> Result<PofTable, CoreError> {
+    let key = pipeline.table_fingerprint(vdd);
+    let cached = shared.lock().tables.get(&key).cloned();
+    if let Some(table) = cached {
+        return Ok(table);
+    }
+    let table = pipeline.build_pof_table(vdd)?;
+    shared.lock().tables.insert(key, table.clone());
+    Ok(table)
 }
 
 /// Everything the completion stage needs, detached from the state so the

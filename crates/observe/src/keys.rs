@@ -64,6 +64,12 @@ pub const SRAM_COMBOS: &str = "sram.characterize.combos";
 /// Wall time per characterized combo, seconds.
 pub const SRAM_COMBO_SECONDS: &str = "sram.characterize.combo_seconds";
 
+/// Wall time of one device-level e-h pair LUT build, seconds.
+pub const TRANSPORT_LUT_BUILD_SECONDS: &str = "transport.lut.build_seconds";
+/// Fin traversals simulated by LUT builds (added once per build: energy
+/// points × samples per point).
+pub const TRANSPORT_LUT_TRAVERSALS: &str = "transport.lut.traversals";
+
 /// Array-level strike-MC iterations executed.
 pub const STRIKE_ITERATIONS: &str = "core.strike.iterations";
 /// Strike-MC iterations rejected by the accumulator NaN quarantine.

@@ -8,7 +8,7 @@
 
 use crate::ehp;
 use crate::stopping::StoppingModel;
-use crate::straggling::{sample_energy_loss, StragglingModel};
+use crate::straggling::{FixedEnergyLoss, StragglingModel};
 use finrad_geometry::{sampling, Aabb, Ray, Vec3};
 use finrad_numerics::rng::Rng;
 use finrad_units::{Energy, Length, Particle};
@@ -153,6 +153,19 @@ impl FinTraversal {
         &self.stopping
     }
 
+    /// The fixed-energy loss sampler of `particle` at `energy` under this
+    /// simulator's stopping and straggling models. Build it once and pass
+    /// it to [`FinTraversal::simulate_with`] for every traversal at that
+    /// energy (the LUT build does this per row).
+    pub fn energy_loss(&self, particle: Particle, energy: Energy) -> FixedEnergyLoss {
+        debug_assert!(
+            energy.ev().is_finite() && energy.ev() >= 0.0,
+            "incident energy must be finite and non-negative, got {} eV",
+            energy.ev()
+        );
+        FixedEnergyLoss::new(&self.stopping, self.straggling, particle, energy)
+    }
+
     /// Simulates one particle of energy `energy` with a random position and
     /// direction *through* the fin (rejection-free: the ray is anchored at a
     /// uniform point inside the fin with an isotropic direction, which
@@ -161,6 +174,16 @@ impl FinTraversal {
         &self,
         particle: Particle,
         energy: Energy,
+        rng: &mut R,
+    ) -> TraversalOutcome {
+        self.simulate_with(&self.energy_loss(particle, energy), rng)
+    }
+
+    /// [`FinTraversal::simulate`] at the energy of a prebuilt `loss`
+    /// sampler (from [`FinTraversal::energy_loss`]).
+    pub fn simulate_with<R: Rng + ?Sized>(
+        &self,
+        loss: &FixedEnergyLoss,
         rng: &mut R,
     ) -> TraversalOutcome {
         let fin_box = self.geometry.to_aabb();
@@ -178,7 +201,7 @@ impl FinTraversal {
             .intersect(&ray)
             .map(|h| Length::from_meters(h.chord_length()))
             .unwrap_or(Length::ZERO);
-        self.deposit(particle, energy, chord, rng)
+        deposit_with(loss, chord, rng)
     }
 
     /// Deposits energy over a known `chord` (used by the array-level MC,
@@ -190,36 +213,33 @@ impl FinTraversal {
         chord: Length,
         rng: &mut R,
     ) -> TraversalOutcome {
-        debug_assert!(
-            energy.ev().is_finite() && energy.ev() >= 0.0,
-            "incident energy must be finite and non-negative, got {} eV",
-            energy.ev()
-        );
-        debug_assert!(
-            chord.meters().is_finite() && chord.meters() >= 0.0,
-            "chord length must be finite and non-negative, got {} m",
-            chord.meters()
-        );
-        let deposited = sample_energy_loss(
-            &self.stopping,
-            self.straggling,
-            particle,
-            energy,
-            chord,
-            rng,
-        );
-        debug_assert!(
-            deposited.ev() >= 0.0 && deposited.ev() <= energy.ev(),
-            "deposited energy {} eV outside [0, incident {} eV]",
-            deposited.ev(),
-            energy.ev()
-        );
-        let pairs = ehp::sample_pairs(deposited, rng);
-        TraversalOutcome {
-            chord,
-            deposited,
-            pairs,
-        }
+        deposit_with(&self.energy_loss(particle, energy), chord, rng)
+    }
+}
+
+/// Samples the deposit of `loss` over `chord` and its pair count.
+fn deposit_with<R: Rng + ?Sized>(
+    loss: &FixedEnergyLoss,
+    chord: Length,
+    rng: &mut R,
+) -> TraversalOutcome {
+    debug_assert!(
+        chord.meters().is_finite() && chord.meters() >= 0.0,
+        "chord length must be finite and non-negative, got {} m",
+        chord.meters()
+    );
+    let deposited = loss.sample(chord, rng);
+    debug_assert!(
+        deposited.ev() >= 0.0 && deposited.ev() <= loss.energy().ev(),
+        "deposited energy {} eV outside [0, incident {} eV]",
+        deposited.ev(),
+        loss.energy().ev()
+    );
+    let pairs = ehp::sample_pairs(deposited, rng);
+    TraversalOutcome {
+        chord,
+        deposited,
+        pairs,
     }
 }
 

@@ -78,10 +78,10 @@ impl EhpLut {
         let rows: Vec<LutRow> = energies
             .iter()
             .map(|&e_mev| {
+                let loss = sim.energy_loss(particle, Energy::from_mev(e_mev));
                 let mut stats = RunningStats::new();
                 for _ in 0..samples_per_point {
-                    let o = sim.simulate(particle, Energy::from_mev(e_mev), rng);
-                    stats.push(o.pairs as f64);
+                    stats.push(sim.simulate_with(&loss, rng).pairs as f64);
                 }
                 LutRow {
                     energy_mev: e_mev,
@@ -146,6 +146,9 @@ impl EhpLut {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fin::FinGeometry;
+    use crate::stopping::StoppingModel;
+    use crate::straggling::StragglingModel;
     use finrad_numerics::rng::Xoshiro256pp;
 
     fn small_lut(particle: Particle, seed: u64) -> EhpLut {
@@ -212,6 +215,95 @@ mod tests {
             .map(|r| r.mean_pairs)
             .fold(0.0f64, f64::max);
         assert_eq!(lut.peak_mean_pairs(), max_row);
+    }
+
+    /// FNV-1a over every row's mean and stddev bits, then the next draw of
+    /// the build's RNG: pins the values and the number of draws.
+    fn build_hash(particle: Particle, straggling: StragglingModel) -> u64 {
+        let sim = FinTraversal::new(
+            FinGeometry::paper_14nm(),
+            StoppingModel::silicon(),
+            straggling,
+        );
+        let mut rng = Xoshiro256pp::seed_from_u64(0x1A7 ^ particle as u64);
+        let lut = EhpLut::build(
+            &sim,
+            particle,
+            Energy::from_mev(0.1),
+            Energy::from_mev(1.0e3),
+            17,
+            300,
+            &mut rng,
+        );
+        let mut words: Vec<u64> = lut
+            .rows()
+            .iter()
+            .flat_map(|r| [r.mean_pairs.to_bits(), r.stddev_pairs.to_bits()])
+            .collect();
+        words.push(rng.next_u64());
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for byte in words.iter().flat_map(|w| w.to_le_bytes()) {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    /// Pinned `build_hash` of both species under every straggling model.
+    /// Any change to the traversal, straggling or pair-sampling arithmetic
+    /// or to the order of RNG draws moves these.
+    const GOLDEN_BUILD: [(Particle, StragglingModel, u64); 8] = [
+        (
+            Particle::Proton,
+            StragglingModel::None,
+            0x3b9a_54e0_a015_5a83,
+        ),
+        (
+            Particle::Proton,
+            StragglingModel::Bohr,
+            0xfdd1_cac3_b4ca_5492,
+        ),
+        (
+            Particle::Proton,
+            StragglingModel::Landau,
+            0xb32e_2ff8_2b0c_f36d,
+        ),
+        (
+            Particle::Proton,
+            StragglingModel::Auto,
+            0x7237_bafd_9260_0990,
+        ),
+        (
+            Particle::Alpha,
+            StragglingModel::None,
+            0xdb66_8d1b_c18c_e144,
+        ),
+        (
+            Particle::Alpha,
+            StragglingModel::Bohr,
+            0x2cc2_6a3b_a4fe_b6a6,
+        ),
+        (
+            Particle::Alpha,
+            StragglingModel::Landau,
+            0x8404_adcf_681c_1716,
+        ),
+        (
+            Particle::Alpha,
+            StragglingModel::Auto,
+            0xc140_c939_9b3f_43b8,
+        ),
+    ];
+
+    #[test]
+    fn golden_build_bits() {
+        let got: Vec<_> = GOLDEN_BUILD
+            .iter()
+            .map(|&(particle, straggling, _)| {
+                (particle, straggling, build_hash(particle, straggling))
+            })
+            .collect();
+        assert_eq!(got, GOLDEN_BUILD);
     }
 
     #[test]

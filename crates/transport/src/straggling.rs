@@ -19,7 +19,7 @@
 
 use crate::stopping::StoppingModel;
 use finrad_numerics::rng::Rng;
-use finrad_units::{constants, kinematics, Energy, Length, Particle};
+use finrad_units::{constants, kinematics, Energy, Length, Particle, StoppingPower};
 
 /// Draws a standard-normal deviate via Box–Muller (keeps the approved
 /// dependency set to `rand` itself, without `rand_distr`).
@@ -52,7 +52,9 @@ pub enum StragglingModel {
 /// Samples the energy deposited by `particle` of kinetic energy `energy`
 /// along a silicon chord of length `chord`.
 ///
-/// The return value is clamped to `[0, energy]`.
+/// The return value is clamped to `[0, energy]`. A thin wrapper over
+/// [`FixedEnergyLoss`]; build one of those instead when many chords are
+/// sampled at the same energy.
 ///
 /// # Examples
 ///
@@ -81,33 +83,132 @@ pub fn sample_energy_loss<R: Rng + ?Sized>(
     chord: Length,
     rng: &mut R,
 ) -> Energy {
-    let mean = model.mean_energy_loss(particle, energy, chord);
-    if mean.ev() <= 0.0 {
-        return Energy::ZERO;
-    }
-    let sampled = match straggling {
-        StragglingModel::None => mean,
-        StragglingModel::Bohr => sample_bohr(particle, energy, chord, mean, rng),
-        StragglingModel::Landau => sample_landau(particle, energy, chord, mean, rng),
-        StragglingModel::Auto => {
-            if kappa(particle, energy, chord) > 10.0 {
-                sample_bohr(particle, energy, chord, mean, rng)
-            } else {
-                sample_landau(particle, energy, chord, mean, rng)
-            }
-        }
-    };
-    sampled.qmax(Energy::ZERO).qmin(energy)
+    FixedEnergyLoss::new(model, straggling, particle, energy).sample(chord, rng)
 }
 
-/// The Landau ξ parameter in MeV: `ξ = (K/2)(Z/A)(z²/β²)·ρΔx`.
-fn xi_mev(particle: Particle, energy: Energy, chord: Length) -> f64 {
+/// The energy-loss sampler of one particle at one fixed kinetic energy.
+///
+/// Everything that depends on the energy alone — the stopping power, the
+/// maximum transferable energy `T_max`, and the prefixes of ξ and of the
+/// Bohr variance that multiply the areal density `ρ·l` — is computed once
+/// at construction. [`FixedEnergyLoss::sample`] then costs one `S·l`, one
+/// `prefix·ρl` per quantity it needs, and the random draws. The
+/// arithmetic and the draws are those of [`sample_energy_loss`], which
+/// wraps this type, so results agree bit for bit.
+///
+/// # Examples
+///
+/// ```
+/// use finrad_transport::stopping::StoppingModel;
+/// use finrad_transport::straggling::{sample_energy_loss, FixedEnergyLoss, StragglingModel};
+/// use finrad_units::{Energy, Length, Particle};
+/// use finrad_numerics::rng::Xoshiro256pp;
+///
+/// let model = StoppingModel::silicon();
+/// let e = Energy::from_mev(2.0);
+/// let loss = FixedEnergyLoss::new(&model, StragglingModel::Auto, Particle::Alpha, e);
+/// let (mut a, mut b) = (Xoshiro256pp::seed_from_u64(1), Xoshiro256pp::seed_from_u64(1));
+/// for nm in [5.0, 20.0, 35.0] {
+///     let l = Length::from_nm(nm);
+///     let direct = sample_energy_loss(&model, StragglingModel::Auto, Particle::Alpha, e, l, &mut a);
+///     assert_eq!(loss.sample(l, &mut b), direct);
+/// }
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FixedEnergyLoss {
+    straggling: StragglingModel,
+    energy: Energy,
+    stopping: StoppingPower,
+    /// ξ per unit areal density, MeV per g/cm².
+    xi_prefix: f64,
+    /// `T_max`, MeV.
+    t_max_mev: f64,
+    /// Bohr variance per unit areal density, MeV² per g/cm².
+    bohr_prefix: f64,
+}
+
+impl FixedEnergyLoss {
+    /// The sampler of `particle` at `energy` under `straggling`.
+    pub fn new(
+        model: &StoppingModel,
+        straggling: StragglingModel,
+        particle: Particle,
+        energy: Energy,
+    ) -> Self {
+        Self {
+            straggling,
+            energy,
+            stopping: model.stopping(particle, energy),
+            xi_prefix: xi_prefix(particle, energy),
+            t_max_mev: t_max_mev(particle, energy),
+            bohr_prefix: bohr_variance_prefix(particle),
+        }
+    }
+
+    /// The particle's kinetic energy, the cap on any sampled loss.
+    pub fn energy(&self) -> Energy {
+        self.energy
+    }
+
+    /// Samples the energy deposited along `chord`, clamped to
+    /// `[0, energy]`. Draws nothing when the mean loss is zero.
+    pub fn sample<R: Rng + ?Sized>(&self, chord: Length, rng: &mut R) -> Energy {
+        let mean = (self.stopping * chord).qmin(self.energy);
+        if mean.ev() <= 0.0 {
+            return Energy::ZERO;
+        }
+        let x_g_cm2 = areal_density(chord);
+        let sampled = match self.straggling {
+            StragglingModel::None => mean,
+            StragglingModel::Bohr => self.sample_bohr(x_g_cm2, mean, rng),
+            StragglingModel::Landau => self.sample_landau(x_g_cm2, mean, rng),
+            StragglingModel::Auto => {
+                if self.xi_prefix * x_g_cm2 / self.t_max_mev > 10.0 {
+                    self.sample_bohr(x_g_cm2, mean, rng)
+                } else {
+                    self.sample_landau(x_g_cm2, mean, rng)
+                }
+            }
+        };
+        sampled.qmax(Energy::ZERO).qmin(self.energy)
+    }
+
+    fn sample_bohr<R: Rng + ?Sized>(&self, x_g_cm2: f64, mean: Energy, rng: &mut R) -> Energy {
+        let sigma = bohr_sigma_of(self.bohr_prefix, x_g_cm2);
+        let z: f64 = sample_standard_normal(rng);
+        mean + sigma * z
+    }
+
+    fn sample_landau<R: Rng + ?Sized>(&self, x_g_cm2: f64, mean: Energy, rng: &mut R) -> Energy {
+        // Moyal-shaped fluctuation scaled so that mean and variance match
+        // the physical values (the straggling variance ξ·T_max equals the
+        // Bohr variance at γ ≈ 1). The Moyal shape contributes the defining
+        // Landau feature: a right-skewed distribution whose rare
+        // hard-collision tail reaches several times the mean loss, which a
+        // symmetric Gaussian cannot produce.
+        let scale = bohr_sigma_of(self.bohr_prefix, x_g_cm2) / MOYAL_STDDEV;
+        let lambda = sample_moyal(rng);
+        mean + scale * (lambda - MOYAL_MEAN)
+    }
+}
+
+/// Areal density `ρ·l` of a silicon chord, g/cm².
+fn areal_density(chord: Length) -> f64 {
+    constants::SILICON_DENSITY_G_CM3 * chord.centimeters()
+}
+
+/// The energy-dependent factor of the Landau ξ parameter, MeV per g/cm²:
+/// `ξ = (K/2)(Z/A)(z²/β²)·ρΔx` is this times the areal density.
+fn xi_prefix(particle: Particle, energy: Energy) -> f64 {
     let beta2 = kinematics::beta_squared(energy.mev(), particle.rest_energy_mev()).max(1e-12);
-    let x_g_cm2 = constants::SILICON_DENSITY_G_CM3 * chord.centimeters();
     let z = particle.charge_number();
     0.5 * constants::BETHE_K_MEV_CM2_PER_MOL * (constants::SILICON_Z / constants::SILICON_A) * z * z
         / beta2
-        * x_g_cm2
+}
+
+/// The Landau ξ parameter in MeV.
+fn xi_mev(particle: Particle, energy: Energy, chord: Length) -> f64 {
+    xi_prefix(particle, energy) * areal_density(chord)
 }
 
 /// Maximum kinematically transferable energy to an electron, MeV.
@@ -123,25 +224,22 @@ pub fn kappa(particle: Particle, energy: Energy, chord: Length) -> f64 {
     xi_mev(particle, energy, chord) / t_max_mev(particle, energy)
 }
 
+/// The Bohr variance per unit areal density, MeV² per g/cm²:
+/// `Ω² = 0.1569·z²·(Z/A)·ρΔx` is this times the areal density. It does
+/// not depend on the particle's velocity (to first order).
+fn bohr_variance_prefix(particle: Particle) -> f64 {
+    let z = particle.charge_number();
+    0.1569 * z * z * (constants::SILICON_Z / constants::SILICON_A)
+}
+
+fn bohr_sigma_of(prefix: f64, x_g_cm2: f64) -> Energy {
+    Energy::from_mev((prefix * x_g_cm2).sqrt())
+}
+
 /// Bohr straggling standard deviation for the segment.
 pub fn bohr_sigma(particle: Particle, energy: Energy, chord: Length) -> Energy {
     let _ = energy; // Bohr variance is velocity-independent to first order.
-    let z = particle.charge_number();
-    let x_g_cm2 = constants::SILICON_DENSITY_G_CM3 * chord.centimeters();
-    let var_mev2 = 0.1569 * z * z * (constants::SILICON_Z / constants::SILICON_A) * x_g_cm2;
-    Energy::from_mev(var_mev2.sqrt())
-}
-
-fn sample_bohr<R: Rng + ?Sized>(
-    particle: Particle,
-    energy: Energy,
-    chord: Length,
-    mean: Energy,
-    rng: &mut R,
-) -> Energy {
-    let sigma = bohr_sigma(particle, energy, chord);
-    let z: f64 = sample_standard_normal(rng);
-    mean + sigma * z
+    bohr_sigma_of(bohr_variance_prefix(particle), areal_density(chord))
 }
 
 /// Draws a Moyal-distributed deviate with mode 0 and unit scale:
@@ -226,42 +324,10 @@ pub fn deposit_exceedance(params: &LandauParams, threshold: Energy, available: E
     moyal_survival(lambda)
 }
 
-fn sample_landau<R: Rng + ?Sized>(
-    particle: Particle,
-    energy: Energy,
-    chord: Length,
-    mean: Energy,
-    rng: &mut R,
-) -> Energy {
-    // Moyal-shaped fluctuation scaled so that mean and variance match the
-    // physical values (the straggling variance ξ·T_max equals the Bohr
-    // variance at γ ≈ 1). The Moyal shape contributes the defining Landau
-    // feature: a right-skewed distribution whose rare hard-collision tail
-    // reaches several times the mean loss, which a symmetric Gaussian
-    // cannot produce.
-    let params = landau_params_from_mean(particle, energy, chord, mean);
-    let lambda = sample_moyal(rng);
-    params.mean + params.scale * (lambda - MOYAL_MEAN)
-}
-
-/// Internal variant avoiding a second stopping-power evaluation when the
-/// mean loss is already known.
-fn landau_params_from_mean(
-    particle: Particle,
-    energy: Energy,
-    chord: Length,
-    mean: Energy,
-) -> LandauParams {
-    LandauParams {
-        mean,
-        scale: bohr_sigma(particle, energy, chord) / MOYAL_STDDEV,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use finrad_numerics::rng::Xoshiro256pp;
+    use finrad_numerics::rng::{Rng, Xoshiro256pp};
 
     #[test]
     fn moyal_survival_shortcut_is_exact() {
@@ -294,6 +360,119 @@ mod tests {
 
     fn model() -> StoppingModel {
         StoppingModel::silicon()
+    }
+
+    /// The per-call straggling arithmetic as it stood before
+    /// [`FixedEnergyLoss`] hoisted its energy-only factors, kept verbatim
+    /// as the bit-exact reference for the kernel.
+    fn reference_energy_loss(
+        model: &StoppingModel,
+        straggling: StragglingModel,
+        particle: Particle,
+        energy: Energy,
+        chord: Length,
+        rng: &mut Xoshiro256pp,
+    ) -> Energy {
+        fn sigma(particle: Particle, chord: Length) -> Energy {
+            let z = particle.charge_number();
+            let x_g_cm2 = constants::SILICON_DENSITY_G_CM3 * chord.centimeters();
+            let var_mev2 = 0.1569 * z * z * (constants::SILICON_Z / constants::SILICON_A) * x_g_cm2;
+            Energy::from_mev(var_mev2.sqrt())
+        }
+        fn kappa_ref(particle: Particle, energy: Energy, chord: Length) -> f64 {
+            let rest = particle.rest_energy_mev();
+            let beta2 = kinematics::beta_squared(energy.mev(), rest).max(1e-12);
+            let x_g_cm2 = constants::SILICON_DENSITY_G_CM3 * chord.centimeters();
+            let z = particle.charge_number();
+            let xi = 0.5
+                * constants::BETHE_K_MEV_CM2_PER_MOL
+                * (constants::SILICON_Z / constants::SILICON_A)
+                * z
+                * z
+                / beta2
+                * x_g_cm2;
+            let beta2 = kinematics::beta_squared(energy.mev(), rest);
+            let gamma = kinematics::gamma(energy.mev(), rest);
+            xi / (2.0 * constants::ELECTRON_REST_MEV * beta2 * gamma * gamma).max(1e-12)
+        }
+        let bohr = |mean: Energy, rng: &mut Xoshiro256pp| {
+            let s = sigma(particle, chord);
+            mean + s * sample_standard_normal(rng)
+        };
+        let landau = |mean: Energy, rng: &mut Xoshiro256pp| {
+            let scale = sigma(particle, chord) / MOYAL_STDDEV;
+            mean + scale * (sample_moyal(rng) - MOYAL_MEAN)
+        };
+        let mean = model.mean_energy_loss(particle, energy, chord);
+        if mean.ev() <= 0.0 {
+            return Energy::ZERO;
+        }
+        let sampled = match straggling {
+            StragglingModel::None => mean,
+            StragglingModel::Bohr => bohr(mean, rng),
+            StragglingModel::Landau => landau(mean, rng),
+            StragglingModel::Auto => {
+                if kappa_ref(particle, energy, chord) > 10.0 {
+                    bohr(mean, rng)
+                } else {
+                    landau(mean, rng)
+                }
+            }
+        };
+        sampled.qmax(Energy::ZERO).qmin(energy)
+    }
+
+    #[test]
+    fn kernel_matches_the_per_call_arithmetic_bitwise() {
+        // Energies from 0 (no loss, no draw) through the Bragg peaks to
+        // 1 GeV; chords from zero through fin scale to 50 um, where Auto
+        // takes its Bohr branch and slow alphas lose all their energy.
+        // The seeded log-uniform chords give many distinct σ values, so a
+        // one-ulp change in the per-chord arithmetic shows.
+        let m = model();
+        let energies_mev = [0.0, 1e-3, 0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0, 100.0, 1e3];
+        let mut grid = Xoshiro256pp::seed_from_u64(40);
+        let chords_nm: Vec<f64> = [0.0, 1e-3, 0.5, 8.0, 20.0, 37.5, 1e3, 5e4]
+            .into_iter()
+            .chain((0..60).map(|_| 10f64.powf(grid.gen_range(-3.0..4.7))))
+            .collect();
+        let mut kappa_above_10 = 0;
+        for particle in [Particle::Proton, Particle::Alpha] {
+            for straggling in [
+                StragglingModel::None,
+                StragglingModel::Bohr,
+                StragglingModel::Landau,
+                StragglingModel::Auto,
+            ] {
+                let mut a = Xoshiro256pp::seed_from_u64(41);
+                let mut b = Xoshiro256pp::seed_from_u64(41);
+                for &e_mev in &energies_mev {
+                    let e = Energy::from_mev(e_mev);
+                    let loss = FixedEnergyLoss::new(&m, straggling, particle, e);
+                    for &nm in &chords_nm {
+                        let l = Length::from_nm(nm);
+                        if e_mev > 0.0 && kappa(particle, e, l) > 10.0 {
+                            kappa_above_10 += 1;
+                        }
+                        for _ in 0..5 {
+                            let want =
+                                reference_energy_loss(&m, straggling, particle, e, l, &mut a);
+                            let got = loss.sample(l, &mut b);
+                            assert_eq!(
+                                got.joules().to_bits(),
+                                want.joules().to_bits(),
+                                "{particle:?} {straggling:?} {e_mev} MeV {nm} nm"
+                            );
+                            let direct = sample_energy_loss(&m, straggling, particle, e, l, &mut a);
+                            assert_eq!(direct, loss.sample(l, &mut b));
+                        }
+                    }
+                }
+                // Same number of draws on both sides.
+                assert_eq!(a.next_u64(), b.next_u64());
+            }
+        }
+        assert!(kappa_above_10 > 0, "the grid must reach the Bohr regime");
     }
 
     #[test]

@@ -25,10 +25,13 @@ static FAULT_LOCK: Mutex<()> = Mutex::new(());
 
 /// Takes the global injector lock and guarantees the injector is disarmed
 /// on exit, even when the test body panics.
-fn fault_guard() -> (MutexGuard<'static, ()>, DisarmOnDrop) {
+/// A tuple drops its fields in order, so the disarm runs before the lock
+/// is released: disarming after the release could undo what the next
+/// test has just armed.
+fn fault_guard() -> (DisarmOnDrop, MutexGuard<'static, ()>) {
     let guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     fault::disarm();
-    (guard, DisarmOnDrop)
+    (DisarmOnDrop, guard)
 }
 
 struct DisarmOnDrop;

@@ -126,6 +126,88 @@ fn identical_resubmission_is_served_from_cache_without_spice() {
     assert_eq!(service.status(second), JobStatus::Done);
 }
 
+/// A fresh in-process runner's report: the ground truth a service job
+/// must reproduce bit for bit.
+fn runner_report(campaign: CampaignConfig) -> CampaignReport {
+    match CampaignRunner::new(campaign).run().expect("runner") {
+        CampaignStatus::Complete(report) => *report,
+        CampaignStatus::Paused { .. } => panic!("unbounded run paused"),
+    }
+}
+
+fn assert_same_report(got: &CampaignReport, want: &CampaignReport) {
+    assert_eq!(got.fit.total.to_bits(), want.fit.total.to_bits());
+    assert_eq!(got.fit.seu.to_bits(), want.fit.seu.to_bits());
+    assert_eq!(got.fit.mbu.to_bits(), want.fit.mbu.to_bits());
+    assert_eq!(got.outcomes, want.outcomes);
+    assert_eq!(got.coverage, want.coverage);
+}
+
+#[test]
+fn campaigns_with_one_characterization_share_its_pof_table() {
+    let _serial = metrics_lock();
+    let recorder = recorder();
+    let combos = || recorder.snapshot().counter(keys::SRAM_COMBOS);
+
+    // Different particle, seed, deposit mode and flip model; same
+    // technology, characterization options, nominal devices and Vdd.
+    let first = tiny_campaign();
+    let mut second = tiny_campaign();
+    second.particle = Particle::Proton;
+    second.pipeline.seed ^= 0x5EED;
+    second.pipeline.deposit = DepositMode::LutMean;
+    second.pipeline.flip_model = FlipModel::Sampled;
+    second.pipeline.lut_energy_points = 5;
+    second.pipeline.lut_samples = 500;
+
+    let service = CampaignService::start(ServiceConfig::default());
+    let before = combos();
+    let a = service
+        .wait(service.submit(first.clone()))
+        .expect("first job");
+    assert_eq!(combos(), before + 7, "the first job characterizes");
+    let b = service
+        .wait(service.submit(second.clone()))
+        .expect("second job");
+    assert_eq!(combos(), before + 7, "the second job reuses the table");
+
+    assert_same_report(&a, &runner_report(first));
+    assert_same_report(&b, &runner_report(second));
+}
+
+#[test]
+fn variation_mc_campaigns_with_different_seeds_do_not_share_a_table() {
+    let _serial = metrics_lock();
+    let recorder = recorder();
+    let combos = || recorder.snapshot().counter(keys::SRAM_COMBOS);
+    let mc = |seed: u64, particle: Particle| {
+        let mut c = tiny_campaign();
+        c.pipeline.variation = Variation::MonteCarlo { samples: 2 };
+        c.pipeline.seed = seed;
+        c.particle = particle;
+        c
+    };
+
+    let service = CampaignService::start(ServiceConfig::default());
+    let before = combos();
+    let a = service
+        .wait(service.submit(mc(11, Particle::Alpha)))
+        .expect("seed 11");
+    assert_eq!(combos(), before + 7);
+    // The seed draws the variation samples: a new seed characterizes anew.
+    let b = service
+        .wait(service.submit(mc(12, Particle::Alpha)))
+        .expect("seed 12");
+    assert_eq!(combos(), before + 14);
+    assert_ne!(a.fit.total.to_bits(), b.fit.total.to_bits());
+    // The same seed for the other species reuses the seed-11 table.
+    let c = service
+        .wait(service.submit(mc(11, Particle::Proton)))
+        .expect("seed 11, protons");
+    assert_eq!(combos(), before + 14);
+    assert_same_report(&c, &runner_report(mc(11, Particle::Proton)));
+}
+
 #[test]
 fn concurrent_identical_submissions_coalesce_onto_one_job() {
     let _serial = metrics_lock();

@@ -25,11 +25,14 @@ static FAULT_LOCK: Mutex<()> = Mutex::new(());
 
 /// Takes the global injector lock and guarantees both injectors are
 /// disarmed on exit, even when the test body panics.
-fn fault_guard() -> (MutexGuard<'static, ()>, DisarmOnDrop) {
+/// A tuple drops its fields in order, so the disarm runs before the lock
+/// is released: disarming after the release could undo what the next
+/// test has just armed.
+fn fault_guard() -> (DisarmOnDrop, MutexGuard<'static, ()>) {
     let guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     spice_fault::disarm();
     service_fault::disarm();
-    (guard, DisarmOnDrop)
+    (DisarmOnDrop, guard)
 }
 
 struct DisarmOnDrop;
@@ -252,6 +255,40 @@ fn checkpoint_write_failure_at_completion_is_loud_and_not_cached() {
         recorder.snapshot().counter(keys::SERVICE_CACHE_HITS),
         hits_before,
         "a failed job must not be served from the cache"
+    );
+}
+
+#[test]
+fn failed_characterization_caches_no_pof_table() {
+    let _g = fault_guard();
+    let recorder = recorder();
+    let combos = || recorder.snapshot().counter(keys::SRAM_COMBOS);
+    let service = CampaignService::start(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    });
+
+    // Every Newton solve fails, past every recovery rung: the prepare
+    // step's characterization fails and the job with it.
+    spice_fault::arm_nonconvergence(0, u64::MAX);
+    let job = service.submit(campaign_config());
+    let failed = service.wait(job);
+    assert!(
+        matches!(failed, Err(JobError::Setup(_))),
+        "characterization failure is a setup error, got {failed:?}"
+    );
+
+    // The identical campaign, fault disarmed, on the same service: no
+    // table was cached, so it characterizes all seven combos afresh.
+    spice_fault::disarm();
+    let before = combos();
+    let report = service
+        .wait(service.submit(campaign_config()))
+        .expect("job after the fault");
+    assert_eq!(combos(), before + 7);
+    assert_eq!(
+        report.fit.total.to_bits(),
+        plain_report().fit.total.to_bits()
     );
 }
 
