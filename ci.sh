@@ -25,13 +25,13 @@ cargo run -q --offline --release --features fault-injection --example campaign_s
 echo "==> end-to-end benchmark smoke test (every workload pinned to e2ebench/reference.txt)"
 cargo test --release --offline --manifest-path e2ebench/Cargo.toml
 
-echo "==> cargo check --all-features (a feature that stops compiling fails the gate)"
-cargo check --workspace --all-targets --all-features --offline
+echo "==> cargo clippy --all-features (lints the fault-injection code; a feature that stops compiling fails the gate)"
+cargo clippy --workspace --all-targets --all-features --offline -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> cargo clippy (every target, warnings are errors)"
+echo "==> cargo clippy (every target, default features, warnings are errors)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "==> cargo doc (every rustdoc warning is an error)"

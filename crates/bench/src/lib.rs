@@ -11,6 +11,19 @@
 //!   variation MC, 10⁵–10⁶ strike iterations per energy).
 
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::float_cmp,
+        clippy::let_underscore_must_use
+    )
+)]
 #![deny(rust_2018_idioms)]
 
 pub mod harness;

@@ -404,11 +404,12 @@ pub(crate) fn supervised_bin(
     let bin_timer = finrad_observe::span(finrad_observe::keys::CAMPAIGN_BIN_SECONDS);
     let result = catch_unwind(AssertUnwindSafe(|| {
         #[cfg(feature = "fault-injection")]
+        #[expect(
+            clippy::panic,
+            reason = "deliberate injected worker crash; the envelope above catches it and the supervisor retries or quarantines"
+        )]
         if let Some((_, panics)) = cfg.fault_plan.panic_bins.iter().find(|(b, _)| *b == k) {
             if attempt < *panics {
-                // Deliberate injected worker crash; the envelope above
-                // catches it and the supervisor retries or quarantines.
-                // finrad-lint: allow(panic-freedom)
                 panic!("injected fault: bin {k} panicked (attempt {attempt})");
             }
         }

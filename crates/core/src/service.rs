@@ -550,9 +550,10 @@ impl CampaignService {
         self.shared.cv.notify_all();
         let handles = std::mem::take(&mut *lock_recovering(&self.workers));
         for handle in handles {
-            // A worker that panicked has already dead-lettered its item;
-            // its join error carries nothing further to handle.
-            // finrad-lint: allow(result-discard-audit)
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "a worker that panicked has already dead-lettered its item; its join error carries nothing further to handle"
+            )]
             let _ = handle.join();
         }
         // Workers are gone: whatever is still live was interrupted.

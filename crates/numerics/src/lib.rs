@@ -28,6 +28,19 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::float_cmp,
+        clippy::let_underscore_must_use
+    )
+)]
 #![deny(rust_2018_idioms)]
 #![warn(missing_docs)]
 

@@ -587,6 +587,10 @@ impl<'c> Assembler<'c> {
             cap_state.map_or(0.0, |(dt, _)| dt),
             gmin,
         );
+        #[expect(
+            clippy::float_cmp,
+            reason = "the cached factors are reusable only at the exact gmin they were stamped at"
+        )]
         let reusable = scratch.factored_key.is_some_and(|(tr, fdt, fg)| {
             tr == key.0
                 && fg == key.2

@@ -96,6 +96,7 @@ impl EhpLut {
             // log_space yields ≥ 2 strictly increasing finite energies and
             // the means are clamped non-negative, so the table is valid by
             // construction.
+            #[expect(clippy::unreachable, reason = "the rows are valid by construction")]
             Err(e) => unreachable!("freshly built LUT rows are well-formed: {e}"),
         }
     }

@@ -2,7 +2,7 @@
 //!
 //! Built on [`crate::cfg`] + [`crate::dataflow`], these families analyze
 //! every workspace `fn` body *together* (a lightweight interprocedural
-//! layer over a name-keyed function index) and emit four diagnostics:
+//! layer over a name-keyed function index) and emit three diagnostics:
 //!
 //! * `lock-order-audit` — the workspace lock-acquisition graph: while a
 //!   guard for lock `a` is live, acquiring lock `b` (directly or through a
@@ -22,9 +22,6 @@
 //!   `cancelled_reason`, a `stopping` flag) or call a function that
 //!   transitively does. Bounded loops (`for`, `while let`, `while` with a
 //!   comparison in the condition) are exempt.
-//! * `result-discard-audit` — a `Result` from a workspace function (or
-//!   `JoinHandle::join`) dropped via `let _ = …` or bound to a name that is
-//!   never read again.
 //!
 //! Every approximation leans toward silence on idiomatic code: calls
 //! through function-typed *parameters* are opaque, bare-`self` receivers
@@ -98,9 +95,6 @@ const BLOCKING_SEEDS: [&str; 20] = [
 /// the service's `stopping` flag).
 const POLL_MARKERS: [&str; 3] = ["is_cancelled", "cancelled_reason", "stopping"];
 
-/// Non-workspace methods known to return `Result`.
-const RESULT_METHODS: [&str; 1] = ["join"];
-
 /// Chain combinators that hand a guard through unchanged, so
 /// `let g = m.lock().unwrap();` still binds a guard.
 const TRANSPARENT_COMBINATORS: [&str; 3] = ["unwrap", "expect", "unwrap_or_else"];
@@ -128,7 +122,6 @@ struct FnDef {
     /// Token indices of the body braces (inclusive).
     body: (usize, usize),
     params: BTreeSet<String>,
-    returns_result: bool,
     in_test: bool,
     /// True for the `finrad_spice::sync` helper implementations.
     sanctioned: bool,
@@ -211,7 +204,6 @@ fn extract_fns(units: &[FileUnit]) -> Vec<FnDef> {
             let mut params = BTreeSet::new();
             let mut angle = 0i32;
             let mut p = k + 2;
-            let mut param_close = k + 2;
             while p < open {
                 let t = &toks[p];
                 if t.kind == TokenKind::Punct {
@@ -242,7 +234,6 @@ fn extract_fns(units: &[FileUnit]) -> Vec<FnDef> {
                                 }
                                 q += 1;
                             }
-                            param_close = q;
                             break;
                         }
                         _ => {}
@@ -250,14 +241,11 @@ fn extract_fns(units: &[FileUnit]) -> Vec<FnDef> {
                 }
                 p += 1;
             }
-            let returns_result = (param_close..open)
-                .any(|i| toks[i].kind == TokenKind::Ident && toks[i].text == "Result");
             out.push(FnDef {
                 name: name_tok.text.clone(),
                 file: fi,
                 body: (open, close),
                 params,
-                returns_result,
                 in_test: toks[k].in_test,
                 sanctioned: sync_file && SYNC_HELPERS.contains(&name_tok.text.as_str()),
             });
@@ -930,139 +918,6 @@ fn cond_has_comparison(toks: &[Token], range: (usize, usize)) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Result-discard
-// ---------------------------------------------------------------------------
-
-/// The final depth-0 call of an RHS token range; `None` for macro
-/// invocations, bare values, or RHSes that already handle the error with a
-/// depth-0 `?`.
-fn final_call(toks: &[Token], range: (usize, usize)) -> Option<String> {
-    let mut depth = 0i32;
-    let mut last = None;
-    let mut i = range.0;
-    while i < range.1 {
-        let t = &toks[i];
-        if t.kind == TokenKind::Punct {
-            match t.text.as_str() {
-                "(" | "[" | "{" => depth += 1,
-                ")" | "]" | "}" => depth -= 1,
-                "?" if depth == 0 => return None,
-                _ => {}
-            }
-        } else if t.kind == TokenKind::Ident && depth == 0 {
-            if is_punct(toks, i + 1, "!") {
-                return None;
-            }
-            if is_punct(toks, i + 1, "(") {
-                last = Some(t.text.clone());
-            }
-        }
-        i += 1;
-    }
-    last
-}
-
-/// Token index of the `;` ending the statement whose RHS starts at `from`
-/// (token space, bounded by `limit`).
-fn rhs_semi(toks: &[Token], from: usize, limit: usize) -> usize {
-    let mut depth = 0i32;
-    let mut i = from;
-    while i < limit {
-        let t = &toks[i];
-        if t.kind == TokenKind::Punct {
-            match t.text.as_str() {
-                "(" | "[" | "{" => depth += 1,
-                ")" | "]" | "}" => depth -= 1,
-                ";" if depth == 0 => return i,
-                _ => {}
-            }
-        }
-        i += 1;
-    }
-    limit
-}
-
-fn result_discard(
-    units: &[FileUnit],
-    f: &FnDef,
-    result_fns: &BTreeSet<String>,
-    out: &mut Vec<Violation>,
-) {
-    let toks = &units[f.file].lexed.tokens;
-    let returns_result = |name: &str| RESULT_METHODS.contains(&name) || result_fns.contains(name);
-    let mut i = f.body.0 + 1;
-    while i < f.body.1 {
-        let t = &toks[i];
-        if !(t.kind == TokenKind::Ident && t.text == "let") {
-            i += 1;
-            continue;
-        }
-        let mut q = i + 1;
-        if toks
-            .get(q)
-            .is_some_and(|x| x.kind == TokenKind::Ident && x.text == "mut")
-        {
-            q += 1;
-        }
-        let Some(name_tok) = toks.get(q).filter(|x| x.kind == TokenKind::Ident) else {
-            i += 1;
-            continue;
-        };
-        if name_tok.text == "_" {
-            if !is_punct(toks, q + 1, "=") || is_punct(toks, q + 2, "=") {
-                i += 1;
-                continue;
-            }
-            let semi = rhs_semi(toks, q + 2, f.body.1);
-            if let Some(call) = final_call(toks, (q + 2, semi)) {
-                if returns_result(&call) {
-                    out.push(Violation {
-                        lint: LintId::ResultDiscardAudit,
-                        file: units[f.file].path.clone(),
-                        line: t.line,
-                        col: t.col,
-                        message: format!(
-                            "`let _ = {call}(…)` discards a Result; handle or propagate the error"
-                        ),
-                    });
-                }
-            }
-            i = semi + 1;
-            continue;
-        }
-        // Named binding: flag a Result-returning call whose binding is
-        // never read afterwards (and is not `_`-prefixed).
-        if name_tok.text.starts_with('_')
-            || !is_punct(toks, q + 1, "=")
-            || is_punct(toks, q + 2, "=")
-        {
-            i += 1;
-            continue;
-        }
-        let semi = rhs_semi(toks, q + 2, f.body.1);
-        if let Some(call) = final_call(toks, (q + 2, semi)) {
-            if returns_result(&call) {
-                let used = (semi + 1..f.body.1)
-                    .any(|j| toks[j].kind == TokenKind::Ident && toks[j].text == name_tok.text);
-                if !used {
-                    out.push(Violation {
-                        lint: LintId::ResultDiscardAudit,
-                        file: units[f.file].path.clone(),
-                        line: t.line,
-                        col: t.col,
-                        message: format!(
-                            "Result of `{call}(…)` bound to `{}` but never read; handle the error or prefix with `_`",
-                            name_tok.text
-                        ),
-                    });
-                }
-            }
-        }
-        i = semi + 1;
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Cycle detection over the lock-order graph
 // ---------------------------------------------------------------------------
 
@@ -1122,7 +977,7 @@ fn canonical_cycle(mut nodes: Vec<String>) -> Vec<String> {
 // Top level
 // ---------------------------------------------------------------------------
 
-/// Runs all four flow families over the lexed workspace; returns raw
+/// Runs all three flow families over the lexed workspace; returns raw
 /// (unsuppressed) violations. The caller merges these with the per-file
 /// lints before applying `allow(...)` directives.
 pub fn analyze(units: &[FileUnit]) -> Vec<Violation> {
@@ -1135,14 +990,9 @@ pub fn analyze(units: &[FileUnit]) -> Vec<Violation> {
     for (i, f) in fns.iter().enumerate() {
         by_name.entry(f.name.clone()).or_default().push(i);
     }
-    let result_fns: BTreeSet<String> = fns
-        .iter()
-        .filter(|f| f.returns_result)
-        .map(|f| f.name.clone())
-        .collect();
 
     // Direct per-fn facts. Test fns contribute nothing: test code may
-    // legitimately block, poll nothing, and discard Results.
+    // legitimately block and poll nothing.
     let mut direct: Vec<FnFacts> = Vec::with_capacity(fns.len());
     for f in &fns {
         let mut facts = FnFacts::default();
@@ -1316,8 +1166,6 @@ pub fn analyze(units: &[FileUnit]) -> Vec<Violation> {
                 });
             }
         }
-
-        result_discard(units, f, &result_fns, &mut violations);
     }
 
     // Guard-lifetime violations, deduped per (site, guard).
@@ -1585,43 +1433,6 @@ fn pump() {
 "#;
         let vs = analyze(&[unit("crates/core/src/fake.rs", src)]);
         assert_eq!(count(&vs, LintId::CancellationResponsiveness), 0, "{vs:?}");
-    }
-
-    #[test]
-    fn discarded_and_unused_results_are_flagged() {
-        let src = r#"
-fn produce() -> Result<u32, String> {
-    Ok(1)
-}
-fn caller() {
-    let _ = produce();
-    let outcome = produce();
-    let used = produce();
-    if used.is_ok() {
-        work();
-    }
-}
-fn work() {}
-"#;
-        let vs = analyze(&[unit("crates/core/src/fake.rs", src)]);
-        assert_eq!(count(&vs, LintId::ResultDiscardAudit), 2, "{vs:?}");
-    }
-
-    #[test]
-    fn question_mark_and_underscore_prefix_are_clean() {
-        let src = r#"
-fn produce() -> Result<u32, String> {
-    Ok(1)
-}
-fn caller() -> Result<(), String> {
-    let value = produce().map_err(|e| e)?;
-    let _ignored = produce();
-    let _ = format!("{value}");
-    Ok(())
-}
-"#;
-        let vs = analyze(&[unit("crates/core/src/fake.rs", src)]);
-        assert_eq!(count(&vs, LintId::ResultDiscardAudit), 0, "{vs:?}");
     }
 
     #[test]

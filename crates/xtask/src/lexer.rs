@@ -1,17 +1,24 @@
-//! A std-only Rust lexer producing spanned tokens.
+//! A std-only Rust lexer producing spanned tokens — the lint engine's one
+//! source front-end.
 //!
-//! The scrubbed-line view in [`crate::source`] is good for substring lints,
-//! but the cross-file lints (metric-key registry, seed discipline, shared
-//! state, checkpoint schema) need to see *string literal contents* and match
-//! multi-token patterns like `Ordering :: Relaxed` regardless of spacing.
-//! This lexer tokenizes one file into [`Token`]s carrying 1-indexed
-//! (line, col) spans measured in characters, so diagnostics are
+//! Every family reads a file through this lexer, so comments and literals
+//! can never produce false positives, string literal contents are visible
+//! to the cross-file lints, and multi-token patterns like
+//! `Ordering :: Relaxed` match regardless of spacing. Tokens carry
+//! 1-indexed (line, col) spans measured in characters, so diagnostics are
 //! click-through accurate in editors and CI annotations.
 //!
 //! It is deliberately not a full Rust lexer: comments are skipped, raw
 //! identifiers and exotic suffixes degrade gracefully into adjacent tokens,
 //! and numbers are kept as raw text. That is all the downstream lints need,
 //! and it keeps the module dependency-free and obviously panic-free.
+//!
+//! The one thing kept from comments is the suppression directive
+//! `// finrad-lint: allow(<id>, ...)`, captured from plain line comments
+//! (never from doc comments, block comments or literals) as an [`Allow`].
+//! A *standalone* directive (nothing but whitespace or a block comment
+//! before it on its line) covers its own line and the next; a *trailing*
+//! directive (code precedes it) covers only its own line.
 
 /// Lexical class of a [`Token`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,14 +53,42 @@ pub struct Token {
     pub in_test: bool,
 }
 
+/// One `allow(...)` directive captured from a line comment.
+#[derive(Debug, Clone)]
+pub struct Allow {
+    /// The lint ID being allowed (`"all"` allows everything).
+    pub id: String,
+    /// 1-indexed line of the comment.
+    pub line: usize,
+    /// 1-indexed character column where the directive text begins.
+    pub col: usize,
+    /// True when no code precedes the comment on its line; only
+    /// standalone directives extend to the following line.
+    pub standalone: bool,
+    /// Whether the directive sits inside `#[cfg(test)]` code.
+    pub in_test: bool,
+}
+
+impl Allow {
+    /// True when this directive names `lint` (or `all`) and covers a
+    /// violation on 1-indexed `line`.
+    pub fn covers(&self, lint: &str, line: usize) -> bool {
+        let reaches = line == self.line || (self.standalone && line == self.line + 1);
+        reaches && (self.id == lint || self.id == "all")
+    }
+}
+
 /// A lexed file.
 #[derive(Debug)]
 pub struct LexedFile {
     /// Tokens in source order; comments and whitespace are absent.
     pub tokens: Vec<Token>,
+    /// Suppression directives in source order.
+    pub allows: Vec<Allow>,
 }
 
-/// Lexes `src` into spanned tokens and tags `#[cfg(test)]` regions.
+/// Lexes `src` into spanned tokens and directives, and tags
+/// `#[cfg(test)]` regions.
 pub fn lex(src: &str) -> LexedFile {
     let chars: Vec<char> = src.chars().collect();
     let mut lx = Lexer {
@@ -61,12 +96,26 @@ pub fn lex(src: &str) -> LexedFile {
         i: 0,
         line: 1,
         col: 1,
+        code_line: 0,
         tokens: Vec::new(),
+        allows: Vec::new(),
     };
     lx.run();
     let mut tokens = lx.tokens;
     tag_test_tokens(&mut tokens);
-    LexedFile { tokens }
+    // A directive is test code when the tokens on both sides of it are:
+    // one just above a `#[cfg(test)]` item or just past a test module's
+    // closing brace is still audited.
+    let allows = lx
+        .allows
+        .into_iter()
+        .map(|(mut allow, next)| {
+            allow.in_test =
+                next > 0 && tokens[next - 1].in_test && tokens.get(next).is_some_and(|t| t.in_test);
+            allow
+        })
+        .collect();
+    LexedFile { tokens, allows }
 }
 
 struct Lexer<'a> {
@@ -74,7 +123,12 @@ struct Lexer<'a> {
     i: usize,
     line: usize,
     col: usize,
+    /// Line on which the last token ended; a comment starting on it is
+    /// trailing.
+    code_line: usize,
     tokens: Vec<Token>,
+    /// Directives with the index of the token that follows each.
+    allows: Vec<(Allow, usize)>,
 }
 
 impl Lexer<'_> {
@@ -96,6 +150,7 @@ impl Lexer<'_> {
     }
 
     fn push(&mut self, kind: TokenKind, text: String, line: usize, col: usize) {
+        self.code_line = self.line;
         self.tokens.push(Token {
             kind,
             text,
@@ -111,9 +166,7 @@ impl Lexer<'_> {
             if c.is_whitespace() {
                 self.bump();
             } else if c == '/' && self.peek(1) == Some('/') {
-                while self.peek(0).is_some_and(|c| c != '\n') {
-                    self.bump();
-                }
+                self.line_comment();
             } else if c == '/' && self.peek(1) == Some('*') {
                 self.skip_block_comment();
             } else if c == '"' {
@@ -146,6 +199,40 @@ impl Lexer<'_> {
                 self.bump();
                 self.push(TokenKind::Punct, c.to_string(), line, col);
             }
+        }
+    }
+
+    /// Consumes a line comment, capturing any `finrad-lint: allow(...)`
+    /// directive unless it is a doc comment (`///`, `//!`).
+    fn line_comment(&mut self) {
+        let (line, col) = (self.line, self.col);
+        let mut text = String::new();
+        while let Some(c) = self.peek(0).filter(|&c| c != '\n') {
+            text.push(c);
+            self.bump();
+        }
+        let doc = text.starts_with("//!") || (text.starts_with("///") && !text.starts_with("////"));
+        let Some(marker) = text.find("finrad-lint:").filter(|_| !doc) else {
+            return;
+        };
+        let Some(ids) = text[marker..]
+            .split("allow(")
+            .nth(1)
+            .and_then(|inner| inner.split(')').next())
+        else {
+            return;
+        };
+        let col = col + text[..marker].chars().count();
+        let standalone = self.code_line != line;
+        for id in ids.split(',').map(str::trim).filter(|id| !id.is_empty()) {
+            let allow = Allow {
+                id: id.to_string(),
+                line,
+                col,
+                standalone,
+                in_test: false,
+            };
+            self.allows.push((allow, self.tokens.len()));
         }
     }
 
@@ -306,8 +393,14 @@ impl Lexer<'_> {
         while let Some(c) = self.peek(0) {
             if c.is_alphanumeric() || c == '_' {
                 text.push(self.bump().unwrap_or(' '));
-            } else if c == '.' && self.peek(1).is_some_and(|d| d.is_ascii_digit()) {
-                // `1.5` continues the number; `1..n` and `1.max()` do not.
+            } else if c == '.'
+                && !radix_prefixed
+                && self
+                    .peek(1)
+                    .is_none_or(|d| d != '.' && d != '_' && !d.is_alphabetic())
+            {
+                // `1.5` and `2.` continue the number; `1..n` and
+                // `1.max()` do not.
                 text.push(self.bump().unwrap_or(' '));
             } else if (c == '+' || c == '-') && !radix_prefixed && text.ends_with(['e', 'E']) {
                 text.push(self.bump().unwrap_or(' '));
@@ -319,8 +412,7 @@ impl Lexer<'_> {
     }
 }
 
-/// Marks tokens inside `#[cfg(test)]` modules by tracking brace depth, the
-/// token-level twin of `source::tag_test_regions`.
+/// Marks tokens inside `#[cfg(test)]` items by tracking brace depth.
 fn tag_test_tokens(tokens: &mut [Token]) {
     let mut depth: i64 = 0;
     // A `#[cfg(test)]` was seen and its item has not opened a brace yet;
@@ -566,6 +658,40 @@ mod tests {
             .map(|t| t.text.clone())
             .collect();
         assert!(idents.contains(&"type".to_string()) || idents.contains(&"r".to_string()));
+    }
+
+    #[test]
+    fn allow_directives_are_captured_from_line_comments_only() {
+        let src = "    // finrad-lint: allow(panic-freedom)\n\
+                   x(); // finrad-lint: allow(panic-freedom, float-discipline)\n\
+                   /* c */ // finrad-lint: allow(seed-discipline)\n\
+                   let s = \"// finrad-lint: allow(rng-determinism)\";\n\
+                   /* // finrad-lint: allow(rng-determinism) */\n\
+                   /// finrad-lint: allow(rng-determinism)\n\
+                   //! finrad-lint: allow(rng-determinism)\n";
+        let allows = lex(src).allows;
+        let got: Vec<_> = allows
+            .iter()
+            .map(|a| (a.id.as_str(), a.line, a.col, a.standalone))
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                ("panic-freedom", 1, 8, true),
+                ("panic-freedom", 2, 9, false),
+                ("float-discipline", 2, 9, false),
+                ("seed-discipline", 3, 12, true),
+            ]
+        );
+        // Standalone reaches the next line; trailing covers only its own.
+        assert!(allows[0].covers("panic-freedom", 1) && allows[0].covers("panic-freedom", 2));
+        assert!(!allows[0].covers("panic-freedom", 3) && !allows[0].covers("float-discipline", 2));
+        assert!(allows[1].covers("panic-freedom", 2) && !allows[1].covers("panic-freedom", 3));
+        // A directive inside test code is tagged; one just above the
+        // `#[cfg(test)]` attribute is not.
+        let src = "fn lib() {}\n// finrad-lint: allow(all)\n#[cfg(test)]\nmod tests {\n    // finrad-lint: allow(all)\n    fn t() {}\n}\n";
+        let tagged: Vec<_> = lex(src).allows.iter().map(|a| a.in_test).collect();
+        assert_eq!(tagged, vec![false, true]);
     }
 
     #[test]

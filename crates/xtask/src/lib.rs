@@ -1,7 +1,9 @@
 //! Workspace automation for the `finrad` repo — chiefly `cargo xtask lint`,
 //! a dependency-free static-analysis gate over every workspace `.rs` source.
 //!
-//! The gate runs in three phases. Phase 1 builds a
+//! Every file is read once, by the token lexer ([`lexer`]), which also
+//! captures the `// finrad-lint: allow(<id>)` directives. The gate runs in
+//! three phases. Phase 1 builds a
 //! [`index::WorkspaceIndex`] from three anchor files (the metric-key
 //! registry, the sanctioned RNG seed-derivation helpers, and the checkpoint
 //! codec). Phase 2 lints every file against ten per-file families (see
@@ -15,10 +17,9 @@
 //!   checkpoint serialization, SPICE MNA assembly).
 //! * `rng-determinism` — no entropy- or wall-clock-seeded randomness
 //!   anywhere; Monte-Carlo results must be reproducible from a seed.
-//! * `panic-freedom` — no `unwrap`/`expect`/`panic!`-family calls or LUT
-//!   slice indexing in non-test library code.
-//! * `float-discipline` — no `f32`, float `==`/`!=`, or
-//!   `partial_cmp().unwrap()`.
+//! * `panic-freedom` — no LUT slice indexing in non-test library code.
+//! * `float-discipline` — no `f32`, and no `==`/`!=` against a float
+//!   literal.
 //! * `metrics-key-registry` — metric-key literals at Recorder call sites
 //!   must be declared in `crates/observe/src/keys.rs`.
 //! * `seed-discipline` — RNG seed arithmetic only inside the sanctioned
@@ -41,14 +42,19 @@
 //!   calls (solves, condvar waits on other guards, joins, checkpoint I/O).
 //! * `cancellation-responsiveness` — blocking unbounded loops reachable
 //!   from supervised `spawn` entry points must poll cancellation.
-//! * `result-discard-audit` — `Result`s from workspace functions discarded
-//!   via `let _ = …` or bound but never read.
 //!
 //! Every family is zero-tolerance: the gate prints each diagnostic and
 //! fails on any. The one escape is a documented
 //! `// finrad-lint: allow(<id>)` at the site; the only other input is the
 //! checkpoint schema pin in `xtask/lint-baseline.toml` (see [`baseline`]).
-//! The full policy lives in `docs/static-analysis.md`.
+//!
+//! Rules clippy already checks are clippy's, not this crate's: each scanned
+//! crate root enables `unwrap_used`, `expect_used`, `panic`, `todo`,
+//! `unimplemented`, `unreachable`, `float_cmp` and
+//! `let_underscore_must_use` outside `cfg(test)`, `ci.sh` denies every
+//! clippy warning, and a deliberate exception is an
+//! `#[expect(lint, reason = "…")]`. The full policy lives in
+//! `docs/static-analysis.md`.
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
@@ -60,7 +66,6 @@ pub mod flow;
 pub mod index;
 pub mod lexer;
 pub mod lints;
-pub mod source;
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -68,27 +73,17 @@ use std::path::{Path, PathBuf};
 use index::WorkspaceIndex;
 use lints::{Violation, UNIT_SAFETY_CRATES};
 
-/// Lints one file's source text without a workspace index (the metric-key
-/// family is skipped; the seed family has no sanctioned regions).
-/// `rel_path` is used for reporting and for deciding whether the
-/// unit-safety family applies.
-pub fn lint_file_source(rel_path: &Path, text: &str, unit_safety: bool) -> Vec<Violation> {
-    let scrubbed = source::scrub(text);
-    let lexed = lexer::lex(text);
-    lints::lint_file(rel_path, &scrubbed, &lexed, unit_safety, None)
-}
-
-/// Lints one file's source text against a phase-1 workspace index,
-/// enabling the cross-file families.
-pub fn lint_file_source_with_index(
+/// Lints one file's source text. Without a workspace `index` the
+/// metric-key family is skipped and the seed family has no sanctioned
+/// regions. `rel_path` is used for reporting and for the path-scoped
+/// families; `unit_safety` gates the unit-safety family.
+pub fn lint_file_source(
     rel_path: &Path,
     text: &str,
     unit_safety: bool,
-    index: &WorkspaceIndex,
+    index: Option<&WorkspaceIndex>,
 ) -> Vec<Violation> {
-    let scrubbed = source::scrub(text);
-    let lexed = lexer::lex(text);
-    lints::lint_file(rel_path, &scrubbed, &lexed, unit_safety, Some(index))
+    lints::lint_file(rel_path, &lexer::lex(text), unit_safety, index)
 }
 
 /// Result of scanning a source tree.
@@ -137,23 +132,19 @@ pub fn scan_tree(root: &Path) -> io::Result<ScanResult> {
     }
     files.sort();
 
-    // Pass 1: lex + scrub everything, collect raw per-file violations.
+    // Pass 1: lex everything, collect raw per-file violations.
     let mut units: Vec<flow::FileUnit> = Vec::with_capacity(files.len());
-    let mut scrubbed: Vec<source::ScrubbedSource> = Vec::with_capacity(files.len());
     let mut raw: Vec<Vec<Violation>> = Vec::with_capacity(files.len());
     for (path, unit_safety) in &files {
         let text = std::fs::read_to_string(path)?;
         let rel = path.strip_prefix(root).unwrap_or(path).to_path_buf();
-        let src = source::scrub(&text);
         let lexed = lexer::lex(&text);
         raw.push(lints::lint_file_raw(
             &rel,
-            &src,
             &lexed,
             *unit_safety,
             Some(&index),
         ));
-        scrubbed.push(src);
         units.push(flow::FileUnit { path: rel, lexed });
     }
 
@@ -169,7 +160,7 @@ pub fn scan_tree(root: &Path) -> io::Result<ScanResult> {
     for (i, u) in units.iter().enumerate() {
         violations.extend(lints::apply_suppressions(
             &u.path,
-            &scrubbed[i],
+            &u.lexed,
             std::mem::take(&mut raw[i]),
         ));
     }
@@ -199,4 +190,141 @@ fn collect_rs_files(
         }
     }
     Ok(())
+}
+
+/// How [`lint_file_source`] reads a file's text, end to end: comments and
+/// literals never fire, diagnostics land on the original line and column,
+/// `allow(...)` directives cover exactly what they claim, and
+/// `#[cfg(test)]` regions are exempt from the test-exempt families.
+#[cfg(test)]
+mod source {
+    #[cfg(test)]
+    mod tests {
+        use crate::lexer::{lex, TokenKind};
+        use crate::lint_file_source;
+        use crate::lints::LintId;
+        use std::path::Path;
+
+        fn sites(src: &str) -> Vec<(LintId, usize, usize)> {
+            lint_file_source(Path::new("x.rs"), src, false, None)
+                .iter()
+                .map(|v| (v.lint, v.line, v.col))
+                .collect()
+        }
+
+        #[test]
+        fn blanks_comments_and_strings() {
+            let src = "fn f() {\n    let x = 1; // thread_rng in a comment\n    let y = \"thread_rng\";\n}\n";
+            assert!(sites(src).is_empty());
+            // The same word as code is flagged.
+            assert_eq!(
+                sites("fn f() { let r = thread_rng(); }\n"),
+                [(LintId::RngDeterminism, 1, 18)]
+            );
+        }
+
+        #[test]
+        fn scrubbing_preserves_columns() {
+            // Code after a block comment, after a string with escapes and
+            // after a multi-byte char keeps its original character column.
+            let src = "a /* xx */ f32\nlet s = \"a\\nb\"; f32\nlet t = \"é\"; f32\n";
+            assert_eq!(
+                sites(src),
+                [
+                    (LintId::FloatDiscipline, 1, 12),
+                    (LintId::FloatDiscipline, 2, 17),
+                    (LintId::FloatDiscipline, 3, 14),
+                ]
+            );
+        }
+
+        #[test]
+        fn block_comments_nest_and_span_lines() {
+            let src = "a /* one /* two */ still */ f32\nc /* open\nthread_rng()\n*/ f32\n";
+            assert_eq!(
+                sites(src),
+                [
+                    (LintId::FloatDiscipline, 1, 29),
+                    (LintId::FloatDiscipline, 4, 4),
+                ]
+            );
+        }
+
+        #[test]
+        fn raw_strings_are_blanked() {
+            let src = "let p = r#\"thread_rng(\"x\")\"#;\nlet q = r\"f32\";\nlet r = br##\"f32 \"# f32\"##;\n";
+            assert!(sites(src).is_empty());
+        }
+
+        #[test]
+        fn lifetimes_survive_char_literals_blanked() {
+            let src = "fn f<'a>(x: &'a f32) -> char { 'y' }\n";
+            assert_eq!(sites(src), [(LintId::FloatDiscipline, 1, 17)]);
+            let lexed = lex(src);
+            let lifetimes = lexed
+                .tokens
+                .iter()
+                .filter(|t| t.kind == TokenKind::Lifetime && t.text == "a")
+                .count();
+            assert_eq!(lifetimes, 2);
+            assert!(!lexed
+                .tokens
+                .iter()
+                .any(|t| t.kind == TokenKind::Ident && t.text == "y"));
+        }
+
+        #[test]
+        fn allow_directives_apply_to_own_and_next_line() {
+            let src = "// finrad-lint: allow(float-discipline)\nfn a(x: f32) {}\nfn b(y: f32) {}\n";
+            assert_eq!(sites(src), [(LintId::FloatDiscipline, 3, 9)]);
+            // A directive naming another family covers nothing and is stale.
+            let src = "// finrad-lint: allow(rng-determinism)\nfn a(x: f32) {}\n";
+            assert_eq!(
+                sites(src),
+                [
+                    (LintId::UnusedSuppression, 1, 4),
+                    (LintId::FloatDiscipline, 2, 9),
+                ]
+            );
+        }
+
+        #[test]
+        fn trailing_directives_cover_only_their_own_line() {
+            // A trailing directive annotates its own line, never the next.
+            let src = "fn a(x: f32) {} // finrad-lint: allow(float-discipline)\nfn b(y: f32) {}\n";
+            assert_eq!(sites(src), [(LintId::FloatDiscipline, 2, 9)]);
+            assert!(!lex(src).allows[0].standalone);
+            // A standalone directive still reaches the next line.
+            let src = "    // finrad-lint: allow(float-discipline)\nfn b(y: f32) {}\n";
+            assert!(lex(src).allows[0].standalone);
+            assert!(sites(src).is_empty());
+        }
+
+        #[test]
+        fn directive_columns_are_recorded() {
+            // "x(); // " is 8 chars; both stale directives report column 9.
+            let src = "x(); // finrad-lint: allow(panic-freedom, float-discipline)\n";
+            assert_eq!(
+                sites(src),
+                [
+                    (LintId::UnusedSuppression, 1, 9),
+                    (LintId::UnusedSuppression, 1, 9),
+                ]
+            );
+        }
+
+        #[test]
+        fn cfg_test_modules_are_tagged() {
+            let src = "fn lib(a: f32) {}\n#[cfg(test)]\nmod tests {\n    fn t(b: f32) { let _ = thread_rng(); }\n}\nfn lib2(c: f32) {}\n";
+            // float-discipline is test-exempt; rng-determinism is not.
+            assert_eq!(
+                sites(src),
+                [
+                    (LintId::FloatDiscipline, 1, 11),
+                    (LintId::RngDeterminism, 4, 28),
+                    (LintId::FloatDiscipline, 6, 12),
+                ]
+            );
+        }
+    }
 }

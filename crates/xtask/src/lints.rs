@@ -1,26 +1,21 @@
 //! The lint families.
 //!
-//! Per-file lints operate on a [`ScrubbedSource`]
-//! (substring families inherited from PR 1) and on a
-//! [`LexedFile`] (token families added with the
-//! workspace analyzer), so comments and literals can never produce false
-//! positives. The cross-file families additionally consult the phase-1
-//! [`WorkspaceIndex`]. All lints honour
+//! Per-file lints match token patterns over a [`LexedFile`], so comments
+//! and literals can never produce false positives. The cross-file families
+//! additionally consult the phase-1 [`WorkspaceIndex`]. All lints honour
 //! `// finrad-lint: allow(<id>)` on the violation line, or on the line
 //! above when the directive is a standalone comment; directives that
 //! suppress nothing are themselves reported by the `unused-suppression`
 //! audit, so the allow inventory can only ratchet down.
 //!
-//! Every violation carries a 1-indexed (line, col) span. Columns are
-//! measured in characters of the original line — the scrubber and the lexer
-//! both preserve columns exactly for this reason.
+//! Every violation carries the 1-indexed (line, col) span of the offending
+//! token, with columns measured in characters of the original line.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
 
 use crate::index::{WorkspaceIndex, CHECKPOINT_FILE};
-use crate::lexer::{LexedFile, TokenKind};
-use crate::source::ScrubbedSource;
+use crate::lexer::{LexedFile, Token, TokenKind};
 
 /// Identifier of a lint family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -33,10 +28,10 @@ pub enum LintId {
     RawEscapeAudit,
     /// Entropy-seeded or wall-clock-seeded randomness in library code.
     RngDeterminism,
-    /// `unwrap`/`expect`/`panic!`-family calls and LUT slice indexing in
-    /// non-test library code.
+    /// LUT slice indexing in non-test library code (the panicking calls
+    /// are clippy's `unwrap_used`/`expect_used`/`panic`/... lints).
     PanicFreedom,
-    /// `f32`, float `==`/`!=`, and `partial_cmp().unwrap()` patterns.
+    /// `f32` and `==`/`!=` against a float literal.
     FloatDiscipline,
     /// Metric-key string literals at Recorder call sites must be declared
     /// in `crates/observe/src/keys.rs`.
@@ -64,8 +59,6 @@ pub enum LintId {
     /// A blocking loop reachable from a supervised job entry point that
     /// never polls its cancellation token.
     CancellationResponsiveness,
-    /// A `Result` silently dropped via `let _ =` or an unused binding.
-    ResultDiscardAudit,
 }
 
 impl LintId {
@@ -85,12 +78,11 @@ impl LintId {
             LintId::LockOrderAudit => "lock-order-audit",
             LintId::GuardLifetimeAudit => "guard-lifetime-audit",
             LintId::CancellationResponsiveness => "cancellation-responsiveness",
-            LintId::ResultDiscardAudit => "result-discard-audit",
         }
     }
 
     /// Every lint family, in reporting order.
-    pub const ALL: [LintId; 14] = [
+    pub const ALL: [LintId; 13] = [
         LintId::UnitSafety,
         LintId::RawEscapeAudit,
         LintId::RngDeterminism,
@@ -104,7 +96,6 @@ impl LintId {
         LintId::LockOrderAudit,
         LintId::GuardLifetimeAudit,
         LintId::CancellationResponsiveness,
-        LintId::ResultDiscardAudit,
     ];
 }
 
@@ -164,13 +155,12 @@ pub const UNIT_SAFETY_CRATES: [&str; 6] = [
 /// by [`checkpoint_drift`], not here.
 pub fn lint_file(
     path: &Path,
-    src: &ScrubbedSource,
     lexed: &LexedFile,
     unit_safety: bool,
     index: Option<&WorkspaceIndex>,
 ) -> Vec<Violation> {
-    let out = lint_file_raw(path, src, lexed, unit_safety, index);
-    let mut out = apply_suppressions(path, src, out);
+    let out = lint_file_raw(path, lexed, unit_safety, index);
+    let mut out = apply_suppressions(path, lexed, out);
     out.sort_by_key(|v| (v.line, v.col, v.lint));
     out
 }
@@ -182,19 +172,18 @@ pub fn lint_file(
 /// unused-suppression audit.
 pub fn lint_file_raw(
     path: &Path,
-    src: &ScrubbedSource,
     lexed: &LexedFile,
     unit_safety: bool,
     index: Option<&WorkspaceIndex>,
 ) -> Vec<Violation> {
     let mut out = Vec::new();
     if unit_safety {
-        lint_unit_safety(path, src, &mut out);
+        lint_unit_safety(path, lexed, &mut out);
     }
     lint_raw_escape(path, lexed, &mut out);
-    lint_rng_determinism(path, src, &mut out);
-    lint_panic_freedom(path, src, &mut out);
-    lint_float_discipline(path, src, &mut out);
+    lint_rng_determinism(path, lexed, &mut out);
+    lint_panic_freedom(path, lexed, &mut out);
+    lint_float_discipline(path, lexed, &mut out);
     if let Some(index) = index {
         lint_metrics_keys(path, lexed, index, &mut out);
     }
@@ -207,59 +196,33 @@ pub fn lint_file_raw(
 /// directives that covered nothing as `unused-suppression` violations.
 /// Directives inside `#[cfg(test)]` regions are never audited (most
 /// families are test-exempt, so they legitimately may not fire).
-pub fn apply_suppressions(
-    path: &Path,
-    src: &ScrubbedSource,
-    raw: Vec<Violation>,
-) -> Vec<Violation> {
-    let mut used: Vec<Vec<bool>> = src
-        .lines
-        .iter()
-        .map(|l| vec![false; l.allows.len()])
-        .collect();
+pub fn apply_suppressions(path: &Path, lexed: &LexedFile, raw: Vec<Violation>) -> Vec<Violation> {
+    let mut used = vec![false; lexed.allows.len()];
     let mut kept = Vec::new();
     for v in raw {
-        let idx = v.line.saturating_sub(1);
         let mut suppressed = false;
-        if let Some(line) = src.lines.get(idx) {
-            for (ai, allow) in line.allows.iter().enumerate() {
-                if allow.id == v.lint.as_str() || allow.id == "all" {
-                    used[idx][ai] = true;
-                    suppressed = true;
-                }
-            }
-        }
-        if idx > 0 {
-            if let Some(line) = src.lines.get(idx - 1) {
-                for (ai, allow) in line.allows.iter().enumerate() {
-                    if allow.standalone && (allow.id == v.lint.as_str() || allow.id == "all") {
-                        used[idx - 1][ai] = true;
-                        suppressed = true;
-                    }
-                }
+        for (ai, allow) in lexed.allows.iter().enumerate() {
+            if allow.covers(v.lint.as_str(), v.line) {
+                used[ai] = true;
+                suppressed = true;
             }
         }
         if !suppressed {
             kept.push(v);
         }
     }
-    for (li, line) in src.lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        for (ai, allow) in line.allows.iter().enumerate() {
-            if !used[li][ai] {
-                kept.push(Violation {
-                    lint: LintId::UnusedSuppression,
-                    file: path.to_path_buf(),
-                    line: li + 1,
-                    col: allow.col,
-                    message: format!(
-                        "`allow({})` suppresses nothing; remove the stale directive",
-                        allow.id
-                    ),
-                });
-            }
+    for (allow, used) in lexed.allows.iter().zip(used) {
+        if !used && !allow.in_test {
+            kept.push(Violation {
+                lint: LintId::UnusedSuppression,
+                file: path.to_path_buf(),
+                line: allow.line,
+                col: allow.col,
+                message: format!(
+                    "`allow({})` suppresses nothing; remove the stale directive",
+                    allow.id
+                ),
+            });
         }
     }
     kept
@@ -288,15 +251,16 @@ const RNG_FORBIDDEN: [(&str, &str); 4] = [
     ),
 ];
 
-fn lint_rng_determinism(path: &Path, src: &ScrubbedSource, out: &mut Vec<Violation>) {
-    for (idx, line) in src.lines.iter().enumerate() {
+fn lint_rng_determinism(path: &Path, lexed: &LexedFile, out: &mut Vec<Violation>) {
+    let tokens = &lexed.tokens;
+    for (i, tok) in tokens.iter().enumerate() {
         for (needle, why) in RNG_FORBIDDEN {
-            if let Some(at) = find_word(&line.code, needle) {
+            if is_path(tokens, i, needle) {
                 out.push(Violation {
                     lint: LintId::RngDeterminism,
                     file: path.to_path_buf(),
-                    line: idx + 1,
-                    col: at + 1,
+                    line: tok.line,
+                    col: tok.col,
                     message: format!(
                         "`{needle}`: {why}; seed a `finrad_numerics::rng::Xoshiro256pp` instead"
                     ),
@@ -310,106 +274,68 @@ fn lint_rng_determinism(path: &Path, src: &ScrubbedSource, out: &mut Vec<Violati
 // panic-freedom
 // ---------------------------------------------------------------------------
 
-const PANIC_PATTERNS: [&str; 5] = [".unwrap()", ".expect(", "panic!", "todo!", "unimplemented!"];
-
-fn lint_panic_freedom(path: &Path, src: &ScrubbedSource, out: &mut Vec<Violation>) {
-    for (idx, line) in src.lines.iter().enumerate() {
-        if line.in_test {
+/// Flags identifiers ending in `lut` or `table` indexed with `[`. The
+/// panicking calls (`unwrap`, `expect`, `panic!`, ...) are clippy's, enabled
+/// in every scanned crate root.
+fn lint_panic_freedom(path: &Path, lexed: &LexedFile, out: &mut Vec<Violation>) {
+    let tokens = &lexed.tokens;
+    for (i, tok) in tokens.iter().enumerate() {
+        if tok.in_test || tok.kind != TokenKind::Ident || !is_punct(tokens, i + 1, "[") {
             continue;
         }
-        for pat in PANIC_PATTERNS {
-            if let Some(at) = line.code.find(pat) {
-                out.push(Violation {
-                    lint: LintId::PanicFreedom,
-                    file: path.to_path_buf(),
-                    line: idx + 1,
-                    col: at + 2, // skip the leading `.` of method patterns
-                    message: format!(
-                        "`{}` can panic in library code; return a Result or document the invariant with an allow",
-                        pat.trim_start_matches('.').trim_end_matches('(')
-                    ),
-                });
-            }
-        }
-        for (at, name) in lut_index_idents(&line.code) {
+        let lower = tok.text.to_lowercase();
+        if lower.ends_with("lut") || lower.ends_with("table") {
             out.push(Violation {
                 lint: LintId::PanicFreedom,
                 file: path.to_path_buf(),
-                line: idx + 1,
-                col: at + 1,
+                line: tok.line,
+                col: tok.col,
                 message: format!(
-                    "direct slice indexing on LUT `{name}` can panic on out-of-range lookups; use `.get()` or a checked interpolation call"
+                    "direct slice indexing on LUT `{}` can panic on out-of-range lookups; use `.get()` or a checked interpolation call",
+                    tok.text
                 ),
             });
         }
     }
 }
 
-/// Identifiers ending in `lut` or `table` that are immediately indexed with
-/// `[`, with the char offset of the identifier start.
-fn lut_index_idents(code: &str) -> Vec<(usize, String)> {
-    let chars: Vec<char> = code.chars().collect();
-    let mut found = Vec::new();
-    for (i, &c) in chars.iter().enumerate() {
-        if c != '[' || i == 0 {
-            continue;
-        }
-        let mut start = i;
-        while start > 0 && (chars[start - 1].is_alphanumeric() || chars[start - 1] == '_') {
-            start -= 1;
-        }
-        if start == i {
-            continue;
-        }
-        let ident: String = chars[start..i].iter().collect();
-        let lower = ident.to_lowercase();
-        if lower.ends_with("lut") || lower.ends_with("table") {
-            found.push((start, ident));
-        }
-    }
-    found
-}
-
 // ---------------------------------------------------------------------------
 // float-discipline
 // ---------------------------------------------------------------------------
 
-fn lint_float_discipline(path: &Path, src: &ScrubbedSource, out: &mut Vec<Violation>) {
-    for (idx, line) in src.lines.iter().enumerate() {
-        if line.in_test {
+fn lint_float_discipline(path: &Path, lexed: &LexedFile, out: &mut Vec<Violation>) {
+    let tokens = &lexed.tokens;
+    for (i, tok) in tokens.iter().enumerate() {
+        if tok.in_test {
             continue;
         }
-        let code = &line.code;
-        if let Some(at) = find_word(code, "f32") {
+        if tok.kind == TokenKind::Ident && tok.text == "f32" {
             out.push(Violation {
                 lint: LintId::FloatDiscipline,
                 file: path.to_path_buf(),
-                line: idx + 1,
-                col: at + 1,
+                line: tok.line,
+                col: tok.col,
                 message: "`f32` loses precision the transport/circuit chain needs; use `f64`"
                     .to_string(),
             });
         }
-        if let Some(at) = code.find("partial_cmp") {
-            if code.contains(".unwrap()") || code.contains(".expect(") {
-                out.push(Violation {
-                    lint: LintId::FloatDiscipline,
-                    file: path.to_path_buf(),
-                    line: idx + 1,
-                    col: at + 1,
-                    message:
-                        "`partial_cmp().unwrap()` panics on NaN; use `f64::total_cmp` for a total order"
-                            .to_string(),
-                });
-            }
-        }
-        for at in float_eq_positions(code) {
-            let op = &code[at..at + 2];
+        let Some(op) = eq_operator(tokens, i) else {
+            continue;
+        };
+        // A tuple field (`t.0`) is not a literal; a unary minus may lead
+        // the right-hand literal.
+        let lhs = i
+            .checked_sub(1)
+            .filter(|&k| k == 0 || !is_punct(tokens, k - 1, "."));
+        let rhs = i + 2 + usize::from(is_punct(tokens, i + 2, "-"));
+        if lhs.is_some_and(|k| is_float_number(&tokens[k]))
+            || tokens.get(rhs).is_some_and(is_float_number)
+        {
             out.push(Violation {
                 lint: LintId::FloatDiscipline,
                 file: path.to_path_buf(),
-                line: idx + 1,
-                col: at + 1,
+                line: tok.line,
+                col: tok.col,
                 message: format!(
                     "`{op}` against a float literal is exact-equality on floats; compare with a tolerance or allow() the sentinel"
                 ),
@@ -418,69 +344,27 @@ fn lint_float_discipline(path: &Path, src: &ScrubbedSource, out: &mut Vec<Violat
     }
 }
 
-/// Byte offsets of `==`/`!=` operators with a float literal on either side.
-fn float_eq_positions(code: &str) -> Vec<usize> {
-    let bytes = code.as_bytes();
-    let mut found = Vec::new();
-    let mut i = 0;
-    while i + 1 < bytes.len() {
-        let two = &bytes[i..i + 2];
-        let is_eq = two == b"==" && (i == 0 || !b"<>=!+-*/%&|^".contains(&bytes[i - 1]));
-        let is_ne = two == b"!=";
-        if (is_eq || is_ne) && bytes.get(i + 2) != Some(&b'=') {
-            let lhs = token_before(code, i);
-            let rhs = token_after(code, i + 2);
-            if is_float_literal(&lhs) || is_float_literal(&rhs) {
-                found.push(i);
-            }
-            i += 2;
-        } else {
-            i += 1;
-        }
-    }
-    found
+/// `==` or `!=` when `tokens[i]` starts one: a `=` or `!` punct token
+/// directly followed by a `=`.
+fn eq_operator(tokens: &[Token], i: usize) -> Option<&'static str> {
+    let op = match tokens[i].text.as_str() {
+        "=" => "==",
+        "!" => "!=",
+        _ => return None,
+    };
+    let joined = is_punct(tokens, i + 1, "=")
+        && tokens[i + 1].line == tokens[i].line
+        && tokens[i + 1].col == tokens[i].col + 1;
+    (tokens[i].kind == TokenKind::Punct && joined).then_some(op)
 }
 
-fn token_before(code: &str, end: usize) -> String {
-    let chars: Vec<char> = code[..end].chars().collect();
-    let mut j = chars.len();
-    while j > 0 && chars[j - 1] == ' ' {
-        j -= 1;
-    }
-    let stop = j;
-    while j > 0 && (chars[j - 1].is_alphanumeric() || ".,_".contains(chars[j - 1])) {
-        j -= 1;
-    }
-    chars[j..stop].iter().collect()
-}
-
-fn token_after(code: &str, start: usize) -> String {
-    let chars: Vec<char> = code[start..].chars().collect();
-    let mut j = 0;
-    while j < chars.len() && chars[j] == ' ' {
-        j += 1;
-    }
-    if chars.get(j) == Some(&'-') {
-        j += 1;
-    }
-    let begin = j;
-    while j < chars.len() && (chars[j].is_alphanumeric() || "._".contains(chars[j])) {
-        j += 1;
-    }
-    chars[begin..j].iter().collect()
-}
-
-/// Recognizes `1.0`, `.5`, `2.`, `1e-12`, `3.0e8`, `0.0f64` as floats.
-fn is_float_literal(tok: &str) -> bool {
-    let tok = tok.trim_end_matches("f64").trim_end_matches("f32");
-    if tok.is_empty() || !tok.starts_with(|c: char| c.is_ascii_digit() || c == '.') {
-        return false;
-    }
-    let has_dot = tok.contains('.');
-    let has_exp =
-        tok.chars().any(|c| c == 'e' || c == 'E') && tok.starts_with(|c: char| c.is_ascii_digit());
-    (has_dot || has_exp)
-        && tok
+/// Recognizes float literals among number tokens: `1.0`, `2.`, `1e-12`,
+/// `3.0e8`, `0.0f64`, `1f64` — not `0`, `4096` or `0x1f`.
+fn is_float_number(tok: &Token) -> bool {
+    let body = tok.text.trim_end_matches("f64").trim_end_matches("f32");
+    tok.kind == TokenKind::Number
+        && (body.len() < tok.text.len() || body.contains(['.', 'e', 'E']))
+        && body
             .chars()
             .all(|c| c.is_ascii_digit() || ".eE+-_".contains(c))
 }
@@ -740,78 +624,76 @@ fn matches_unit_vocab(name: &str) -> bool {
     UNIT_EXACT.contains(&name) || UNIT_SUFFIXES.iter().any(|s| name.ends_with(s))
 }
 
-fn lint_unit_safety(path: &Path, src: &ScrubbedSource, out: &mut Vec<Violation>) {
-    // Join non-test lines (blanking test ones) so multi-line signatures can
-    // be reassembled while keeping a byte-offset → (line, col) mapping.
-    let mut joined = String::new();
-    let mut line_starts = Vec::with_capacity(src.lines.len());
-    for line in &src.lines {
-        line_starts.push(joined.len());
-        if line.in_test {
-            joined.push('\n');
-        } else {
-            joined.push_str(&line.code);
-            joined.push('\n');
-        }
-    }
-    let line_col_of = |offset: usize| -> (usize, usize) {
-        let line = match line_starts.binary_search(&offset) {
-            Ok(i) => i + 1,
-            Err(i) => i,
-        };
-        let col = offset
-            - line_starts
-                .get(line.saturating_sub(1))
-                .copied()
-                .unwrap_or(0)
-            + 1;
-        (line, col)
-    };
-
-    let mut search_from = 0;
-    while let Some(rel) = joined[search_from..].find("pub fn ") {
-        let fn_start = search_from + rel;
-        search_from = fn_start + 7;
-        let Some(sig_end_rel) = joined[fn_start..].find(['{', ';']) else {
-            break;
-        };
-        let sig = &joined[fn_start..fn_start + sig_end_rel];
-        let name = sig["pub fn ".len()..]
-            .chars()
-            .take_while(|c| c.is_alphanumeric() || *c == '_')
-            .collect::<String>();
-
-        let Some(open) = sig.find('(') else { continue };
-        let Some(params) = matching_paren_body(&sig[open..]) else {
+/// Flags `[mut] name: f64` parameters of non-test `pub fn`s whose name is
+/// unit vocabulary. Returning a dimensioned value as a bare f64 needs an
+/// explicit `si_value()` call, which raw-escape-audit catches at the call
+/// site; an *input* f64 is invisible to the type system, so only the
+/// parameter side is checked here.
+fn lint_unit_safety(path: &Path, lexed: &LexedFile, out: &mut Vec<Violation>) {
+    let tokens = &lexed.tokens;
+    for (i, tok) in tokens.iter().enumerate() {
+        let is_pub_fn = tok.kind == TokenKind::Ident
+            && tok.text == "pub"
+            && !tok.in_test
+            && tokens.get(i + 1).is_some_and(|t| t.text == "fn");
+        let Some(name) = tokens.get(i + 2).filter(|_| is_pub_fn) else {
             continue;
         };
-        for (param_rel, param) in split_top_level(params) {
-            let Some((pname, ptype)) = param.split_once(':') else {
-                continue;
-            };
-            let pname = pname.trim().trim_start_matches("mut ").trim();
-            if ptype.trim() == "f64" && matches_unit_vocab(pname) {
-                let leading_ws = param.len() - param.trim_start().len();
-                let offset = fn_start + open + 1 + param_rel + leading_ws;
-                let (line, col) = line_col_of(offset);
-                out.push(Violation {
-                    lint: LintId::UnitSafety,
-                    file: path.to_path_buf(),
-                    line,
-                    col,
-                    message: format!(
-                        "`pub fn {name}` takes `{pname}: f64`; use the matching finrad-units newtype"
-                    ),
-                });
-            }
+        // Skip `<generics>` to the parameter list's `(`.
+        let mut k = i + 3;
+        let mut depth = 0i32;
+        while k < tokens.len() && (depth > 0 || is_punct(tokens, k, "<")) {
+            depth += bracket_delta(tokens, k);
+            k += 1;
         }
+        if !is_punct(tokens, k, "(") {
+            continue;
+        }
+        // Split the list on depth-1 commas; `depth` counts `(`, `[`, `<`.
+        let mut start = k + 1;
+        for j in k..tokens.len() {
+            depth += bracket_delta(tokens, j);
+            let at_end = depth == 0;
+            if !(at_end || (depth == 1 && is_punct(tokens, j, ","))) {
+                continue;
+            }
+            let mut param = &tokens[start..j];
+            if param.first().is_some_and(|t| t.text == "mut") {
+                param = &param[1..];
+            }
+            if let [pname, colon, ty] = param {
+                if colon.text == ":" && ty.text == "f64" && matches_unit_vocab(&pname.text) {
+                    out.push(Violation {
+                        lint: LintId::UnitSafety,
+                        file: path.to_path_buf(),
+                        line: tokens[start].line,
+                        col: tokens[start].col,
+                        message: format!(
+                            "`pub fn {}` takes `{}: f64`; use the matching finrad-units newtype",
+                            name.text, pname.text
+                        ),
+                    });
+                }
+            }
+            if at_end {
+                break;
+            }
+            start = j + 1;
+        }
+    }
+}
 
-        // Note: the historical return-type arm (`pub fn vdd() -> f64`) is
-        // retired. Producing a dimensioned value as a bare f64 now requires
-        // an explicit `si_value()` call, which the raw-escape-audit family
-        // catches at the call site with a precise span; only the
-        // parameter-side vocabulary check remains, because an *input* f64
-        // is invisible to the type system.
+/// +1 for an opening `(`/`[`/`<`, -1 for a closing one (the `>` of `->`
+/// excluded), 0 otherwise.
+fn bracket_delta(tokens: &[Token], k: usize) -> i32 {
+    if tokens[k].kind != TokenKind::Punct {
+        return 0;
+    }
+    match tokens[k].text.as_str() {
+        "(" | "[" | "<" => 1,
+        ")" | "]" => -1,
+        ">" if k == 0 || !is_punct(tokens, k - 1, "-") => -1,
+        _ => 0,
     }
 }
 
@@ -879,110 +761,73 @@ fn lint_raw_escape(path: &Path, lexed: &LexedFile, out: &mut Vec<Violation>) {
     }
 }
 
-/// Given a string starting at `(`, returns the body up to the matching `)`.
-fn matching_paren_body(s: &str) -> Option<&str> {
-    let mut depth = 0i32;
-    for (i, c) in s.char_indices() {
-        match c {
-            '(' => depth += 1,
-            ')' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(&s[1..i]);
-                }
+fn is_punct(tokens: &[Token], k: usize, s: &str) -> bool {
+    tokens
+        .get(k)
+        .is_some_and(|t| t.kind == TokenKind::Punct && t.text == s)
+}
+
+/// True when `tokens[i..]` spells the `::`-separated `path` (`rand::random`
+/// is `rand` `:` `:` `random`).
+fn is_path(tokens: &[Token], i: usize, path: &str) -> bool {
+    let mut k = i;
+    for (n, segment) in path.split("::").enumerate() {
+        if n > 0 {
+            if !(is_punct(tokens, k, ":") && is_punct(tokens, k + 1, ":")) {
+                return false;
             }
-            _ => {}
+            k += 2;
         }
-    }
-    None
-}
-
-/// Splits a parameter list on top-level commas, yielding each parameter and
-/// its byte offset within the list.
-fn split_top_level(params: &str) -> Vec<(usize, &str)> {
-    let mut out = Vec::new();
-    let mut depth = 0i32;
-    let mut angle = 0i32;
-    let mut start = 0;
-    let bytes = params.as_bytes();
-    for (i, &b) in bytes.iter().enumerate() {
-        match b {
-            b'(' | b'[' => depth += 1,
-            b')' | b']' => depth -= 1,
-            b'<' => angle += 1,
-            b'>' if i == 0 || bytes[i - 1] != b'-' => angle -= 1,
-            b',' if depth == 0 && angle <= 0 => {
-                out.push((start, &params[start..i]));
-                start = i + 1;
-            }
-            _ => {}
+        if !tokens
+            .get(k)
+            .is_some_and(|t| t.kind == TokenKind::Ident && t.text == segment)
+        {
+            return false;
         }
+        k += 1;
     }
-    if start < params.len() {
-        out.push((start, &params[start..]));
-    }
-    out
-}
-
-/// Byte offset of the first occurrence of `word` bounded by non-identifier
-/// characters (scrubbed lines are ASCII-blanked, so byte == char offset).
-fn find_word(code: &str, word: &str) -> Option<usize> {
-    let mut from = 0;
-    while let Some(rel) = code[from..].find(word) {
-        let at = from + rel;
-        let before_ok = at == 0
-            || !code[..at]
-                .chars()
-                .next_back()
-                .is_some_and(|c| c.is_alphanumeric() || c == '_');
-        let after = at + word.len();
-        let after_ok = after >= code.len()
-            || !code[after..]
-                .chars()
-                .next()
-                .is_some_and(|c| c.is_alphanumeric() || c == '_');
-        if before_ok && after_ok {
-            return Some(at);
-        }
-        from = at + word.len();
-    }
-    None
-}
-
-/// True when `code` contains `word` bounded by non-identifier characters.
-#[cfg(test)]
-fn contains_word(code: &str, word: &str) -> bool {
-    find_word(code, word).is_some()
+    true
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lexer::lex;
-    use crate::source::scrub;
     use std::path::Path;
 
     fn run(src: &str) -> Vec<Violation> {
-        lint_file(Path::new("x.rs"), &scrub(src), &lex(src), true, None)
+        lint_file(Path::new("x.rs"), &lex(src), true, None)
+    }
+
+    fn ids(src: &str) -> Vec<LintId> {
+        run(src).iter().map(|v| v.lint).collect()
     }
 
     #[test]
     fn word_boundaries() {
-        assert!(contains_word("let r = thread_rng();", "thread_rng"));
-        assert!(!contains_word("let my_thread_rng_thing = 1;", "thread_rng"));
-        assert!(contains_word("x: f32,", "f32"));
-        assert!(!contains_word("xf32y", "f32"));
+        assert_eq!(
+            ids("fn f() { let r = thread_rng(); }\n"),
+            [LintId::RngDeterminism]
+        );
+        assert!(run("fn f() { let my_thread_rng_thing = 1; }\n").is_empty());
+        assert_eq!(
+            ids("fn f() { rand::random(); }\n"),
+            [LintId::RngDeterminism]
+        );
+        assert!(run("fn f() { rand::random_range(); my_rand::random(); }\n").is_empty());
+        assert_eq!(ids("fn f(x: f32) {}\n"), [LintId::FloatDiscipline]);
+        assert!(run("fn f(xf32y: u8) { let f32_bits = 1.5f32_x; }\n").is_empty());
     }
 
     #[test]
     fn float_literal_recognition() {
-        assert!(is_float_literal("1.0"));
-        assert!(is_float_literal("0.0f64"));
-        assert!(is_float_literal("1e-12"));
-        assert!(is_float_literal("3.0e8"));
-        assert!(!is_float_literal("0"));
-        assert!(!is_float_literal("x"));
-        assert!(!is_float_literal("0x1f"));
+        let float = |s: &str| is_float_number(&lex(s).tokens[0]);
+        for yes in ["1.0", "2.", "0.0f64", "1f64", "1e-12", "3.0e8"] {
+            assert!(float(yes), "{yes}");
+        }
+        for no in ["0", "4096", "1usize", "x", "0x1f", "0x1e3"] {
+            assert!(!float(no), "{no}");
+        }
     }
 
     #[test]
@@ -993,6 +838,14 @@ mod tests {
         assert_eq!((v[0].line, v[0].col), (1, 26));
         assert!(run("fn f(a: usize) -> bool { a == 0 }\n").is_empty());
         assert!(run("fn f(a: f64) -> bool { a <= 0.0 }\n").is_empty());
+        // `!=`, a negative literal, a literal on the left, a trailing dot.
+        let v = run("fn f(a: f64) -> bool { a != -1.0 || 2. == a || 1e-3 == a }\n");
+        let cols: Vec<_> = v.iter().map(|v| v.col).collect();
+        assert_eq!(cols, [26, 40, 53], "{v:#?}");
+        assert!(v[0].message.contains("`!=`"));
+        // Tuple fields are not literals; `=>` and `>=` are not equality.
+        assert!(run("fn f(t: (f64, (u8, u8))) -> bool { t.1.0 == t.1.1 }\n").is_empty());
+        assert!(run("fn f(a: f64) -> u8 { match a >= 1.0 { true => 1, _ => 0 } }\n").is_empty());
     }
 
     #[test]
@@ -1003,6 +856,12 @@ mod tests {
         assert_eq!(v[0].lint, LintId::UnitSafety);
         assert_eq!((v[0].line, v[0].col), (2, 5));
         assert_eq!((v[1].line, v[1].col), (3, 5));
+        // Generics, closures, array types and `mut` do not derail the split.
+        let src = "pub fn f<T: Fn(f64) -> f64>(g: T, a: [f64; 2], mut vdd: f64) {}\n";
+        let v = run(src);
+        assert_eq!(v.len(), 1, "{v:#?}");
+        assert_eq!((v[0].line, v[0].col), (1, 48));
+        assert!(v[0].message.contains("`vdd: f64`"));
     }
 
     #[test]
@@ -1027,7 +886,6 @@ mod tests {
         let src = "fn f(e: Energy) -> f64 { e.si_value() }\nfn g(x: f64) -> Energy { Energy::from_si(x) }\n";
         let v = lint_file(
             Path::new("crates/transport/src/x.rs"),
-            &scrub(src),
             &lex(src),
             false,
             None,
@@ -1048,17 +906,11 @@ mod tests {
             "crates/core/src/checkpoint.rs",
             "crates/spice/src/circuit.rs",
         ] {
-            let v = lint_file(Path::new(sanctioned), &scrub(src), &lex(src), false, None);
+            let v = lint_file(Path::new(sanctioned), &lex(src), false, None);
             assert!(v.is_empty(), "{sanctioned} should be sanctioned");
         }
         // checkpoint.rs is sanctioned; its siblings are not.
-        let v = lint_file(
-            Path::new("crates/core/src/fit.rs"),
-            &scrub(src),
-            &lex(src),
-            false,
-            None,
-        );
+        let v = lint_file(Path::new("crates/core/src/fit.rs"), &lex(src), false, None);
         assert_eq!(v.len(), 1);
         // Test code may assert on raw SI values.
         let test_src =
@@ -1087,7 +939,7 @@ mod tests {
 
     #[test]
     fn allow_suppresses_and_counts_as_used() {
-        let src = "fn f() {\n    // finrad-lint: allow(panic-freedom)\n    x.unwrap();\n}\n";
+        let src = "fn f() {\n    // finrad-lint: allow(panic-freedom)\n    x.pair_lut[0];\n}\n";
         assert!(run(src).is_empty());
     }
 
@@ -1098,12 +950,15 @@ mod tests {
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].lint, LintId::UnusedSuppression);
         assert_eq!((v[0].line, v[0].col), (1, 4));
+        // Directives in test code are not audited.
+        let src = "#[cfg(test)]\nmod tests {\n    // finrad-lint: allow(panic-freedom)\n    fn t() {}\n}\n";
+        assert!(run(src).is_empty());
     }
 
     #[test]
     fn trailing_allow_no_longer_covers_next_line() {
         let src =
-            "fn f() {\n    a.unwrap(); // finrad-lint: allow(panic-freedom)\n    b.unwrap();\n}\n";
+            "fn f() {\n    a.pair_lut[0]; // finrad-lint: allow(panic-freedom)\n    b.pair_lut[0];\n}\n";
         let v = run(src);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].lint, LintId::PanicFreedom);
@@ -1113,7 +968,7 @@ mod tests {
     #[test]
     fn test_code_is_exempt_from_panic_lints_not_rng() {
         let src =
-            "#[cfg(test)]\nmod tests {\n    fn t() { x.unwrap(); let r = thread_rng(); }\n}\n";
+            "#[cfg(test)]\nmod tests {\n    fn t() { x.pair_lut[0]; let r = thread_rng(); }\n}\n";
         let v = run(src);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].lint, LintId::RngDeterminism);

@@ -7,6 +7,6 @@ pub fn checked_sentinel(x: f64) -> bool {
     x == 0.0
 }
 
-pub fn head(values: &[f64]) -> f64 {
-    *values.first().unwrap() // finrad-lint: allow(panic-freedom)
+pub fn head(pair_lut: &[f64]) -> f64 {
+    pair_lut[0] // finrad-lint: allow(panic-freedom)
 }
