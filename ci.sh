@@ -7,11 +7,8 @@ cd "$(dirname "$0")"
 echo "==> cargo build --release --offline"
 cargo build --workspace --release --offline
 
-echo "==> cargo test -q --offline"
+echo "==> cargo test -q --offline (every doctest too, the finrad-units compile_fail suite included)"
 cargo test --workspace -q --offline
-
-echo "==> cargo test -p finrad-units --doc (dimensional compile_fail suite)"
-cargo test -q --offline -p finrad-units --doc
 
 echo "==> cargo test --features fault-injection (robustness suite)"
 cargo test -q --offline --features fault-injection --test fault_injection

@@ -34,11 +34,11 @@ use std::path::Path;
 
 /// The single supported checkpoint format version.
 ///
-/// The `checkpoint-schema-drift` lint fingerprints this file's non-test
-/// code and pins (fingerprint, version) in `xtask/lint-baseline.toml`:
-/// changing the (de)serialization logic without bumping this constant
-/// fails `cargo xtask lint`. After a deliberate format change, bump the
-/// version here and refresh the pin with `cargo xtask lint --fix-allowlist`.
+/// The test `golden_bytes_pin_the_format` pins the exact encoding of one
+/// checkpoint, this version's header line included, and that parsing
+/// those bytes gives the checkpoint back. An encoder or parser change
+/// fails it; after a deliberate format change, bump this version and
+/// re-pin the golden text.
 pub const CHECKPOINT_VERSION: u32 = 1;
 
 const MAGIC: &str = "finradckpt";
@@ -427,6 +427,32 @@ mod tests {
                 },
             ],
         }
+    }
+
+    /// `sample()` on disk. Resume is only safe if a checkpoint written by
+    /// one build reads back bit-exactly in the next, so these bytes are
+    /// the format.
+    const GOLDEN: &str = "finradckpt 1\n\
+        fingerprint deadbeef01234567\n\
+        particle Alpha\n\
+        vdd 3fe999999999999a\n\
+        bins 3\n\
+        bin 0 ok 3fc0000000000000 3fb999999999999a 3f9999999999999a 2 3d451c51ce3718e1 3f34f8b588e368f1\n\
+        bin 1 failed newton failed\\nat t = 1e-12\n\
+        checksum 64c722b309ce0c58\n";
+
+    #[test]
+    fn golden_bytes_pin_the_format() {
+        assert_eq!(
+            sample().to_text(),
+            GOLDEN,
+            "the checkpoint encoding changed: bump CHECKPOINT_VERSION and re-pin GOLDEN"
+        );
+        assert_eq!(
+            Checkpoint::parse(GOLDEN),
+            Ok(sample()),
+            "the checkpoint parser changed: bump CHECKPOINT_VERSION and re-pin GOLDEN"
+        );
     }
 
     #[test]

@@ -74,7 +74,7 @@ fn golden_strike_transient_bits() {
     ckt.add_mosfet(blb, wl, qb, nmos);
 
     let opts = NewtonOptions::default();
-    assert!(opts.jacobian_reuse, "the golden pins the chord path");
+    assert!(opts.max_jacobian_age > 0, "the golden pins the chord path");
     let guess = HashMap::from([
         (q, VDD),
         (qb, 0.0),

@@ -3,11 +3,8 @@
 //!
 //! Every file is read once, by the token lexer ([`lexer`]), which also
 //! captures the `// finrad-lint: allow(<id>)` directives. The gate runs in
-//! three phases. Phase 1 builds a
-//! [`index::WorkspaceIndex`] from three anchor files (the metric-key
-//! registry, the sanctioned RNG seed-derivation helpers, and the checkpoint
-//! codec). Phase 2 lints every file against ten per-file families (see
-//! [`lints`]):
+//! two phases. Phase 1 lints every file against nine per-file families
+//! (see [`lints`]):
 //!
 //! * `unit-safety` — public physics APIs must use `finrad-units` quantity
 //!   types, not bare `f64`, for dimensioned *parameters*. (Return types
@@ -21,16 +18,16 @@
 //! * `float-discipline` — no `f32`, and no `==`/`!=` against a float
 //!   literal.
 //! * `metrics-key-registry` — metric-key literals at Recorder call sites
-//!   must be declared in `crates/observe/src/keys.rs`.
+//!   must be declared in `crates/observe/src/keys.rs` (read from that
+//!   file's lexed tokens).
 //! * `seed-discipline` — RNG seed arithmetic only inside the sanctioned
-//!   helpers in `crates/numerics/src/rng.rs`.
+//!   helpers in `crates/numerics/src/rng.rs` (found in that file's own
+//!   tokens).
 //! * `shared-state-audit` — no `static mut`, `thread_local!`, or
 //!   `Ordering::Relaxed` in library code.
-//! * `checkpoint-schema-drift` — the checkpoint codec cannot change without
-//!   a `CHECKPOINT_VERSION` bump (fingerprint pinned in `xtask/lint-baseline.toml`).
 //! * `unused-suppression` — `allow(...)` directives must still fire.
 //!
-//! Phase 3 runs the flow-sensitive concurrency families (see [`flow`]),
+//! Phase 2 runs the flow-sensitive concurrency families (see [`flow`]),
 //! which build a control-flow graph per function ([`cfg`](mod@cfg)), solve a
 //! forward dataflow problem over it ([`dataflow`]), and reason across
 //! files through a name-keyed function index:
@@ -45,8 +42,8 @@
 //!
 //! Every family is zero-tolerance: the gate prints each diagnostic and
 //! fails on any. The one escape is a documented
-//! `// finrad-lint: allow(<id>)` at the site; the only other input is the
-//! checkpoint schema pin in `xtask/lint-baseline.toml` (see [`baseline`]).
+//! `// finrad-lint: allow(<id>)` at the site; the gate has no other input
+//! and no options.
 //!
 //! Rules clippy already checks are clippy's, not this crate's: each scanned
 //! crate root enables `unwrap_used`, `expect_used`, `panic`, `todo`,
@@ -59,31 +56,27 @@
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 
-pub mod baseline;
 pub mod cfg;
 pub mod dataflow;
 pub mod flow;
-pub mod index;
 pub mod lexer;
 pub mod lints;
 
 use std::io;
 use std::path::{Path, PathBuf};
 
-use index::WorkspaceIndex;
-use lints::{Violation, UNIT_SAFETY_CRATES};
+use lints::{KeyRegistry, Violation, KEYS_FILE, UNIT_SAFETY_CRATES};
 
-/// Lints one file's source text. Without a workspace `index` the
-/// metric-key family is skipped and the seed family has no sanctioned
-/// regions. `rel_path` is used for reporting and for the path-scoped
-/// families; `unit_safety` gates the unit-safety family.
+/// Lints one file's source text. Without a `keys` registry the metric-key
+/// family is skipped. `rel_path` is used for reporting and for the
+/// path-scoped families; `unit_safety` gates the unit-safety family.
 pub fn lint_file_source(
     rel_path: &Path,
     text: &str,
     unit_safety: bool,
-    index: Option<&WorkspaceIndex>,
+    keys: Option<&KeyRegistry>,
 ) -> Vec<Violation> {
-    lints::lint_file(rel_path, &lexer::lex(text), unit_safety, index)
+    lints::lint_file(rel_path, &lexer::lex(text), unit_safety, keys)
 }
 
 /// Result of scanning a source tree.
@@ -92,19 +85,21 @@ pub struct ScanResult {
     /// Number of `.rs` files linted.
     pub files_scanned: usize,
     /// All per-file *and* flow-family violations, ordered by (file, line,
-    /// col). The workspace-level `checkpoint-schema-drift` check is *not*
-    /// included — it needs the recorded pin, so the caller runs
-    /// [`lints::checkpoint_drift`] against `index`.
+    /// col).
     pub violations: Vec<Violation>,
-    /// The phase-1 symbol index the lints ran against.
-    pub index: WorkspaceIndex,
+    /// The metric-key registry read from [`KEYS_FILE`].
+    pub keys: KeyRegistry,
 }
 
 /// Scans the workspace rooted at `root`: the facade crate's `src/` plus
 /// every `crates/*/src/` except `crates/xtask` itself. Binary targets
 /// (`src/bin/`) are skipped — the lint families target *library* code.
+///
+/// # Errors
+///
+/// I/O errors reading the tree; a tree without [`KEYS_FILE`] is an error
+/// too, since the metric-key family would be vacuous without it.
 pub fn scan_tree(root: &Path) -> io::Result<ScanResult> {
-    let index = index::build(root)?;
     let mut files: Vec<(PathBuf, bool)> = Vec::new();
 
     let facade = root.join("src");
@@ -132,23 +127,36 @@ pub fn scan_tree(root: &Path) -> io::Result<ScanResult> {
     }
     files.sort();
 
-    // Pass 1: lex everything, collect raw per-file violations.
     let mut units: Vec<flow::FileUnit> = Vec::with_capacity(files.len());
-    let mut raw: Vec<Vec<Violation>> = Vec::with_capacity(files.len());
-    for (path, unit_safety) in &files {
+    for (path, _) in &files {
         let text = std::fs::read_to_string(path)?;
         let rel = path.strip_prefix(root).unwrap_or(path).to_path_buf();
-        let lexed = lexer::lex(&text);
-        raw.push(lints::lint_file_raw(
-            &rel,
-            &lexed,
-            *unit_safety,
-            Some(&index),
-        ));
-        units.push(flow::FileUnit { path: rel, lexed });
+        units.push(flow::FileUnit {
+            path: rel,
+            lexed: lexer::lex(&text),
+        });
     }
+    let keys = units
+        .iter()
+        .find(|u| u.path == Path::new(KEYS_FILE))
+        .map(|u| KeyRegistry::from_lexed(&u.lexed))
+        .ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::NotFound,
+                format!("metric-key registry {KEYS_FILE} not found"),
+            )
+        })?;
 
-    // Pass 2: the whole-workspace flow families, merged into the owning
+    // Phase 1: raw per-file violations.
+    let mut raw: Vec<Vec<Violation>> = units
+        .iter()
+        .zip(&files)
+        .map(|(u, (_, unit_safety))| {
+            lints::lint_file_raw(&u.path, &u.lexed, *unit_safety, Some(&keys))
+        })
+        .collect();
+
+    // Phase 2: the whole-workspace flow families, merged into the owning
     // file's raw list so `allow(...)` directives apply uniformly.
     for v in flow::analyze(&units) {
         if let Some(i) = units.iter().position(|u| u.path == v.file) {
@@ -168,7 +176,7 @@ pub fn scan_tree(root: &Path) -> io::Result<ScanResult> {
     Ok(ScanResult {
         files_scanned: files.len(),
         violations,
-        index,
+        keys,
     })
 }
 

@@ -1,8 +1,11 @@
 //! The lint families.
 //!
 //! Per-file lints match token patterns over a [`LexedFile`], so comments
-//! and literals can never produce false positives. The cross-file families
-//! additionally consult the phase-1 [`WorkspaceIndex`]. All lints honour
+//! and literals can never produce false positives. `metrics-key-registry`
+//! checks call sites against the [`KeyRegistry`] read from the lexed
+//! `crates/observe/src/keys.rs`; `seed-discipline` finds its sanctioned
+//! helper bodies in `crates/numerics/src/rng.rs`'s own tokens while it
+//! lints that file. All lints honour
 //! `// finrad-lint: allow(<id>)` on the violation line, or on the line
 //! above when the directive is a standalone comment; directives that
 //! suppress nothing are themselves reported by the `unused-suppression`
@@ -11,10 +14,10 @@
 //! Every violation carries the 1-indexed (line, col) span of the offending
 //! token, with columns measured in characters of the original line.
 
+use std::collections::BTreeSet;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use crate::index::{WorkspaceIndex, CHECKPOINT_FILE};
 use crate::lexer::{LexedFile, Token, TokenKind};
 
 /// Identifier of a lint family.
@@ -42,10 +45,6 @@ pub enum LintId {
     /// `static mut`, `thread_local!`, and `Ordering::Relaxed` in library
     /// code — shared-state hazards for the parallel Monte-Carlo paths.
     SharedStateAudit,
-    /// The checkpoint (de)serialization region changed without a
-    /// `CHECKPOINT_VERSION` bump (fingerprint pinned in
-    /// `xtask/lint-baseline.toml`).
-    CheckpointSchemaDrift,
     /// An `allow(...)` directive that no longer suppresses anything.
     UnusedSuppression,
     /// A cycle in the workspace lock-acquisition-order graph (potential
@@ -73,7 +72,6 @@ impl LintId {
             LintId::MetricsKeyRegistry => "metrics-key-registry",
             LintId::SeedDiscipline => "seed-discipline",
             LintId::SharedStateAudit => "shared-state-audit",
-            LintId::CheckpointSchemaDrift => "checkpoint-schema-drift",
             LintId::UnusedSuppression => "unused-suppression",
             LintId::LockOrderAudit => "lock-order-audit",
             LintId::GuardLifetimeAudit => "guard-lifetime-audit",
@@ -82,7 +80,7 @@ impl LintId {
     }
 
     /// Every lint family, in reporting order.
-    pub const ALL: [LintId; 13] = [
+    pub const ALL: [LintId; 12] = [
         LintId::UnitSafety,
         LintId::RawEscapeAudit,
         LintId::RngDeterminism,
@@ -91,7 +89,6 @@ impl LintId {
         LintId::MetricsKeyRegistry,
         LintId::SeedDiscipline,
         LintId::SharedStateAudit,
-        LintId::CheckpointSchemaDrift,
         LintId::UnusedSuppression,
         LintId::LockOrderAudit,
         LintId::GuardLifetimeAudit,
@@ -148,18 +145,15 @@ pub const UNIT_SAFETY_CRATES: [&str; 6] = [
 /// Runs every per-file lint family over one file and applies suppression.
 ///
 /// `unit_safety` gates the unit-safety family (it only applies to the
-/// physics crates in [`UNIT_SAFETY_CRATES`]). `index` enables the
-/// cross-file families; without it the metric-key lint is skipped and the
-/// seed lint has no sanctioned regions (fine for fixtures outside
-/// `rng.rs`). Checkpoint drift is a workspace-level check and is reported
-/// by [`checkpoint_drift`], not here.
+/// physics crates in [`UNIT_SAFETY_CRATES`]). Without a `keys` registry
+/// the metric-key family is skipped.
 pub fn lint_file(
     path: &Path,
     lexed: &LexedFile,
     unit_safety: bool,
-    index: Option<&WorkspaceIndex>,
+    keys: Option<&KeyRegistry>,
 ) -> Vec<Violation> {
-    let out = lint_file_raw(path, lexed, unit_safety, index);
+    let out = lint_file_raw(path, lexed, unit_safety, keys);
     let mut out = apply_suppressions(path, lexed, out);
     out.sort_by_key(|v| (v.line, v.col, v.lint));
     out
@@ -174,7 +168,7 @@ pub fn lint_file_raw(
     path: &Path,
     lexed: &LexedFile,
     unit_safety: bool,
-    index: Option<&WorkspaceIndex>,
+    keys: Option<&KeyRegistry>,
 ) -> Vec<Violation> {
     let mut out = Vec::new();
     if unit_safety {
@@ -184,10 +178,10 @@ pub fn lint_file_raw(
     lint_rng_determinism(path, lexed, &mut out);
     lint_panic_freedom(path, lexed, &mut out);
     lint_float_discipline(path, lexed, &mut out);
-    if let Some(index) = index {
-        lint_metrics_keys(path, lexed, index, &mut out);
+    if let Some(keys) = keys {
+        lint_metrics_keys(path, lexed, keys, &mut out);
     }
-    lint_seed_discipline(path, lexed, index, &mut out);
+    lint_seed_discipline(path, lexed, &mut out);
     lint_shared_state(path, lexed, &mut out);
     out
 }
@@ -232,7 +226,7 @@ pub fn apply_suppressions(path: &Path, lexed: &LexedFile, raw: Vec<Violation>) -
 // rng-determinism
 // ---------------------------------------------------------------------------
 
-const RNG_FORBIDDEN: [(&str, &str); 4] = [
+const RNG_FORBIDDEN: [(&str, &str); 5] = [
     (
         "thread_rng",
         "entropy-seeded RNG breaks Monte-Carlo reproducibility",
@@ -248,6 +242,10 @@ const RNG_FORBIDDEN: [(&str, &str); 4] = [
     (
         "rand::random",
         "implicit thread-local RNG breaks Monte-Carlo reproducibility",
+    ),
+    (
+        "getrandom",
+        "OS-entropy seeds break Monte-Carlo reproducibility",
     ),
 ];
 
@@ -373,15 +371,86 @@ fn is_float_number(tok: &Token) -> bool {
 // metrics-key-registry
 // ---------------------------------------------------------------------------
 
+/// Workspace-relative path of the metric-key registry.
+pub const KEYS_FILE: &str = "crates/observe/src/keys.rs";
+
 /// Recorder entry points whose first argument is a metric key.
 const RECORDER_CALLS: [&str; 3] = ["counter_add", "record", "span"];
 
-fn lint_metrics_keys(
-    path: &Path,
-    lexed: &LexedFile,
-    index: &WorkspaceIndex,
-    out: &mut Vec<Violation>,
-) {
+/// The metric keys declared in [`KEYS_FILE`]. `pub const NAME: &str =
+/// "...";` declares an exact key; a constant whose name ends in `_PREFIX`
+/// declares a key *prefix* (call sites compose the tail at runtime, e.g.
+/// the SPICE recovery-rung names).
+#[derive(Debug, Default)]
+pub struct KeyRegistry {
+    /// Exact declared keys.
+    pub keys: BTreeSet<String>,
+    /// Declared key prefixes.
+    pub prefixes: Vec<String>,
+}
+
+impl KeyRegistry {
+    /// Reads the `const NAME: &str = "...";` declarations of a lexed
+    /// registry file.
+    pub fn from_lexed(lexed: &LexedFile) -> Self {
+        let mut registry = KeyRegistry::default();
+        for w in lexed.tokens.windows(7) {
+            let is_decl = w[0].kind == TokenKind::Ident
+                && w[0].text == "const"
+                && w[1].kind == TokenKind::Ident
+                && w[2].text == ":"
+                && w[3].text == "&"
+                && w[4].text == "str"
+                && w[5].text == "="
+                && w[6].kind == TokenKind::Str;
+            if !is_decl {
+                continue;
+            }
+            let value = w[6].text.clone();
+            if w[1].text.ends_with("_PREFIX") {
+                registry.prefixes.push(value);
+            } else {
+                registry.keys.insert(value);
+            }
+        }
+        registry
+    }
+
+    /// True when `key` is declared exactly or composed from a declared
+    /// prefix.
+    fn is_declared(&self, key: &str) -> bool {
+        self.keys.contains(key) || self.prefixes.iter().any(|p| key.starts_with(p.as_str()))
+    }
+
+    /// The declared key closest to `key` by edit distance, for "did you
+    /// mean" hints.
+    fn nearest(&self, key: &str) -> Option<&str> {
+        self.keys
+            .iter()
+            .map(|k| (edit_distance(key, k), k.as_str()))
+            .min()
+            .map(|(_, k)| k)
+    }
+}
+
+/// Levenshtein distance, small-string implementation for typo hints.
+fn edit_distance(a: &str, b: &str) -> usize {
+    let a: Vec<char> = a.chars().collect();
+    let b: Vec<char> = b.chars().collect();
+    let mut prev: Vec<usize> = (0..=b.len()).collect();
+    for (i, &ca) in a.iter().enumerate() {
+        let mut cur = vec![i + 1];
+        for (j, &cb) in b.iter().enumerate() {
+            let sub = prev[j] + usize::from(ca != cb);
+            let best = sub.min(prev[j + 1] + 1).min(cur[j] + 1);
+            cur.push(best);
+        }
+        prev = cur;
+    }
+    prev.last().copied().unwrap_or(usize::MAX)
+}
+
+fn lint_metrics_keys(path: &Path, lexed: &LexedFile, keys: &KeyRegistry, out: &mut Vec<Violation>) {
     for w in lexed.tokens.windows(3) {
         let is_keyed_call = w[0].kind == TokenKind::Ident
             && RECORDER_CALLS.contains(&w[0].text.as_str())
@@ -391,10 +460,10 @@ fn lint_metrics_keys(
             continue;
         }
         let key = &w[2].text;
-        if index.key_is_declared(key) {
+        if keys.is_declared(key) {
             continue;
         }
-        let hint = match index.nearest_key(key) {
+        let hint = match keys.nearest(key) {
             Some(near) => format!("; did you mean `{near}`?"),
             None => String::new(),
         };
@@ -404,7 +473,7 @@ fn lint_metrics_keys(
             line: w[2].line,
             col: w[2].col,
             message: format!(
-                "metric key \"{key}\" is not declared in crates/observe/src/keys.rs — undeclared keys silently vanish from BENCH trajectories{hint}"
+                "metric key \"{key}\" is not declared in {KEYS_FILE} — undeclared keys silently vanish from BENCH trajectories{hint}"
             ),
         });
     }
@@ -425,14 +494,62 @@ const SEED_ARITH_METHODS: [&str; 6] = [
 ];
 const SEED_ARITH_OPS: [char; 9] = ['^', '+', '-', '*', '/', '%', '&', '|', '<'];
 
-fn lint_seed_discipline(
-    path: &Path,
-    lexed: &LexedFile,
-    index: Option<&WorkspaceIndex>,
-    out: &mut Vec<Violation>,
-) {
-    let sanctioned = |line: usize| index.is_some_and(|ix| ix.line_is_seed_sanctioned(path, line));
+/// Workspace-relative path of the RNG module holding the sanctioned
+/// seed-derivation helpers.
+pub const RNG_FILE: &str = "crates/numerics/src/rng.rs";
+/// Constructor names whose bodies in [`RNG_FILE`] may derive seeds from
+/// arithmetic.
+const SEED_HELPER_FNS: [&str; 4] = ["seed_from_u64", "from_state", "stream", "salted_stream"];
+
+/// The `(first_line, last_line)` span of every seed-helper function body
+/// (signature line through closing brace) in `tokens`.
+pub fn seed_helper_spans(tokens: &[Token]) -> Vec<(usize, usize)> {
+    let mut spans = Vec::new();
+    let mut k = 0;
+    while k + 1 < tokens.len() {
+        let is_helper_fn = tokens[k].kind == TokenKind::Ident
+            && tokens[k].text == "fn"
+            && SEED_HELPER_FNS.contains(&tokens[k + 1].text.as_str());
+        if !is_helper_fn {
+            k += 1;
+            continue;
+        }
+        let first_line = tokens[k].line;
+        // Walk to the body's opening brace, then to its matching close.
+        let mut j = k + 2;
+        while j < tokens.len() && tokens[j].text != "{" {
+            j += 1;
+        }
+        let mut depth = 0i64;
+        let mut last_line = first_line;
+        while j < tokens.len() {
+            match tokens[j].text.as_str() {
+                "{" => depth += 1,
+                "}" => {
+                    depth -= 1;
+                    if depth == 0 {
+                        last_line = tokens[j].line;
+                        break;
+                    }
+                }
+                _ => {}
+            }
+            j += 1;
+        }
+        spans.push((first_line, last_line));
+        k = j.max(k + 1);
+    }
+    spans
+}
+
+fn lint_seed_discipline(path: &Path, lexed: &LexedFile, out: &mut Vec<Violation>) {
     let tokens = &lexed.tokens;
+    let helpers = if path == Path::new(RNG_FILE) {
+        seed_helper_spans(tokens)
+    } else {
+        Vec::new()
+    };
+    let sanctioned = |line: usize| helpers.iter().any(|&(lo, hi)| (lo..=hi).contains(&line));
     for (i, tok) in tokens.iter().enumerate() {
         if tok.in_test || tok.kind != TokenKind::Ident || sanctioned(tok.line) {
             continue;
@@ -540,54 +657,6 @@ fn lint_shared_state(path: &Path, lexed: &LexedFile, out: &mut Vec<Violation>) {
             }
             _ => {}
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// checkpoint-schema-drift
-// ---------------------------------------------------------------------------
-
-/// Compares the live checkpoint schema in `index` against the
-/// `(fingerprint, format-version)` pair pinned in `xtask/lint-baseline.toml`. Returns
-/// workspace-level violations anchored at the `CHECKPOINT_VERSION`
-/// constant.
-pub fn checkpoint_drift(index: &WorkspaceIndex, recorded: Option<(u64, u32)>) -> Vec<Violation> {
-    let file = PathBuf::from(CHECKPOINT_FILE);
-    let Some(schema) = &index.checkpoint else {
-        return vec![Violation {
-            lint: LintId::CheckpointSchemaDrift,
-            file,
-            line: 1,
-            col: 1,
-            message: "`CHECKPOINT_VERSION: u32` constant not found; the checkpoint codec must declare its format version"
-                .to_string(),
-        }];
-    };
-    let at = |message: String| Violation {
-        lint: LintId::CheckpointSchemaDrift,
-        file: file.clone(),
-        line: schema.version_line,
-        col: schema.version_col,
-        message,
-    };
-    match recorded {
-        None => vec![at(
-            "no recorded checkpoint schema fingerprint in xtask/lint-baseline.toml; run `cargo xtask lint --fix-allowlist` to record it"
-                .to_string(),
-        )],
-        Some((fp, ver)) if fp != schema.fingerprint && ver == schema.version => vec![at(format!(
-            "checkpoint (de)serialization code changed (fingerprint {:016x} -> {:016x}) without a CHECKPOINT_VERSION bump; bump the version and refresh with `cargo xtask lint --fix-allowlist`",
-            fp, schema.fingerprint
-        ))],
-        Some((fp, _)) if fp != schema.fingerprint => vec![at(format!(
-            "CHECKPOINT_VERSION bumped to {}; refresh the recorded schema fingerprint with `cargo xtask lint --fix-allowlist`",
-            schema.version
-        ))],
-        Some((_, ver)) if ver != schema.version => vec![at(format!(
-            "recorded format-version {} does not match CHECKPOINT_VERSION {}; refresh with `cargo xtask lint --fix-allowlist`",
-            ver, schema.version
-        ))],
-        Some(_) => Vec::new(),
     }
 }
 
@@ -995,23 +1064,35 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_drift_states() {
-        use crate::index;
-        let src = "pub const CHECKPOINT_VERSION: u32 = 2;\nfn save() -> u64 { 41 }\n";
-        let ix = index::from_sources("", "", Some(src));
-        let schema = ix.checkpoint.clone().expect("schema");
-        assert!(checkpoint_drift(&ix, Some((schema.fingerprint, 2))).is_empty());
-        let drifted = checkpoint_drift(&ix, Some((schema.fingerprint ^ 1, 2)));
-        assert_eq!(drifted.len(), 1);
-        assert!(drifted[0]
-            .message
-            .contains("without a CHECKPOINT_VERSION bump"));
-        assert_eq!(drifted[0].line, schema.version_line);
-        let bumped = checkpoint_drift(&ix, Some((schema.fingerprint ^ 1, 1)));
-        assert!(bumped[0]
-            .message
-            .contains("refresh the recorded schema fingerprint"));
-        let unrecorded = checkpoint_drift(&ix, None);
-        assert!(unrecorded[0].message.contains("no recorded checkpoint"));
+    fn keys_and_prefixes_are_extracted() {
+        let src = "pub const STRIKE_ITERATIONS: &str = \"core.strike.iterations\";\npub const SPICE_RECOVERY_RUNG_PREFIX: &str = \"spice.recovery.rung.\";\n";
+        let keys = KeyRegistry::from_lexed(&lex(src));
+        assert!(keys.is_declared("core.strike.iterations"));
+        assert!(keys.is_declared("spice.recovery.rung.gmin-stepping.ok"));
+        assert!(!keys.is_declared("core.strike.iterationz"));
+        assert_eq!(
+            keys.nearest("core.strike.iterationz"),
+            Some("core.strike.iterations")
+        );
+    }
+
+    #[test]
+    fn seed_helper_spans_cover_bodies_only() {
+        let src = "impl X {\n    pub fn stream(s: u64, c: u64) -> Self {\n        Self::seed_from_u64(s ^ c)\n    }\n    pub fn other(s: u64, c: u64) -> Self {\n        Self::seed_from_u64(s ^ c)\n    }\n}\n";
+        assert_eq!(seed_helper_spans(&lex(src).tokens), [(2, 4)]);
+        let lines = |path: &str| -> Vec<(LintId, usize)> {
+            lint_file(Path::new(path), &lex(src), false, None)
+                .iter()
+                .map(|v| (v.lint, v.line))
+                .collect()
+        };
+        // In rng.rs the helper body (line 3) is sanctioned; the same call
+        // outside it (line 6) is not.
+        assert_eq!(lines(RNG_FILE), [(LintId::SeedDiscipline, 6)]);
+        // Any other file has no sanctioned helper bodies.
+        assert_eq!(
+            lines("crates/core/src/x.rs"),
+            [(LintId::SeedDiscipline, 3), (LintId::SeedDiscipline, 6)]
+        );
     }
 }

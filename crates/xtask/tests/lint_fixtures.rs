@@ -5,8 +5,7 @@
 use std::path::{Path, PathBuf};
 
 use xtask::flow::FileUnit;
-use xtask::index::{self, WorkspaceIndex};
-use xtask::lints::{self, LintId, Violation};
+use xtask::lints::{self, KeyRegistry, LintId, Violation};
 
 fn read_fixture(name: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -26,15 +25,17 @@ fn workspace_root() -> &'static Path {
         .expect("workspace root")
 }
 
-/// Lints a fixture against the *real* workspace index, so the declared
-/// metric-key set comes from `crates/observe/src/keys.rs`.
-fn lint_fixture_indexed(name: &str) -> (Vec<Violation>, WorkspaceIndex) {
-    let index = index::build(workspace_root()).expect("index build");
-    let v = xtask::lint_file_source(Path::new(name), &read_fixture(name), true, Some(&index));
-    (v, index)
+/// Lints a fixture against the *real* metric-key registry,
+/// `crates/observe/src/keys.rs`.
+fn lint_fixture_with_keys(name: &str) -> (Vec<Violation>, KeyRegistry) {
+    let registry = std::fs::read_to_string(workspace_root().join(lints::KEYS_FILE))
+        .expect("read the metric-key registry");
+    let keys = KeyRegistry::from_lexed(&xtask::lexer::lex(&registry));
+    let v = xtask::lint_file_source(Path::new(name), &read_fixture(name), true, Some(&keys));
+    (v, keys)
 }
 
-/// Runs the flow-sensitive (phase-3) families over one fixture, through
+/// Runs the flow-sensitive (phase-2) families over one fixture, through
 /// the same suppression pass `scan_tree` applies — so `allow(...)`
 /// directives in flow fixtures behave exactly as they do in real code.
 fn flow_fixture(name: &str) -> Vec<Violation> {
@@ -74,10 +75,13 @@ fn raw_escape_fixture() {
 #[test]
 fn rng_determinism_fixture() {
     let v = lint_fixture("rng_determinism.rs");
-    assert_eq!(v.len(), 1, "{v:#?}");
-    assert_eq!(v[0].lint, LintId::RngDeterminism);
+    assert_eq!(v.len(), 2, "{v:#?}");
+    assert!(v.iter().all(|v| v.lint == LintId::RngDeterminism));
     assert_eq!(v[0].line, 4);
     assert!(v[0].message.contains("thread_rng"));
+    // OS-entropy seeding through the `getrandom` crate, span on the path.
+    assert_eq!((v[1].line, v[1].col), (10, 5));
+    assert!(v[1].message.contains("getrandom"));
 }
 
 #[test]
@@ -122,21 +126,16 @@ fn clean_fixture_stays_clean() {
 
 #[test]
 fn metrics_key_registry_fixture() {
-    let (v, index) = lint_fixture_indexed("metric_keys.rs");
-    // The index must resolve the declared key set from the real registry.
-    assert!(index.metric_keys.contains("core.strike.iterations"));
-    assert!(index
-        .metric_key_prefixes
-        .iter()
-        .any(|p| p == "spice.recovery.rung."));
+    let (v, keys) = lint_fixture_with_keys("metric_keys.rs");
+    // The declared key set comes from the real registry.
+    assert!(keys.keys.contains("core.strike.iterations"));
+    assert!(keys.prefixes.iter().any(|p| p == "spice.recovery.rung."));
     // The round-2 hot-path keys are part of the real registry, so the
     // fixture's uses of them must not fire.
-    assert!(index.metric_keys.contains("spice.newton.jacobian_reuses"));
-    assert!(index.metric_keys.contains("spice.newton.refactorizations"));
-    assert!(index
-        .metric_keys
-        .contains("spice.transient.lte_step_growths"));
-    assert!(index.metric_keys.contains("finfet.model.batched_evals"));
+    assert!(keys.keys.contains("spice.newton.jacobian_reuses"));
+    assert!(keys.keys.contains("spice.newton.refactorizations"));
+    assert!(keys.keys.contains("spice.transient.lte_step_growths"));
+    assert!(keys.keys.contains("finfet.model.batched_evals"));
     // Declared key (line 5), prefix-composed key (line 9) and the round-2
     // keys (lines 17-20) pass; only the typo'd key fires, with the span on
     // the string literal.
@@ -154,10 +153,10 @@ fn metrics_key_registry_fixture() {
 
 #[test]
 fn service_keys_fixture() {
-    let (v, index) = lint_fixture_indexed("service_keys.rs");
+    let (v, keys) = lint_fixture_with_keys("service_keys.rs");
     // The campaign-service namespace is part of the real registry.
-    assert!(index.metric_keys.contains("core.service.cache_hits"));
-    assert!(index.metric_keys.contains("core.service.bins_quarantined"));
+    assert!(keys.keys.contains("core.service.cache_hits"));
+    assert!(keys.keys.contains("core.service.bins_quarantined"));
     // The registered key (line 6) passes; only the unregistered one fires.
     assert_eq!(v.len(), 1, "{v:#?}");
     assert_eq!(v[0].lint, LintId::MetricsKeyRegistry);
@@ -167,7 +166,7 @@ fn service_keys_fixture() {
 
 #[test]
 fn seed_discipline_fixture() {
-    let (v, _) = lint_fixture_indexed("seed_discipline.rs");
+    let (v, _) = lint_fixture_with_keys("seed_discipline.rs");
     assert_eq!(v.len(), 1, "{v:#?}");
     assert_eq!(v[0].lint, LintId::SeedDiscipline);
     // The ad-hoc derivation on line 15; span on the `seed_from_u64` call.
@@ -176,7 +175,7 @@ fn seed_discipline_fixture() {
 
 #[test]
 fn shared_state_fixture() {
-    let (v, _) = lint_fixture_indexed("shared_state.rs");
+    let (v, _) = lint_fixture_with_keys("shared_state.rs");
     assert_eq!(v.len(), 3, "{v:#?}");
     assert!(v.iter().all(|v| v.lint == LintId::SharedStateAudit));
     assert_eq!((v[0].line, v[0].col), (6, 5));
@@ -189,7 +188,7 @@ fn shared_state_fixture() {
 
 #[test]
 fn unused_suppression_fixture() {
-    let (v, _) = lint_fixture_indexed("unused_suppression.rs");
+    let (v, _) = lint_fixture_with_keys("unused_suppression.rs");
     assert_eq!(v.len(), 1, "{v:#?}");
     assert_eq!(v[0].lint, LintId::UnusedSuppression);
     // The stale standalone directive on line 9, span on the directive text.
@@ -262,52 +261,6 @@ fn lexer_edges_fixture_stays_clean() {
 }
 
 #[test]
-fn checkpoint_drift_fires_on_unbumped_serializer_edit() {
-    let keys = read_fixture("../../../observe/src/keys.rs");
-    let v1 = "pub const CHECKPOINT_VERSION: u32 = 1;\n\
-              pub fn to_text(x: u64) -> u64 { x.wrapping_mul(3) }\n";
-    let v1_edited = "pub const CHECKPOINT_VERSION: u32 = 1;\n\
-              pub fn to_text(x: u64) -> u64 { x.wrapping_mul(5) }\n";
-    let v2_edited = "pub const CHECKPOINT_VERSION: u32 = 2;\n\
-              pub fn to_text(x: u64) -> u64 { x.wrapping_mul(5) }\n";
-
-    let schema_of = |src: &str| {
-        index::from_sources(&keys, "", Some(src))
-            .checkpoint
-            .clone()
-            .expect("fixture declares CHECKPOINT_VERSION")
-    };
-    let recorded = schema_of(v1);
-    let pin = Some((recorded.fingerprint, recorded.version));
-
-    // Unchanged codec: quiet.
-    assert!(lints::checkpoint_drift(&index::from_sources(&keys, "", Some(v1)), pin).is_empty());
-
-    // Serializer edited, version NOT bumped: the drift lint fails with a
-    // span on the version constant.
-    let drifted = lints::checkpoint_drift(&index::from_sources(&keys, "", Some(v1_edited)), pin);
-    assert_eq!(drifted.len(), 1, "{drifted:#?}");
-    assert_eq!(drifted[0].lint, LintId::CheckpointSchemaDrift);
-    assert!(drifted[0]
-        .message
-        .contains("without a CHECKPOINT_VERSION bump"));
-    assert_eq!((drifted[0].line, drifted[0].col), (1, 37));
-
-    // Serializer edited WITH a version bump: the lint asks for a pin
-    // refresh (`--fix-allowlist`) instead of rejecting the edit.
-    let bumped = lints::checkpoint_drift(&index::from_sources(&keys, "", Some(v2_edited)), pin);
-    assert_eq!(bumped.len(), 1, "{bumped:#?}");
-    assert!(bumped[0].message.contains("refresh the recorded schema"));
-    // And refreshing the pin silences it.
-    let refreshed = schema_of(v2_edited);
-    assert!(lints::checkpoint_drift(
-        &index::from_sources(&keys, "", Some(v2_edited)),
-        Some((refreshed.fingerprint, refreshed.version)),
-    )
-    .is_empty());
-}
-
-#[test]
 fn scan_tree_skips_xtask_and_reports_relative_paths() {
     let scan = xtask::scan_tree(workspace_root()).expect("scan");
     assert!(scan.files_scanned > 20, "only {} files", scan.files_scanned);
@@ -316,21 +269,16 @@ fn scan_tree_skips_xtask_and_reports_relative_paths() {
         .iter()
         .all(|v| !v.file.starts_with("crates/xtask")));
     assert!(scan.violations.iter().all(|v| v.file.is_relative()));
-    // The index phase resolved real symbols.
-    assert!(!scan.index.metric_keys.is_empty());
-    assert!(!scan.index.seed_sanctioned.is_empty());
-    assert!(scan.index.checkpoint.is_some());
+    // The cross-file families resolved real symbols: the key registry and
+    // the sanctioned seed-helper bodies.
+    assert!(!scan.keys.keys.is_empty());
+    let rng = std::fs::read_to_string(workspace_root().join(lints::RNG_FILE)).expect("read rng.rs");
+    assert!(!lints::seed_helper_spans(&xtask::lexer::lex(&rng).tokens).is_empty());
     // The repo-wide policy, the same one `cargo xtask lint` enforces: no
-    // diagnostic of any family survives the in-source allow() directives,
-    // and the checkpoint codec matches its committed pin.
-    let pin = xtask::baseline::Baseline::load(workspace_root()).expect("checkpoint pin");
-    let mut all = scan.violations;
-    all.extend(lints::checkpoint_drift(
-        &scan.index,
-        pin.checkpoint_schema(),
-    ));
+    // diagnostic of any family survives the in-source allow() directives.
     assert!(
-        all.is_empty(),
-        "the tree carries lint diagnostics: {all:#?}"
+        scan.violations.is_empty(),
+        "the tree carries lint diagnostics: {:#?}",
+        scan.violations
     );
 }
