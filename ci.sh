@@ -19,6 +19,9 @@ cargo test -q --offline --features fault-injection --test service_supervision
 echo "==> campaign service smoke example (under fault injection)"
 cargo run -q --offline --release --features fault-injection --example campaign_service
 
+echo "==> Figs. 9-11 at quick scale (one shared sweep)"
+cargo run --release --offline -q -p finrad-bench --bin reproduce > /dev/null
+
 echo "==> end-to-end benchmark smoke test (every workload pinned to e2ebench/reference.txt)"
 cargo test --release --offline --manifest-path e2ebench/Cargo.toml
 

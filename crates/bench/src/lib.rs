@@ -3,7 +3,9 @@
 //!
 //! Every figure of the paper's evaluation section has a binary in
 //! `src/bin/` that prints the corresponding series (normalized the same
-//! way the paper normalizes). Two run scales are supported:
+//! way the paper normalizes); Figs. 9–11 share one sweep, so one binary,
+//! `reproduce`, prints all three from [`SweepFigures`]. Two run scales are
+//! supported:
 //!
 //! * **quick** (default) — minutes-scale, statistically coarser; enough to
 //!   verify every trend.
@@ -26,7 +28,10 @@
 )]
 #![deny(rust_2018_idioms)]
 
+pub mod figures;
 pub mod harness;
+
+pub use figures::SweepFigures;
 
 use finrad_core::pipeline::PipelineConfig;
 use finrad_sram::Variation;
@@ -114,25 +119,12 @@ pub fn figure_config(scale: Scale) -> PipelineConfig {
     };
     cfg.iterations_per_energy = scale.strike_iterations();
     cfg.energy_bins = scale.energy_bins();
+    cfg.lut_samples = scale.lut_samples();
     cfg
 }
 
 /// The supply-voltage sweep of Figs. 9–11.
 pub const VDD_SWEEP: [f64; 5] = [0.7, 0.8, 0.9, 1.0, 1.1];
-
-/// Prints a two-column normalized series with a title, matching how the
-/// paper reports normalized results.
-pub fn print_normalized_series(title: &str, x_label: &str, xs: &[f64], ys: &[f64]) {
-    assert_eq!(xs.len(), ys.len());
-    let peak = ys.iter().cloned().fold(0.0f64, f64::max);
-    println!("# {title}");
-    println!("# {x_label:>14}  {:>14}  {:>14}", "value", "normalized");
-    for (x, y) in xs.iter().zip(ys) {
-        let norm = if peak > 0.0 { y / peak } else { 0.0 };
-        println!("{x:>16.6e}  {y:>14.6e}  {norm:>14.6e}");
-    }
-    println!();
-}
 
 #[cfg(test)]
 mod tests {
@@ -170,5 +162,8 @@ mod tests {
         assert_eq!(cfg.iterations_per_energy, Scale::Quick.strike_iterations());
         assert_eq!(cfg.rows, 9);
         assert_eq!(cfg.cols, 9);
+        for scale in [Scale::Quick, Scale::Full] {
+            assert_eq!(figure_config(scale).lut_samples, scale.lut_samples());
+        }
     }
 }
