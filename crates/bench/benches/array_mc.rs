@@ -12,8 +12,9 @@ use finrad_finfet::Technology;
 use finrad_geometry::trace::TraceScratch;
 use finrad_geometry::{Ray, Vec3};
 use finrad_numerics::rng::Xoshiro256pp;
-use finrad_sram::{CellCharacterizer, CharacterizeOptions, PofTable, Variation};
+use finrad_sram::{CellCharacterizer, CharacterizeOptions, PofCurve, PofTable, Variation};
 use finrad_transport::fin::FinTraversal;
+use finrad_transport::straggling::sample_standard_normal;
 use finrad_units::{Energy, Particle, Voltage};
 use std::hint::black_box;
 
@@ -28,6 +29,24 @@ fn nominal_table() -> PofTable {
     )
     .build_table(Voltage::from_volts(0.8), Variation::Nominal, 1)
     .expect("characterization")
+}
+
+/// `table` with each combo's critical charge spread into `samples`
+/// Gaussian draws (σ = 6% of it): a variation table of the size the
+/// figures use, without the characterization cost.
+fn synthetic_variation_table(table: &PofTable, samples: usize) -> PofTable {
+    let mut rng = Xoshiro256pp::seed_from_u64(11);
+    let curves = table
+        .combos()
+        .filter_map(|combo| {
+            let q = table.curve(combo)?.median_qcrit().coulombs();
+            let qcrits = (0..samples)
+                .map(|_| (q * (1.0 + 0.06 * sample_standard_normal(&mut rng))).max(0.0))
+                .collect();
+            Some((combo, PofCurve::from_critical_charges(qcrits)))
+        })
+        .collect();
+    PofTable::new(table.vdd(), curves)
 }
 
 fn bench_ray_trace(c: &mut Harness) {
@@ -59,15 +78,22 @@ fn bench_strike_iteration(c: &mut Harness) {
         9,
         DataPattern::Checkerboard,
     );
-    let table = nominal_table();
-    for (name, model) in [
-        ("sampled", FlipModel::Sampled),
-        ("expected", FlipModel::Expected),
+    let nominal = nominal_table();
+    // The `Expected` per-hit sum runs over every critical-charge sample, so
+    // it is timed on the nominal table and on 150- (quick figure scale)
+    // and 1000-sample (paper scale) variation tables.
+    let pv150 = synthetic_variation_table(&nominal, 150);
+    let pv1000 = synthetic_variation_table(&nominal, 1000);
+    for (name, model, table) in [
+        ("sampled", FlipModel::Sampled, &nominal),
+        ("expected", FlipModel::Expected, &nominal),
+        ("expected_pv150", FlipModel::Expected, &pv150),
+        ("expected_pv1000", FlipModel::Expected, &pv1000),
     ] {
         let sim = StrikeSimulator::new(
             &array,
             FinTraversal::paper_default(),
-            &table,
+            table,
             DirectionLaw::CosineDown,
             DepositMode::ChordExact,
             model,

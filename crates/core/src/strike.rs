@@ -19,7 +19,10 @@ use finrad_numerics::stats::RunningStats;
 use finrad_sram::{PofCurve, PofTable, StrikeCombo, StrikeTarget};
 use finrad_transport::fin::FinTraversal;
 use finrad_transport::lut::EhpLut;
-use finrad_transport::straggling::{deposit_exceedance, landau_params, LandauParams};
+use finrad_transport::straggling::{
+    deposit_exceedance, landau_params, moyal_derivative_polys, moyal_pdf, moyal_survival,
+    LandauParams, MOYAL_MEAN,
+};
 use finrad_units::{constants, Charge, Energy, Particle};
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -279,6 +282,8 @@ pub struct StrikeScratch {
     /// Summed Moyal deposit per struck cell: `Expected`.
     moyal: CellHits<MoyalSum>,
     pub(crate) pofs: Vec<f64>,
+    /// `Expected` flip-probability work since the scratch was made.
+    exceedance: ExceedanceCounts,
 }
 
 /// One struck cell of an iteration: the sensitive targets hit so far (as a
@@ -363,26 +368,247 @@ pub(crate) fn charge_pofs(cells: &CellHits<f64>, table: &PofTable, pofs: &mut Ve
     ));
 }
 
-/// `mean_i P(deposit ≥ Q_crit,i)` over `curve`'s critical-charge samples,
-/// for a deposit described by `params` and capped at `available`.
-///
-/// The samples ascend, and so do their thresholds, so the loop stops at
-/// the first threshold above `available`: from there on
-/// [`deposit_exceedance`] returns exactly `0.0` for every term, and adding
-/// `0.0` leaves the sum's bits unchanged.
-fn expected_flip_probability(curve: &PofCurve, params: &LandauParams, available: Energy) -> f64 {
-    let pair_energy_ev = constants::EHP_PAIR_ENERGY.ev();
-    let electron = constants::ELEMENTARY_CHARGE.coulombs();
-    let samples = curve.qcrit_samples();
-    let mut acc = 0.0;
-    for &qcrit in samples {
-        let threshold = Energy::from_ev(qcrit / electron * pair_energy_ev);
-        if threshold > available {
-            break;
-        }
-        acc += deposit_exceedance(params, threshold, available);
+/// Most thresholds per block of [`ExceedanceCurve`]: a curve of `n`
+/// samples splits into `ceil(n / EXCEEDANCE_BLOCK)` near-equal blocks. A
+/// curve with fewer samples than this (a nominal table, a smoke-scale
+/// variation table) has no blocks and is always summed term by term.
+const EXCEEDANCE_BLOCK: usize = 32;
+/// Taylor order of a block's expansion about its centre.
+const EXCEEDANCE_ORDER: usize = 8;
+/// A block's expansion is accepted only if its error bound is at most
+/// this fraction of a lower bound on the block's sum. The per-call
+/// contract is 1e-6 against the term-by-term sum; the rest of that margin
+/// covers `special::erf`'s A&S branch (|error| < 1.5e-7 per term), which
+/// the term-by-term sum carries and the expansion's derivatives do not.
+const EXCEEDANCE_EPS: f64 = 2.5e-7;
+/// Rounding allowance per unit magnitude of the expansion's terms.
+const EXCEEDANCE_ROUNDING: f64 = 64.0 * f64::EPSILON;
+/// The Moyal coordinate window a block must lie inside to be expanded:
+/// above it `e^(−u)` nears `f64` underflow and the exact terms round to
+/// zero; below it `e^(−u)` grows fast and `moyal_survival` nears its
+/// `u ≤ −5` shortcut.
+const EXCEEDANCE_U_RANGE: (f64, f64) = (-4.0, 700.0);
+/// `P_j` for `j ≤ ORDER`: derivatives 1..=ORDER of the survival, and the
+/// `ORDER + 1`-th for the Lagrange remainder.
+const MOYAL_POLYS: [[f64; EXCEEDANCE_ORDER + 1]; EXCEEDANCE_ORDER + 1] =
+    moyal_derivative_polys::<{ EXCEEDANCE_ORDER + 1 }>();
+
+/// How a strike chunk's flip probabilities were summed: blocks taken from
+/// their expansion, and terms summed one [`deposit_exceedance`] at a time.
+#[derive(Debug, Clone, Copy, Default)]
+struct ExceedanceCounts {
+    blocks_expanded: u64,
+    terms_exact: u64,
+}
+
+/// One POF curve prepared for `mean_i P(deposit ≥ threshold_i)`: the
+/// critical-charge samples as ascending deposit thresholds in eV, and
+/// consecutive runs of them as [`ThresholdBlock`]s.
+#[derive(Debug, Clone)]
+struct ExceedanceCurve {
+    thresholds: Vec<Energy>,
+    blocks: Vec<ThresholdBlock>,
+}
+
+/// A run of consecutive sorted thresholds, summarized by its centre `c`
+/// and the power sums of the offsets `d = t − c`.
+#[derive(Debug, Clone)]
+struct ThresholdBlock {
+    start: usize,
+    end: usize,
+    /// The lowest threshold, eV.
+    lowest: f64,
+    centre: f64,
+    /// `c − t_min` and `t_max − c`, eV.
+    below: f64,
+    above: f64,
+    /// `Σ d^k` for `k = 0..=ORDER`; `moments[0]` is the block's size.
+    moments: [f64; EXCEEDANCE_ORDER + 1],
+    /// `Σ |d|^k` for `k = 0..=ORDER + 1`.
+    abs_moments: [f64; EXCEEDANCE_ORDER + 2],
+}
+
+impl ExceedanceCurve {
+    fn new(curve: &PofCurve) -> Self {
+        let pair_energy_ev = constants::EHP_PAIR_ENERGY.ev();
+        let electron = constants::ELEMENTARY_CHARGE.coulombs();
+        let thresholds: Vec<Energy> = curve
+            .qcrit_samples()
+            .iter()
+            .map(|&qcrit| Energy::from_ev(qcrit / electron * pair_energy_ev))
+            .collect();
+        let n = thresholds.len();
+        let n_blocks = if n < EXCEEDANCE_BLOCK {
+            0
+        } else {
+            n.div_ceil(EXCEEDANCE_BLOCK)
+        };
+        let blocks = (0..n_blocks)
+            .map(|b| {
+                let (start, end) = (b * n / n_blocks, (b + 1) * n / n_blocks);
+                ThresholdBlock::new(start, end, &thresholds[start..end])
+            })
+            .collect();
+        Self { thresholds, blocks }
     }
-    acc / samples.len() as f64
+
+    /// `mean_i P(deposit ≥ threshold_i)` for a deposit described by
+    /// `params` and capped at `available`.
+    ///
+    /// Each block below `available` is taken from its Taylor expansion
+    /// when [`ThresholdBlock::expand`] can bound the error, and summed
+    /// term by term otherwise. The rest — the block that straddles
+    /// `available`, and every threshold of a curve with no blocks — is
+    /// summed term by term in ascending order, stopping at the first
+    /// threshold above `available`: from there on [`deposit_exceedance`]
+    /// returns exactly `0.0`, and adding `0.0` leaves the sum's bits
+    /// unchanged. A call that expands no block therefore returns the
+    /// bits of the plain per-sample sum.
+    fn flip_probability(
+        &self,
+        params: &LandauParams,
+        available: Energy,
+        counts: &mut ExceedanceCounts,
+    ) -> f64 {
+        let mut acc = 0.0;
+        let mut next = 0;
+        if !self.blocks.is_empty() && params.scale.ev() > 0.0 {
+            let factors = taylor_factors(params.scale);
+            for block in &self.blocks {
+                if self.thresholds[block.end - 1] > available {
+                    break;
+                }
+                match block.expand(params, &factors) {
+                    Some(sum) => {
+                        acc += sum;
+                        counts.blocks_expanded += 1;
+                    }
+                    None => {
+                        acc = self.sum_exact(block.start, block.end, params, available, acc, counts)
+                    }
+                }
+                next = block.end;
+            }
+        }
+        let acc = self.sum_exact(next, self.thresholds.len(), params, available, acc, counts);
+        (acc / self.thresholds.len() as f64).clamp(0.0, 1.0)
+    }
+
+    /// Adds `deposit_exceedance` for thresholds `from..to` onto `acc`, in
+    /// ascending order, stopping at the first threshold above `available`.
+    fn sum_exact(
+        &self,
+        from: usize,
+        to: usize,
+        params: &LandauParams,
+        available: Energy,
+        mut acc: f64,
+        counts: &mut ExceedanceCounts,
+    ) -> f64 {
+        for &threshold in &self.thresholds[from..to] {
+            if threshold > available {
+                break;
+            }
+            acc += deposit_exceedance(params, threshold, available);
+            counts.terms_exact += 1;
+        }
+        acc
+    }
+}
+
+/// `1/(k!·s^k)` for `k = 0..=ORDER + 1`: the scale-dependent factors of one
+/// call's expansions, shared by all its blocks.
+fn taylor_factors(scale: Energy) -> [f64; EXCEEDANCE_ORDER + 2] {
+    let inv_scale = 1.0 / scale.ev();
+    let mut f = [1.0; EXCEEDANCE_ORDER + 2];
+    for k in 1..f.len() {
+        f[k] = f[k - 1] * inv_scale / k as f64;
+    }
+    f
+}
+
+/// `(Σ c_m·w^m, Σ |c_m|·w^m)` for `w ≥ 0`, by Horner's rule.
+fn poly_and_magnitude(coeffs: &[f64], w: f64) -> (f64, f64) {
+    coeffs
+        .iter()
+        .rev()
+        .fold((0.0, 0.0), |(v, m), &c| (v * w + c, m * w + c.abs()))
+}
+
+impl ThresholdBlock {
+    fn new(start: usize, end: usize, thresholds: &[Energy]) -> Self {
+        let (lowest, highest) = (thresholds[0].ev(), thresholds[thresholds.len() - 1].ev());
+        let centre = 0.5 * (lowest + highest);
+        let mut moments = [0.0; EXCEEDANCE_ORDER + 1];
+        let mut abs_moments = [0.0; EXCEEDANCE_ORDER + 2];
+        for t in thresholds {
+            let d = t.ev() - centre;
+            let mut power = 1.0_f64;
+            for k in 0..abs_moments.len() {
+                if k < moments.len() {
+                    moments[k] += power;
+                }
+                abs_moments[k] += power.abs();
+                power *= d;
+            }
+        }
+        Self {
+            start,
+            end,
+            lowest,
+            centre,
+            below: centre - lowest,
+            above: highest - centre,
+            moments,
+            abs_moments,
+        }
+    }
+
+    /// The block's sum `Σ moyal_survival(u_i)`, `u_i = (t_i − mean)/s +
+    /// MOYAL_MEAN`, from its order-`ORDER` Taylor expansion about the
+    /// centre, or `None` when the expansion's error bound is not at most
+    /// [`EXCEEDANCE_EPS`] of the sum's lower bound.
+    ///
+    /// With `g = moyal_survival` and `D_i = (t_i − c)/s`, the expansion
+    /// is `Σ_k g^(k)(u_c)/k! · Σ_i D_i^k`, where `g^(k) = −p·P_{k−1}(e^(−u))`
+    /// ([`moyal_derivative_polys`]). The error bound `E` adds
+    /// - the Lagrange remainder, `max|g^(ORDER+1)|/(ORDER+1)! · Σ|D_i|^(ORDER+1)`,
+    ///   with `max |p·P| ≤ max p · Σ|a_m|·max(e^(−u))^m` over the block;
+    /// - the rounding of the sum, [`EXCEEDANCE_ROUNDING`] times the sum of
+    ///   its terms' magnitudes. This term rejects expansions whose terms
+    ///   cancel.
+    ///
+    /// The block sum is at least `S − E`, with `S` the computed expansion,
+    /// so acceptance needs `E ≤ ε·(S − E)`: the expansion is then within
+    /// `ε` relative of the block's true sum. This bound needs no survival
+    /// evaluation beyond the centre's, and is at least as tight as the
+    /// count times the block's smallest term whenever `E ≪ S`.
+    fn expand(&self, params: &LandauParams, f: &[f64; EXCEEDANCE_ORDER + 2]) -> Option<f64> {
+        let u_c = (self.centre - params.mean.ev()) * f[1] + MOYAL_MEAN;
+        let (u_lo, u_hi) = (u_c - self.below * f[1], u_c + self.above * f[1]);
+        let (u_min, u_max) = EXCEEDANCE_U_RANGE;
+        // Also rejects NaN.
+        if !(u_lo > u_min && u_hi < u_max && self.lowest > 0.0) {
+            return None;
+        }
+        let n = self.moments[0];
+        let g_c = moyal_survival(u_c);
+        let p_c = moyal_pdf(u_c);
+        let w_c = (-u_c).exp();
+        let (mut slope, mut magnitude) = (0.0, 0.0);
+        for k in 1..=EXCEEDANCE_ORDER {
+            let (value, size) = poly_and_magnitude(&MOYAL_POLYS[k - 1][..k], w_c);
+            slope += value * self.moments[k] * f[k];
+            magnitude += size * self.abs_moments[k] * f[k];
+        }
+        let sum = n * g_c - p_c * slope;
+        // The density peaks at u = 0, e^(−u) at the block's low end.
+        let p_max = moyal_pdf(u_lo.max(0.0).min(u_hi));
+        let (_, tail) = poly_and_magnitude(&MOYAL_POLYS[EXCEEDANCE_ORDER], (-u_lo).exp());
+        let error = p_max * tail * self.abs_moments[EXCEEDANCE_ORDER + 1] * f[EXCEEDANCE_ORDER + 1]
+            + EXCEEDANCE_ROUNDING * (n * g_c + p_c * magnitude);
+        (error <= EXCEEDANCE_EPS * (sum - error)).then_some(sum)
+    }
 }
 
 /// The array strike simulator binding geometry, transport and POF tables.
@@ -391,6 +617,8 @@ pub struct StrikeSimulator<'a> {
     traversal: FinTraversal,
     lut: Option<&'a EhpLut>,
     pof: &'a PofTable,
+    /// `pof`'s curves prepared for the `Expected` flip model, by combo.
+    exceedance: Vec<(StrikeCombo, ExceedanceCurve)>,
     direction: DirectionLaw,
     deposit: DepositMode,
     flip_model: FlipModel,
@@ -421,11 +649,19 @@ impl<'a> StrikeSimulator<'a> {
             !(deposit == DepositMode::LutMean && flip_model == FlipModel::Expected),
             "the Expected flip model requires chord-exact deposits"
         );
+        let exceedance = match flip_model {
+            FlipModel::Expected => pof
+                .combos()
+                .filter_map(|combo| Some((combo, ExceedanceCurve::new(pof.curve(combo)?))))
+                .collect(),
+            FlipModel::Sampled => Vec::new(),
+        };
         Self {
             array,
             traversal,
             lut,
             pof,
+            exceedance,
             direction,
             deposit,
             flip_model,
@@ -531,6 +767,7 @@ impl<'a> StrikeSimulator<'a> {
             charges,
             moyal,
             pofs,
+            exceedance,
         } = scratch;
         pofs.clear();
         let crossings = self.array.trace_into(ray, trace);
@@ -541,7 +778,7 @@ impl<'a> StrikeSimulator<'a> {
                     charge_pofs(charges, self.pof, pofs);
                 }
                 FlipModel::Expected => {
-                    self.resolve_expected(particle, energy, crossings, moyal, pofs);
+                    self.resolve_expected(particle, energy, crossings, moyal, pofs, exceedance);
                 }
             }
         }
@@ -604,6 +841,7 @@ impl<'a> StrikeSimulator<'a> {
         crossings: &[Crossing],
         cells: &mut CellHits<MoyalSum>,
         pofs: &mut Vec<f64>,
+        counts: &mut ExceedanceCounts,
     ) {
         cells.clear();
         let fins = self.array.fins();
@@ -643,7 +881,7 @@ impl<'a> StrikeSimulator<'a> {
         }
 
         for hit in cells.iter() {
-            let Some(curve): Option<&PofCurve> = self.pof.curve(hit.combo) else {
+            let Some((_, curve)) = self.exceedance.iter().find(|(c, _)| *c == hit.combo) else {
                 // An uncharacterized combo cannot yield a probability.
                 // Surface the iteration as a poisoned sample so the
                 // accumulator-level NaN quarantine counts it instead of
@@ -658,7 +896,7 @@ impl<'a> StrikeSimulator<'a> {
                 mean: Energy::from_ev(hit.acc.mean_ev),
                 scale: Energy::from_ev(hit.acc.var_ev2.sqrt()),
             };
-            pofs.push(expected_flip_probability(curve, &params, hit.acc.available));
+            pofs.push(curve.flip_probability(&params, hit.acc.available, counts));
         }
     }
 
@@ -746,6 +984,15 @@ impl<'a> StrikeSimulator<'a> {
                 acc.push(self.simulate_one_with(particle, energy, &mut rng, &mut scratch));
             }
             finrad_observe::counter_add(finrad_observe::keys::STRIKE_ITERATIONS, len);
+            let counts = scratch.exceedance;
+            finrad_observe::counter_add(
+                finrad_observe::keys::STRIKE_EXCEEDANCE_BLOCKS_EXPANDED,
+                counts.blocks_expanded,
+            );
+            finrad_observe::counter_add(
+                finrad_observe::keys::STRIKE_EXCEEDANCE_TERMS_EXACT,
+                counts.terms_exact,
+            );
             acc
         });
         finrad_observe::counter_add(finrad_observe::keys::STRIKE_QUARANTINED, out.quarantined);
@@ -920,6 +1167,124 @@ mod tests {
             cut_short > 10_000,
             "only {cut_short} draws exercised the exit"
         );
+    }
+
+    /// The exact per-sample sum: the kernel with its blocks taken away.
+    fn expected_flip_probability(
+        curve: &PofCurve,
+        params: &LandauParams,
+        available: Energy,
+    ) -> f64 {
+        let mut exact = ExceedanceCurve::new(curve);
+        exact.blocks.clear();
+        exact.flip_probability(params, available, &mut ExceedanceCounts::default())
+    }
+
+    /// `n` critical charges drawn from N(`mean`, (`rel_sigma`·`mean`)²).
+    fn gaussian_qcrits(rng: &mut Xoshiro256pp, n: usize, mean: f64, rel_sigma: f64) -> Vec<f64> {
+        (0..n)
+            .map(|_| {
+                let z = finrad_transport::straggling::sample_standard_normal(rng);
+                (mean * (1.0 + rel_sigma * z)).max(0.0)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn exceedance_kernel_within_eps() {
+        // The block kernel against the exact per-sample sum, per call:
+        // within 1e-6 relative, exactly 0.0 where the sum is 0, and in
+        // [0, 1]. Curves shorter than a block must match bit for bit.
+        let mut rng = Xoshiro256pp::seed_from_u64(0x5EED_B10C);
+        let q0 = 0.3e-15;
+        let q_max = CharacterizeOptions::default().q_search_max;
+        let mut saturated = gaussian_qcrits(&mut rng, 110, q0, 0.06);
+        saturated.extend([q_max; 40]);
+        let mut lowest_two = gaussian_qcrits(&mut rng, 148, 10.0 * q0, 0.05);
+        lowest_two.extend([0.2 * q0, 0.21 * q0]);
+        let real = CellCharacterizer::new(
+            Technology::soi_finfet_14nm(),
+            CharacterizeOptions {
+                settle: 5.0e-12,
+                bisect_rel_tol: 0.05,
+                ..CharacterizeOptions::default()
+            },
+        )
+        .characterize_combo(
+            Voltage::from_volts(0.7),
+            StrikeCombo::single(StrikeTarget::I1),
+            Variation::MonteCarlo { samples: 66 },
+            17,
+        )
+        .expect("characterization")
+        .qcrit_samples()
+        .to_vec();
+        let curves = [
+            (gaussian_qcrits(&mut rng, 150, q0, 0.05), 3000),
+            (gaussian_qcrits(&mut rng, 150, q0, 0.07), 3000),
+            (gaussian_qcrits(&mut rng, 1000, q0, 0.06), 600),
+            (saturated, 2000),
+            (vec![q_max; 150], 1000),
+            (gaussian_qcrits(&mut rng, 150, q0, 5e-4), 2000),
+            (lowest_two, 2000),
+            (real, 2000),
+            (vec![q0], 500),
+            (vec![q0, 1.1 * q0], 500),
+            (vec![0.9 * q0, q0, 1.2 * q0], 500),
+        ];
+        let to_ev =
+            |q: f64| q / constants::ELEMENTARY_CHARGE.coulombs() * constants::EHP_PAIR_ENERGY.ev();
+        let mut counts = ExceedanceCounts::default();
+        let (mut mid_block, mut deep_tail, mut zero) = (0, 0, 0);
+        for (qcrits, draws) in curves {
+            let curve = PofCurve::from_critical_charges(qcrits);
+            let kernel = ExceedanceCurve::new(&curve);
+            let samples = curve.qcrit_samples();
+            let (t_lo, t_hi) = (to_ev(samples[0]), to_ev(samples[samples.len() - 1]));
+            let t_mid = to_ev(curve.median_qcrit().coulombs());
+            for _ in 0..draws {
+                // Means up to above the median and scales log-uniform over
+                // four decades; a third of the draws put the mean far
+                // below the lowest threshold, in the deep tail. `available`
+                // lies inside the threshold range half the time.
+                let deep = rng.gen_range(0.0..1.0) < 0.3;
+                let (mean, decades) = if deep {
+                    (t_lo * rng.gen_range(0.0..0.5), -3.0..-1.0)
+                } else {
+                    (t_mid * rng.gen_range(0.0..1.3), -4.0..0.0)
+                };
+                let params = LandauParams {
+                    mean: Energy::from_ev(mean),
+                    scale: Energy::from_ev(t_mid * 10f64.powf(rng.gen_range(decades))),
+                };
+                let available = if rng.gen_range(0.0..1.0) < 0.5 {
+                    Energy::from_ev(rng.gen_range(t_lo..=t_hi))
+                } else {
+                    Energy::from_ev(2.0 * t_hi)
+                };
+                let exact = expected_flip_probability(&curve, &params, available);
+                let before = counts.blocks_expanded;
+                let got = kernel.flip_probability(&params, available, &mut counts);
+                let case = format!("n = {} {params:?} {available:?}", samples.len());
+                assert!((0.0..=1.0).contains(&got), "{got} outside [0, 1]: {case}");
+                if samples.len() < EXCEEDANCE_BLOCK || exact == 0.0 {
+                    assert_eq!(got.to_bits(), exact.to_bits(), "{case}");
+                }
+                assert!(
+                    (got - exact).abs() <= 1e-6 * exact,
+                    "kernel {got} vs exact {exact}: {case}"
+                );
+                let expanded = counts.blocks_expanded > before;
+                mid_block += usize::from(expanded && available < Energy::from_ev(t_hi));
+                deep_tail += usize::from(expanded && exact < 1e-9);
+                zero += usize::from(exact == 0.0);
+            }
+        }
+        assert!(counts.blocks_expanded > 20_000, "{counts:?}");
+        assert!(counts.terms_exact > 100_000, "{counts:?}");
+        assert!(mid_block > 1000, "{mid_block} expanded draws cut a curve");
+        assert!(deep_tail > 500, "{deep_tail} expanded deep-tail draws");
+        assert!(zero > 100, "{zero} zero sums");
     }
 
     #[test]

@@ -78,6 +78,13 @@ pub const STRIKE_QUARANTINED: &str = "core.strike.quarantined";
 pub const STRIKE_ESTIMATE_SECONDS: &str = "core.strike.estimate_seconds";
 /// Strike-MC throughput of one estimate call, iterations/second.
 pub const STRIKE_ITERS_PER_SEC: &str = "core.strike.iters_per_sec";
+/// `Expected` flip-probability blocks of variation-table samples taken
+/// from their bounded Taylor expansion.
+pub const STRIKE_EXCEEDANCE_BLOCKS_EXPANDED: &str = "core.strike.exceedance_blocks_expanded";
+/// `Expected` flip-probability terms summed one sample at a time: short
+/// curves, blocks whose error bound failed, and the block straddling the
+/// kinematic cap.
+pub const STRIKE_EXCEEDANCE_TERMS_EXACT: &str = "core.strike.exceedance_terms_exact";
 
 /// Neutron-MC histories executed.
 pub const NEUTRON_ITERATIONS: &str = "core.neutron.iterations";

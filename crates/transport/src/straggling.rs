@@ -308,6 +308,39 @@ pub fn moyal_survival(x: f64) -> f64 {
     finrad_numerics::special::erf((0.5 * (-x).exp()).sqrt())
 }
 
+/// Density of the standard Moyal distribution, the negated derivative of
+/// [`moyal_survival`]: `p(x) = exp(−(x + e^(−x))/2) / √(2π)`. It peaks at
+/// the mode `x = 0` and falls on either side.
+pub fn moyal_pdf(x: f64) -> f64 {
+    const FRAC_1_SQRT_2PI: f64 = 0.398_942_280_401_432_7;
+    (-0.5 * (x + (-x).exp())).exp() * FRAC_1_SQRT_2PI
+}
+
+/// Coefficients of the polynomials behind the derivatives of
+/// [`moyal_survival`]: with `w = e^(−x)`,
+/// `d^(j+1)/dx^(j+1) moyal_survival(x) = −moyal_pdf(x) · P_j(w)`, and
+/// `P_j(w) = Σ_m out[j][m]·w^m` (degree `j`).
+///
+/// `P_0 = 1` and `P_{j+1}(w) = −(1 − w)/2 · P_j(w) − w · P_j′(w)`, from
+/// `p′(x) = −p(x)·(1 − w)/2` and `dw/dx = −w`. Every coefficient is a
+/// small dyadic rational, so the table is exact in `f64`.
+pub const fn moyal_derivative_polys<const N: usize>() -> [[f64; N]; N] {
+    let mut out = [[0.0; N]; N];
+    out[0][0] = 1.0;
+    let mut j = 1;
+    while j < N {
+        let mut m = 0;
+        while m <= j {
+            let prev = if m < j { out[j - 1][m] } else { 0.0 };
+            let lower = if m > 0 { out[j - 1][m - 1] } else { 0.0 };
+            out[j][m] = -(m as f64 + 0.5) * prev + 0.5 * lower;
+            m += 1;
+        }
+        j += 1;
+    }
+    out
+}
+
 /// Probability that the deposit described by `params` reaches `threshold`,
 /// given at most `available` energy can be deposited (hard kinematic cap).
 pub fn deposit_exceedance(params: &LandauParams, threshold: Energy, available: Energy) -> f64 {
@@ -646,6 +679,50 @@ mod tests {
             assert!(p <= prev + 1e-12);
             prev = p;
         }
+    }
+
+    #[test]
+    fn moyal_derivative_polys_differentiate_the_survival() {
+        const N: usize = 10;
+        let polys = moyal_derivative_polys::<N>();
+        assert_eq!(polys[1][..2], [-0.5, 0.5]);
+        assert_eq!(polys[2][..3], [0.25, -1.0, 0.25]);
+        // d^(j+1)/dx^(j+1) of the survival, from the table.
+        let derivative = |j: usize, x: f64| {
+            let w = (-x).exp();
+            let p: f64 = polys[j].iter().rev().fold(0.0, |acc, &c| acc * w + c);
+            -moyal_pdf(x) * p
+        };
+        let h = 1e-4;
+        // The first derivative against the survival itself, where erf
+        // takes its series branch (accurate to rounding).
+        for x in [1.0, 2.5, 6.0, 20.0] {
+            let slope = (moyal_survival(x + h) - moyal_survival(x - h)) / (2.0 * h);
+            assert!(
+                (slope - derivative(0, x)).abs() <= 1e-7 * slope.abs(),
+                "x = {x}"
+            );
+        }
+        // Each higher one against the central difference of the one below.
+        for (j, poly) in polys.iter().enumerate().skip(1) {
+            for x in [-3.5, -1.0, 0.0, 0.7, 3.0, 12.0] {
+                let want = (derivative(j - 1, x + h) - derivative(j - 1, x - h)) / (2.0 * h);
+                let scale = poly.iter().map(|c| c.abs()).sum::<f64>()
+                    * moyal_pdf(x)
+                    * (-x).exp().max(1.0).powi(j as i32);
+                assert!(
+                    (derivative(j, x) - want).abs() <= 1e-6 * scale,
+                    "j = {j}, x = {x}: {} vs {want}",
+                    derivative(j, x)
+                );
+            }
+        }
+        // The density integrates to one.
+        let mass: f64 = (0..40_000)
+            .map(|k| moyal_pdf(-8.0 + (k as f64 + 0.5) * 1e-3))
+            .sum::<f64>()
+            * 1e-3;
+        assert!((mass - 1.0).abs() < 1e-6, "mass {mass}");
     }
 
     #[test]

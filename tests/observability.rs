@@ -5,6 +5,7 @@
 
 use finrad_core::pipeline::{PipelineConfig, SerPipeline};
 use finrad_observe::keys;
+use finrad_sram::{PofCurve, PofTable, StrikeCombo};
 use finrad_units::{Particle, Voltage};
 
 #[test]
@@ -57,4 +58,24 @@ fn smoke_pipeline_populates_solver_and_mc_metrics() {
         .expect("per-combo timing recorded");
     assert_eq!(combo_seconds.count, 7);
     assert!(combo_seconds.sum >= 0.0);
+
+    // The `Expected` flip model sums a nominal curve term by term: it has
+    // no block of variation samples to expand.
+    assert_eq!(snap.counter(keys::STRIKE_EXCEEDANCE_BLOCKS_EXPANDED), 0);
+    let exact_terms = snap.counter(keys::STRIKE_EXCEEDANCE_TERMS_EXACT);
+    assert!(exact_terms > 0, "no exceedance term was counted");
+
+    // A 64-sample variation table (two blocks per curve) is expanded.
+    let vdd = Voltage::from_volts(0.8);
+    let qcrits: Vec<f64> = (0..64)
+        .map(|i| 0.3e-15 * (0.9 + 0.2 * f64::from(i) / 63.0))
+        .collect();
+    let curves = StrikeCombo::all()
+        .into_iter()
+        .map(|combo| (combo, PofCurve::from_critical_charges(qcrits.clone())))
+        .collect();
+    pipeline.run_with_table(Particle::Alpha, vdd, &PofTable::new(vdd, curves));
+    let snap = recorder.snapshot();
+    assert!(snap.counter(keys::STRIKE_EXCEEDANCE_BLOCKS_EXPANDED) > 0);
+    assert!(snap.counter(keys::STRIKE_EXCEEDANCE_TERMS_EXACT) > exact_terms);
 }
