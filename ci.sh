@@ -22,6 +22,9 @@ cargo run -q --offline --release --features fault-injection --example campaign_s
 echo "==> Figs. 9-11 at quick scale (one shared sweep)"
 cargo run --release --offline -q -p finrad-bench --bin reproduce > /dev/null
 
+echo "==> Fig. 4 e-h pair LUT at quick scale"
+cargo run --release --offline -q -p finrad-bench --bin fig4_ehp_lut > /dev/null
+
 echo "==> end-to-end benchmark smoke test (every workload pinned to e2ebench/reference.txt)"
 cargo test --release --offline --manifest-path e2ebench/Cargo.toml
 

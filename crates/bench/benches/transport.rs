@@ -34,31 +34,27 @@ fn bench_fin_traversal(c: &mut Harness) {
 fn bench_lut_build_and_lookup(c: &mut Harness) {
     let sim = FinTraversal::paper_default();
     c.bench_function("fig4_lut_build_6pts_x_500", |b| {
-        b.iter_batched(
-            || Xoshiro256pp::seed_from_u64(2),
-            |mut rng| {
-                black_box(EhpLut::build(
-                    &sim,
-                    Particle::Proton,
-                    Energy::from_mev(0.1),
-                    Energy::from_mev(100.0),
-                    6,
-                    500,
-                    &mut rng,
-                ))
-            },
-        )
+        b.iter(|| {
+            black_box(EhpLut::tabulate(
+                &sim,
+                Particle::Proton,
+                Energy::from_mev(0.1),
+                Energy::from_mev(100.0),
+                6,
+                500,
+                2,
+            ))
+        })
     });
 
-    let mut rng = Xoshiro256pp::seed_from_u64(3);
-    let lut = EhpLut::build(
+    let lut = EhpLut::tabulate(
         &sim,
         Particle::Alpha,
         Energy::from_mev(0.1),
         Energy::from_mev(100.0),
         12,
         2_000,
-        &mut rng,
+        3,
     );
     c.bench_function("lut_lookup", |b| {
         let mut e = 0.2f64;

@@ -17,7 +17,6 @@ use finrad_core::array::{DataPattern, MemoryArray};
 use finrad_core::pipeline::SerPipeline;
 use finrad_core::strike::{DepositMode, DirectionLaw, FlipModel, StrikeSimulator};
 use finrad_finfet::Technology;
-use finrad_numerics::rng::Xoshiro256pp;
 use finrad_sram::{CellCharacterizer, CharacterizeOptions, PofTable, Variation};
 use finrad_transport::fin::{FinGeometry, FinTraversal};
 use finrad_transport::lut::EhpLut;
@@ -93,15 +92,14 @@ fn main() {
     println!();
 
     println!("## Ablation 2: chord-exact vs paper LUT deposits (alpha, 0.8 V)");
-    let mut rng = Xoshiro256pp::seed_from_u64(23);
-    let lut = EhpLut::build(
+    let lut = EhpLut::tabulate(
         &traversal_with(StragglingModel::Auto),
         Particle::Alpha,
         Energy::from_mev(0.1),
         Energy::from_mev(100.0),
         13,
         scale.lut_samples(),
-        &mut rng,
+        23,
     );
     println!(
         "# {:>10}  {:>14}  {:>14}",

@@ -10,7 +10,6 @@
 //! (`FINRAD_FULL=1` for paper-scale sampling)
 
 use finrad_bench::Scale;
-use finrad_numerics::rng::Xoshiro256pp;
 use finrad_transport::fin::FinTraversal;
 use finrad_transport::lut::EhpLut;
 use finrad_units::{Energy, Particle};
@@ -18,18 +17,17 @@ use finrad_units::{Energy, Particle};
 fn main() {
     let scale = Scale::from_env();
     let sim = FinTraversal::paper_default();
-    let mut rng = Xoshiro256pp::seed_from_u64(4);
 
     let mut luts = Vec::new();
-    for particle in Particle::ALL {
-        let lut = EhpLut::build(
+    for (particle, seed) in Particle::ALL.into_iter().zip([4, 5]) {
+        let lut = EhpLut::tabulate(
             &sim,
             particle,
             Energy::from_mev(0.1),
             Energy::from_mev(100.0),
             17,
             scale.lut_samples(),
-            &mut rng,
+            seed,
         );
         luts.push(lut);
     }

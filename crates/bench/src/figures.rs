@@ -46,8 +46,8 @@ pub struct SweepFigures {
 
 impl SweepFigures {
     /// Runs the sweep over `vdds`. `base` is the chord-exact, with-variation
-    /// pipeline; the other three differ from it only in `deposit` and
-    /// `flip_model` (LUT mode) and in `variation` (nominal).
+    /// pipeline; the nominal pipeline differs from it only in `variation`,
+    /// the LUT pipeline only in `deposit` and `flip_model`.
     ///
     /// # Errors
     ///
@@ -55,14 +55,11 @@ impl SweepFigures {
     pub fn run(base: &PipelineConfig, vdds: &[f64]) -> Result<Self, CoreError> {
         let mut nominal = base.clone();
         nominal.variation = Variation::Nominal;
-        let lut_mode = |cfg: &PipelineConfig| {
-            let mut cfg = cfg.clone();
-            cfg.deposit = DepositMode::LutMean;
-            cfg.flip_model = FlipModel::Sampled;
-            SerPipeline::new(cfg)
-        };
-        let lut = [lut_mode(base), lut_mode(&nominal)];
         let chord = [base.clone(), nominal].map(SerPipeline::new);
+        let mut lut_cfg = base.clone();
+        lut_cfg.deposit = DepositMode::LutMean;
+        lut_cfg.flip_model = FlipModel::Sampled;
+        let lut = SerPipeline::new(lut_cfg);
 
         let mut points = Vec::with_capacity(vdds.len());
         for &vdd_v in vdds {
@@ -73,15 +70,18 @@ impl SweepFigures {
                 chord[0].build_pof_table(vdd)?,
                 chord[1].build_pof_table(vdd)?,
             ];
-            let reports = |[pv, nom]: &[SerPipeline; 2]| ModeReports {
+            let reports = |pv: &SerPipeline, nom: &SerPipeline| ModeReports {
                 proton: pv.run_with_table(Particle::Proton, vdd, &tables[0]),
                 alpha: pv.run_with_table(Particle::Alpha, vdd, &tables[0]),
                 alpha_nominal: nom.run_with_table(Particle::Alpha, vdd, &tables[1]),
             };
             points.push(VddPoint {
                 vdd: vdd_v,
-                chord: reports(&chord),
-                lut: reports(&lut),
+                chord: reports(&chord[0], &chord[1]),
+                // A run on a given table reads no `variation`, so the LUT
+                // pipeline serves the nominal table too, and its one alpha
+                // LUT is built once.
+                lut: reports(&lut, &lut),
             });
         }
         Ok(Self { points })

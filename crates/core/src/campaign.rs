@@ -372,7 +372,7 @@ pub(crate) fn prepare(
     // compose bit-exactly with freshly computed bins.
     let pipeline = SerPipeline::new(cfg.pipeline.clone());
     let table = pof_table(&pipeline)?;
-    let plan = BinPlan::new(&pipeline, cfg.particle, Cow::Owned(table));
+    let plan = BinPlan::for_particle(&pipeline, cfg.particle, Cow::Owned(table));
     let outcomes = prefill_outcomes(prior, &plan.bins)?;
     Ok((plan, outcomes))
 }

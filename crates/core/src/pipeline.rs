@@ -14,7 +14,6 @@ use crate::strike::{ArrayPofEstimate, DepositMode, DirectionLaw, FlipModel, Stri
 use crate::CoreError;
 use finrad_environment::{AlphaSpectrum, ProtonSpectrum, Spectrum, SpectrumBin};
 use finrad_finfet::Technology;
-use finrad_numerics::rng::Xoshiro256pp;
 use finrad_observe::keys;
 use finrad_spice::sync::lock_recovering;
 use finrad_sram::{CellCharacterizer, CharacterizeOptions, PofTable, Variation};
@@ -249,19 +248,16 @@ impl SerPipeline {
     /// this pipeline use the memoized [`SerPipeline::ehp_lut`] instead.
     pub fn build_ehp_lut(&self, particle: Particle) -> EhpLut {
         let _span = finrad_observe::span(keys::TRANSPORT_LUT_BUILD_SECONDS);
-        // The 0x1A7 tag decorrelates the LUT-build stream from the MC
-        // streams; it predates `salted_stream` and its draws are pinned by
-        // golden tests, so the inline derivation stays.
-        // finrad-lint: allow(seed-discipline)
-        let mut rng = Xoshiro256pp::seed_from_u64(self.config.seed ^ 0x1A7 ^ particle as u64);
-        let lut = EhpLut::build(
+        // The 0x1A7 tag keeps each species' table seed apart from the
+        // pipeline's own seed; the rows' streams derive from it.
+        let lut = EhpLut::tabulate(
             &self.traversal(),
             particle,
             Energy::from_mev(0.1),
             Energy::from_mev(1.0e3),
             self.config.lut_energy_points,
             self.config.lut_samples,
-            &mut rng,
+            self.config.seed ^ 0x1A7 ^ particle as u64,
         );
         finrad_observe::counter_add(
             keys::TRANSPORT_LUT_TRAVERSALS,
@@ -342,7 +338,7 @@ impl SerPipeline {
         table: &PofTable,
         energies: &[Energy],
     ) -> Vec<(Energy, ArrayPofEstimate)> {
-        let plan = BinPlan::new(self, particle, Cow::Borrowed(table));
+        let plan = BinPlan::for_particle(self, particle, Cow::Borrowed(table));
         let executor = plan.executor();
         energies
             .iter()
@@ -373,7 +369,7 @@ impl SerPipeline {
     /// Full pipeline reusing a prebuilt POF table (`vdd` must match the
     /// table's characterization voltage).
     pub fn run_with_table(&self, particle: Particle, vdd: Voltage, table: &PofTable) -> SerReport {
-        let plan = BinPlan::new(self, particle, Cow::Borrowed(table));
+        let plan = BinPlan::for_particle(self, particle, Cow::Borrowed(table));
         let executor = plan.executor();
         let outcomes: Vec<BinOutcome> = (0..plan.bins.len())
             .map(|k| plan.outcome(k, &executor.run_bin(k)))
@@ -421,7 +417,12 @@ pub(crate) struct BinPlan<'t> {
 
 impl<'t> BinPlan<'t> {
     /// Builds the plan of `pipeline`'s configuration for `particle`.
-    pub(crate) fn new(
+    ///
+    /// Named apart from `new`: in LUT mode it may tabulate the pipeline's
+    /// e-h LUT on worker threads, and the `cargo xtask lint` guard audit
+    /// resolves calls by bare name, so a blocking `new` would mark every
+    /// constructor in the workspace as blocking.
+    pub(crate) fn for_particle(
         pipeline: &SerPipeline,
         particle: Particle,
         table: Cow<'t, PofTable>,
@@ -554,7 +555,7 @@ mod tests {
     fn smoke_plan(seed: u64, table: &PofTable) -> BinPlan<'_> {
         let mut cfg = PipelineConfig::smoke_test();
         cfg.seed = seed;
-        BinPlan::new(
+        BinPlan::for_particle(
             &SerPipeline::new(cfg),
             Particle::Alpha,
             Cow::Borrowed(table),

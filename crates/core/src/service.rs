@@ -1004,7 +1004,7 @@ mod tests {
             PofCurve::from_critical_charges(vec![1.0e-17]),
         );
         let pipeline = PipelineConfig::smoke_test();
-        let plan = BinPlan::new(
+        let plan = BinPlan::for_particle(
             &SerPipeline::new(pipeline.clone()),
             Particle::Alpha,
             Cow::Owned(PofTable::new(vdd, curves)),

@@ -14,6 +14,7 @@
 use crate::array::{clamp_pof, MemoryArray};
 use finrad_geometry::trace::{Crossing, TraceScratch};
 use finrad_geometry::{sampling, Ray};
+use finrad_numerics::par;
 use finrad_numerics::rng::{Rng, Xoshiro256pp};
 use finrad_numerics::stats::RunningStats;
 use finrad_sram::{PofCurve, PofTable, StrikeCombo, StrikeTarget};
@@ -25,7 +26,6 @@ use finrad_transport::straggling::{
 };
 use finrad_units::{constants, Charge, Energy, Particle};
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Size of one logical Monte-Carlo chunk. The iteration space of an
 /// estimate is split into consecutive chunks of this many iterations, each
@@ -48,43 +48,16 @@ where
     F: Fn(u64, u64) -> ArrayPofEstimate + Sync,
 {
     let n_chunks = iterations.div_ceil(MC_CHUNK_ITERATIONS);
-    let threads = (threads.get() as u64).min(n_chunks).max(1);
-    let next = AtomicU64::new(0);
-    let worker = || {
-        let mut out: Vec<(u64, ArrayPofEstimate)> = Vec::new();
-        loop {
-            let c = next.fetch_add(1, Ordering::SeqCst);
-            if c >= n_chunks {
-                break;
-            }
-            let start = c * MC_CHUNK_ITERATIONS;
-            let len = MC_CHUNK_ITERATIONS.min(iterations - start);
-            out.push((c, chunk_fn(c, len)));
-        }
-        out
-    };
-    let mut partials: Vec<(u64, ArrayPofEstimate)> = if threads == 1 {
-        worker()
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
-            handles
-                .into_iter()
-                .flat_map(|h| match h.join() {
-                    Ok(r) => r,
-                    // Forward the worker's own panic payload instead of
-                    // replacing it with a generic message.
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        })
-    };
-    // The merge order must match the chunk order, not the (thread-count
-    // and scheduling dependent) completion order: Welford merging is not
+    // The merge below runs in chunk order, not in the (thread-count and
+    // scheduling dependent) completion order: Welford merging is not
     // bit-associative.
-    partials.sort_by_key(|&(c, _)| c);
+    let partials = par::map_indexed(n_chunks as usize, threads, |c| {
+        let c = c as u64;
+        let start = c * MC_CHUNK_ITERATIONS;
+        chunk_fn(c, MC_CHUNK_ITERATIONS.min(iterations - start))
+    });
     let mut out = ArrayPofEstimate::default();
-    for (_, p) in &partials {
+    for p in &partials {
         out.merge(p);
     }
     out
@@ -1049,15 +1022,14 @@ mod tests {
         let tech = Technology::soi_finfet_14nm();
         let array = MemoryArray::build(&tech, 9, 9, DataPattern::Checkerboard);
         let table = pof_table(0.8);
-        let mut rng = Xoshiro256pp::seed_from_u64(21);
-        let lut = EhpLut::build(
+        let lut = EhpLut::tabulate(
             &FinTraversal::paper_default(),
             Particle::Alpha,
             Energy::from_mev(0.5),
             Energy::from_mev(20.0),
             6,
             200,
-            &mut rng,
+            21,
         );
         let sim = StrikeSimulator::new(
             &array,

@@ -234,6 +234,23 @@ impl Ray {
     pub fn at(&self, t: f64) -> Vec3 {
         self.origin + self.direction * t
     }
+
+    /// The ray from `origin` in the opposite direction. The direction is
+    /// negated, not renormalized: negation is exact, so the result equals
+    /// `Ray::new(origin, -d)` bit for bit for any `d` this ray was built
+    /// from.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `origin` is non-finite.
+    #[inline]
+    pub fn reversed_at(&self, origin: Vec3) -> Self {
+        assert!(origin.is_finite(), "non-finite ray");
+        Self {
+            origin,
+            direction: -self.direction,
+        }
+    }
 }
 
 /// Parametric interval over which a ray is inside a box.
@@ -466,6 +483,17 @@ mod tests {
         let v = Vec3::new(3.0, 4.0, 0.0).normalized();
         assert!((v.norm() - 1.0).abs() < 1e-14);
         assert!((v.x - 0.6).abs() < 1e-14);
+    }
+
+    #[test]
+    fn reversed_at_equals_the_rebuilt_ray_bitwise() {
+        let mut rng = finrad_numerics::rng::Xoshiro256pp::seed_from_u64(11);
+        for _ in 0..1000 {
+            let d = sampling::isotropic_direction(&mut rng) * 3.7;
+            let (a, b) = (Vec3::new(0.1, -2.0, 5.0), Vec3::new(-1.0, 0.25, 1e-9));
+            let back = Ray::new(a, -d);
+            assert_eq!(back.reversed_at(b), Ray::new(b, d));
+        }
     }
 
     #[test]

@@ -16,6 +16,9 @@
 //!   critical-charge extraction.
 //! * [`rng`] — seeded-only pseudo-random number generation (SplitMix64 and
 //!   xoshiro256++) for deterministic, reproducible Monte-Carlo sampling.
+//! * [`par`] — a parallel map over an index range whose results come back
+//!   in index order, so the worker count never shows in a Monte-Carlo
+//!   result.
 //!
 //! # Examples
 //!
@@ -46,6 +49,7 @@
 
 pub mod interp;
 pub mod matrix;
+pub mod par;
 pub mod quadrature;
 pub mod rng;
 pub mod roots;

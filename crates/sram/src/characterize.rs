@@ -13,6 +13,7 @@ use crate::cell::{CellState, SramCell, TransistorRole};
 use crate::pof::{PofCurve, PofTable, StrikeCombo};
 use crate::scenario::StrikeEvent;
 use finrad_finfet::{Technology, VariationModel};
+use finrad_numerics::par;
 use finrad_numerics::rng::{Rng, Xoshiro256pp};
 use finrad_numerics::roots::{itp_from, Endpoint};
 use finrad_numerics::NumericsError;
@@ -21,6 +22,7 @@ use finrad_spice::sync::lock_recovering;
 use finrad_spice::{PulseShape, SpiceError};
 use finrad_units::{Charge, Voltage};
 use std::collections::{BTreeMap, HashMap};
+use std::num::NonZeroUsize;
 use std::sync::{Arc, Mutex};
 
 /// Whether (and how) process variation enters the characterization.
@@ -513,13 +515,14 @@ impl CellCharacterizer {
 
     /// Characterizes one combo: the POF curve at `vdd`.
     ///
-    /// For [`Variation::MonteCarlo`] the samples are distributed across
-    /// `std::thread::available_parallelism()` workers with independent
-    /// deterministic RNG streams derived from `seed`.
+    /// For [`Variation::MonteCarlo`] the samples are claimed one at a time
+    /// by `std::thread::available_parallelism()` workers, each sample with
+    /// its own deterministic RNG stream derived from `seed` and its index.
     ///
     /// # Errors
     ///
-    /// Propagates the first transient-analysis failure encountered.
+    /// Propagates the transient-analysis failure of the lowest-index
+    /// sample that failed.
     pub fn characterize_combo(
         &self,
         vdd: Voltage,
@@ -537,64 +540,28 @@ impl CellCharacterizer {
             Variation::MonteCarlo { samples } => {
                 assert!(samples > 0, "need at least one MC sample");
                 let var = VariationModel::pelgrom(&self.tech);
-                let n_threads = std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-                    .min(samples);
-                let chunk = samples.div_ceil(n_threads);
                 let lattice = self.charge_lattice();
                 // One nominal search before the workers spawn: its
                 // first-flip index anchors every sample's bracketing
-                // walk, independent of thread chunking, and it caches
-                // the nominal pre-strike state before any worker could
-                // race to solve it.
+                // walk, independent of which worker runs the sample, and
+                // it caches the nominal pre-strike state before any
+                // worker could race to solve it.
                 let (_, anchor) =
                     self.critical_charge_from(vdd, combo, &HashMap::new(), 1, &lattice)?;
-                let results: Vec<Result<Vec<f64>, SpiceError>> = std::thread::scope(|scope| {
-                    let mut handles = Vec::new();
-                    for t in 0..n_threads {
-                        let start = t * chunk;
-                        let end = ((t + 1) * chunk).min(samples);
-                        if start >= end {
-                            break;
-                        }
-                        let var = &var;
-                        let lattice = &lattice;
-                        let this = &self;
-                        handles.push(scope.spawn(move || {
-                            let mut out = Vec::with_capacity(end - start);
-                            for i in start..end {
-                                // Each sample draws from its own salted
-                                // stream, so its ΔVth values do not depend
-                                // on how samples are split across workers.
-                                let mut rng = Xoshiro256pp::salted_stream(
-                                    seed,
-                                    i as u64,
-                                    0x9E37_79B9_7F4A_7C15,
-                                );
-                                let deltas = this.sample_deltas(var, &mut rng);
-                                let (q, _) = this
-                                    .critical_charge_from(vdd, combo, &deltas, anchor, lattice)?;
-                                out.push(q.coulombs());
-                            }
-                            Ok(out)
-                        }));
-                    }
-                    handles
-                        .into_iter()
-                        .map(|h| match h.join() {
-                            Ok(r) => r,
-                            // Forward the worker's own panic payload instead
-                            // of replacing it with a generic message.
-                            Err(payload) => std::panic::resume_unwind(payload),
-                        })
-                        .collect()
+                let threads = std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN);
+                let qs = par::map_indexed(samples, threads, |i| {
+                    // Each sample draws from its own salted stream, so its
+                    // ΔVth values do not depend on which worker claims it.
+                    let mut rng =
+                        Xoshiro256pp::salted_stream(seed, i as u64, 0x9E37_79B9_7F4A_7C15);
+                    let deltas = self.sample_deltas(&var, &mut rng);
+                    self.critical_charge_from(vdd, combo, &deltas, anchor, &lattice)
+                        .map(|(q, _)| q.coulombs())
                 });
-                let mut qs = Vec::with_capacity(samples);
-                for r in results {
-                    qs.extend(r?);
-                }
-                Ok(PofCurve::from_critical_charges(qs))
+                // Collecting in index order returns the lowest-index error.
+                Ok(PofCurve::from_critical_charges(
+                    qs.into_iter().collect::<Result<_, _>>()?,
+                ))
             }
         }
     }

@@ -195,8 +195,7 @@ impl FinTraversal {
             .intersect(&back_ray)
             .map(|h| h.t_exit)
             .unwrap_or(0.0);
-        let entry = back_ray.at(t_back * (1.0 - 1e-12));
-        let ray = Ray::new(entry, dir);
+        let ray = back_ray.reversed_at(back_ray.at(t_back * (1.0 - 1e-12)));
         let chord = fin_box
             .intersect(&ray)
             .map(|h| Length::from_meters(h.chord_length()))

@@ -10,10 +10,17 @@
 
 use crate::fin::FinTraversal;
 use finrad_numerics::interp::{log_space, LinearTable};
-use finrad_numerics::rng::Rng;
+use finrad_numerics::par;
+use finrad_numerics::rng::Xoshiro256pp;
 use finrad_numerics::stats::RunningStats;
 use finrad_numerics::NumericsError;
 use finrad_units::{Energy, Particle};
+use std::num::NonZeroUsize;
+
+/// Salt of the per-row streams of [`EhpLut::tabulate`], distinct from
+/// every other engine's salt so no LUT row replays another engine's draws
+/// under the same seed.
+const LUT_SALT: u64 = 0xE703_7ED1_A0B4_28DB;
 
 /// One row of the LUT: traversal statistics at a single energy.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -35,17 +42,15 @@ pub struct LutRow {
 /// ```
 /// use finrad_transport::{fin::FinTraversal, lut::EhpLut};
 /// use finrad_units::{Energy, Particle};
-/// use finrad_numerics::rng::Xoshiro256pp;
 ///
-/// let mut rng = Xoshiro256pp::seed_from_u64(9);
-/// let lut = EhpLut::build(
+/// let lut = EhpLut::tabulate(
 ///     &FinTraversal::paper_default(),
 ///     Particle::Alpha,
 ///     Energy::from_mev(0.5),
 ///     Energy::from_mev(20.0),
 ///     6,    // energy points
 ///     500,  // traversals per point
-///     &mut rng,
+///     9,    // seed
 /// );
 /// assert!(lut.mean_pairs(Energy::from_mev(1.0)) > 0.0);
 /// ```
@@ -57,40 +62,46 @@ pub struct EhpLut {
 }
 
 impl EhpLut {
-    /// Builds the LUT by running `samples_per_point` fin traversals at each
-    /// of `energy_points` log-spaced energies in `[lo, hi]`.
+    /// Tabulates the LUT by running `samples_per_point` fin traversals at
+    /// each of `energy_points` log-spaced energies in `[lo, hi]`.
+    ///
+    /// Row `k` draws every traversal from its own stream,
+    /// `Xoshiro256pp::salted_stream(seed, k + 1, LUT_SALT)`, and the rows
+    /// are spread over `std::thread::available_parallelism()` workers and
+    /// collected in energy order. The table's bits therefore depend on
+    /// `seed` alone, never on the worker count or on scheduling.
     ///
     /// # Panics
     ///
     /// Panics if the energy range is invalid, `energy_points < 2`, or
     /// `samples_per_point == 0`.
-    pub fn build<R: Rng + ?Sized>(
+    pub fn tabulate(
         sim: &FinTraversal,
         particle: Particle,
         lo: Energy,
         hi: Energy,
         energy_points: usize,
         samples_per_point: u64,
-        rng: &mut R,
+        seed: u64,
     ) -> Self {
         assert!(samples_per_point > 0, "need at least one sample per point");
         let energies = log_space(lo.mev(), hi.mev(), energy_points);
-        let rows: Vec<LutRow> = energies
-            .iter()
-            .map(|&e_mev| {
-                let loss = sim.energy_loss(particle, Energy::from_mev(e_mev));
-                let mut stats = RunningStats::new();
-                for _ in 0..samples_per_point {
-                    stats.push(sim.simulate_with(&loss, rng).pairs as f64);
-                }
-                LutRow {
-                    energy_mev: e_mev,
-                    mean_pairs: stats.mean(),
-                    stddev_pairs: stats.stddev(),
-                    samples: stats.count(),
-                }
-            })
-            .collect();
+        let threads = std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN);
+        let rows = par::map_indexed(energies.len(), threads, |k| {
+            let e_mev = energies[k];
+            let mut rng = Xoshiro256pp::salted_stream(seed, k as u64 + 1, LUT_SALT);
+            let loss = sim.energy_loss(particle, Energy::from_mev(e_mev));
+            let mut stats = RunningStats::new();
+            for _ in 0..samples_per_point {
+                stats.push(sim.simulate_with(&loss, &mut rng).pairs as f64);
+            }
+            LutRow {
+                energy_mev: e_mev,
+                mean_pairs: stats.mean(),
+                stddev_pairs: stats.stddev(),
+                samples: stats.count(),
+            }
+        });
         match Self::from_rows(particle, rows) {
             Ok(lut) => lut,
             // log_space yields ≥ 2 strictly increasing finite energies and
@@ -150,18 +161,16 @@ mod tests {
     use crate::fin::FinGeometry;
     use crate::stopping::StoppingModel;
     use crate::straggling::StragglingModel;
-    use finrad_numerics::rng::Xoshiro256pp;
 
     fn small_lut(particle: Particle, seed: u64) -> EhpLut {
-        let mut rng = Xoshiro256pp::seed_from_u64(seed);
-        EhpLut::build(
+        EhpLut::tabulate(
             &FinTraversal::paper_default(),
             particle,
             Energy::from_mev(0.1),
             Energy::from_mev(100.0),
             8,
             2000,
-            &mut rng,
+            seed,
         )
     }
 
@@ -218,32 +227,32 @@ mod tests {
         assert_eq!(lut.peak_mean_pairs(), max_row);
     }
 
-    /// FNV-1a over every row's mean and stddev bits, then the next draw of
-    /// the build's RNG: pins the values and the number of draws.
-    fn build_hash(particle: Particle, straggling: StragglingModel) -> u64 {
-        let sim = FinTraversal::new(
+    fn golden_sim(straggling: StragglingModel) -> FinTraversal {
+        FinTraversal::new(
             FinGeometry::paper_14nm(),
             StoppingModel::silicon(),
             straggling,
-        );
-        let mut rng = Xoshiro256pp::seed_from_u64(0x1A7 ^ particle as u64);
-        let lut = EhpLut::build(
-            &sim,
+        )
+    }
+
+    /// FNV-1a over every row's mean and stddev bits: pins the values of
+    /// the pipeline's 17-row grid at 300 traversals per row.
+    fn build_hash(particle: Particle, straggling: StragglingModel) -> u64 {
+        let lut = EhpLut::tabulate(
+            &golden_sim(straggling),
             particle,
             Energy::from_mev(0.1),
             Energy::from_mev(1.0e3),
             17,
             300,
-            &mut rng,
+            0x1A7 ^ particle as u64,
         );
-        let mut words: Vec<u64> = lut
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let words = lut
             .rows()
             .iter()
-            .flat_map(|r| [r.mean_pairs.to_bits(), r.stddev_pairs.to_bits()])
-            .collect();
-        words.push(rng.next_u64());
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in words.iter().flat_map(|w| w.to_le_bytes()) {
+            .flat_map(|r| [r.mean_pairs.to_bits(), r.stddev_pairs.to_bits()]);
+        for byte in words.flat_map(u64::to_le_bytes) {
             h ^= u64::from(byte);
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
@@ -251,48 +260,48 @@ mod tests {
     }
 
     /// Pinned `build_hash` of both species under every straggling model.
-    /// Any change to the traversal, straggling or pair-sampling arithmetic
-    /// or to the order of RNG draws moves these.
+    /// Any change to the traversal, straggling or pair-sampling arithmetic,
+    /// to the per-row streams or to the order of their draws moves these.
     const GOLDEN_BUILD: [(Particle, StragglingModel, u64); 8] = [
         (
             Particle::Proton,
             StragglingModel::None,
-            0x3b9a_54e0_a015_5a83,
+            0x29c2_7588_8346_52fe,
         ),
         (
             Particle::Proton,
             StragglingModel::Bohr,
-            0xfdd1_cac3_b4ca_5492,
+            0x2946_feaa_c3ce_7334,
         ),
         (
             Particle::Proton,
             StragglingModel::Landau,
-            0xb32e_2ff8_2b0c_f36d,
+            0x5aff_f8d0_8c67_b470,
         ),
         (
             Particle::Proton,
             StragglingModel::Auto,
-            0x7237_bafd_9260_0990,
+            0x9ff3_2390_2fee_42f5,
         ),
         (
             Particle::Alpha,
             StragglingModel::None,
-            0xdb66_8d1b_c18c_e144,
+            0xd6de_4daa_6fbe_999b,
         ),
         (
             Particle::Alpha,
             StragglingModel::Bohr,
-            0x2cc2_6a3b_a4fe_b6a6,
+            0x0587_f6c3_4d41_6874,
         ),
         (
             Particle::Alpha,
             StragglingModel::Landau,
-            0x8404_adcf_681c_1716,
+            0xa33d_bfe7_5704_52ee,
         ),
         (
             Particle::Alpha,
             StragglingModel::Auto,
-            0xc140_c939_9b3f_43b8,
+            0xb643_592d_392d_d6ea,
         ),
     ];
 
@@ -305,6 +314,31 @@ mod tests {
             })
             .collect();
         assert_eq!(got, GOLDEN_BUILD);
+    }
+
+    #[test]
+    fn tabulate_matches_serial_rows() {
+        // The parallel table equals, bit for bit, one serial loop over the
+        // same per-row streams: row order and worker count cannot show.
+        let sim = golden_sim(StragglingModel::Auto);
+        let (lo, hi) = (Energy::from_mev(0.2), Energy::from_mev(50.0));
+        let energies = log_space(lo.mev(), hi.mev(), 9);
+        for (particle, seed) in [(Particle::Alpha, 5), (Particle::Proton, 0x1A7)] {
+            let lut = EhpLut::tabulate(&sim, particle, lo, hi, 9, 400, seed);
+            assert_eq!(lut.rows().len(), energies.len());
+            for (k, (row, &e_mev)) in lut.rows().iter().zip(&energies).enumerate() {
+                let mut rng = Xoshiro256pp::salted_stream(seed, k as u64 + 1, LUT_SALT);
+                let loss = sim.energy_loss(particle, Energy::from_mev(e_mev));
+                let mut stats = RunningStats::new();
+                for _ in 0..400 {
+                    stats.push(sim.simulate_with(&loss, &mut rng).pairs as f64);
+                }
+                assert_eq!(row.energy_mev.to_bits(), e_mev.to_bits());
+                assert_eq!(row.mean_pairs.to_bits(), stats.mean().to_bits(), "row {k}");
+                assert_eq!(row.stddev_pairs.to_bits(), stats.stddev().to_bits());
+                assert_eq!(row.samples, 400);
+            }
+        }
     }
 
     #[test]

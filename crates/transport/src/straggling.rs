@@ -290,6 +290,9 @@ pub fn landau_params(
 /// For `x ≤ −5` the erf argument is at least √(e⁵/2) ≈ 8.6, where erf
 /// already rounds to exactly `1.0` (and stays there once `e^(−x)`
 /// overflows to +∞), so the function returns `1.0` without evaluating it.
+/// Past `x ≈ 745` the other way, `e^(−x)` underflows to `0` and the
+/// expression is `erf(0) = +0.0`, which is returned without running the
+/// erf series.
 ///
 /// # Examples
 ///
@@ -305,7 +308,11 @@ pub fn moyal_survival(x: f64) -> f64 {
     if x <= -5.0 {
         return 1.0;
     }
-    finrad_numerics::special::erf((0.5 * (-x).exp()).sqrt())
+    let tail = (-x).exp();
+    if tail <= 0.0 {
+        return 0.0;
+    }
+    finrad_numerics::special::erf((0.5 * tail).sqrt())
 }
 
 /// Density of the standard Moyal distribution, the negated derivative of
@@ -679,6 +686,38 @@ mod tests {
             assert!(p <= prev + 1e-12);
             prev = p;
         }
+    }
+
+    #[test]
+    fn moyal_survival_underflow_cut_is_bit_identical() {
+        let reference = |x: f64| {
+            if x <= -5.0 {
+                1.0
+            } else {
+                finrad_numerics::special::erf((0.5 * (-x).exp()).sqrt())
+            }
+        };
+        let dense = (0..=100_000).map(|i| 700.0 + f64::from(i) * 1.0e-3);
+        let tiny = [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            1.0e-300,
+            -1.0e-300,
+            5.0e-324,
+            -5.0e-324,
+            1.0e-18,
+            -1.0e-18,
+        ];
+        for x in dense.chain(tiny) {
+            assert_eq!(
+                moyal_survival(x).to_bits(),
+                reference(x).to_bits(),
+                "x = {x:e}"
+            );
+        }
+        assert_eq!(moyal_survival(800.0).to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

@@ -8,7 +8,6 @@
 
 use finrad::prelude::*;
 use finrad::transport::timing;
-use finrad_numerics::rng::Xoshiro256pp;
 
 fn main() {
     let model = StoppingModel::silicon();
@@ -51,16 +50,15 @@ fn main() {
     println!();
     println!("## Electron-hole pair LUT (Fig. 4 kernel, 5000 traversals/point)");
     let sim = FinTraversal::paper_default();
-    let mut rng = Xoshiro256pp::seed_from_u64(11);
-    for particle in Particle::ALL {
-        let lut = EhpLut::build(
+    for (particle, seed) in Particle::ALL.into_iter().zip([11, 12]) {
+        let lut = EhpLut::tabulate(
             &sim,
             particle,
             Energy::from_mev(0.1),
             Energy::from_mev(100.0),
             7,
             5_000,
-            &mut rng,
+            seed,
         );
         print!("  {particle:>7}:");
         for row in lut.rows() {

@@ -95,16 +95,16 @@ fn lut_deposits_match_traversal_statistics() {
     // The EhpLut rows must agree with fresh traversal sampling at the same
     // energy (they are built from the same kernel).
     let sim = FinTraversal::paper_default();
-    let mut rng = Xoshiro256pp::seed_from_u64(9);
-    let lut = EhpLut::build(
+    let lut = EhpLut::tabulate(
         &sim,
         Particle::Alpha,
         Energy::from_mev(0.5),
         Energy::from_mev(50.0),
         6,
         20_000,
-        &mut rng,
+        9,
     );
+    let mut rng = Xoshiro256pp::seed_from_u64(9);
     let e = Energy::from_mev(2.0);
     let n = 20_000;
     let fresh: f64 = (0..n)

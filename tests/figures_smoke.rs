@@ -3,7 +3,6 @@
 //! qualitative shape.
 
 use finrad::prelude::*;
-use finrad_numerics::rng::Xoshiro256pp;
 
 #[test]
 fn fig2_spectra_shapes() {
@@ -24,24 +23,23 @@ fn fig2_spectra_shapes() {
 #[test]
 fn fig4_lut_shape() {
     let sim = FinTraversal::paper_default();
-    let mut rng = Xoshiro256pp::seed_from_u64(4);
-    let alpha = EhpLut::build(
+    let alpha = EhpLut::tabulate(
         &sim,
         Particle::Alpha,
         Energy::from_mev(0.5),
         Energy::from_mev(100.0),
         6,
         4_000,
-        &mut rng,
+        4,
     );
-    let proton = EhpLut::build(
+    let proton = EhpLut::tabulate(
         &sim,
         Particle::Proton,
         Energy::from_mev(0.5),
         Energy::from_mev(100.0),
         6,
         4_000,
-        &mut rng,
+        5,
     );
     // Alpha above proton; both decreasing over the decade 3 -> 100 MeV.
     for e_mev in [1.0, 10.0, 80.0] {
