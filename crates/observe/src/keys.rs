@@ -59,6 +59,10 @@ pub const SRAM_DCOP_CACHE_HITS: &str = "sram.characterize.dcop_cache_hits";
 pub const SRAM_DCOP_CACHE_MISSES: &str = "sram.characterize.dcop_cache_misses";
 /// Transient settle phases cut short by the stationarity early exit.
 pub const SRAM_SETTLE_EARLY_EXITS: &str = "sram.characterize.settle_early_exits";
+/// Post-pilot variation samples whose surrogate-placed fine walk could
+/// not close its bracket (or had no fit) and fell back to the lattice
+/// search.
+pub const SRAM_SURROGATE_FALLBACKS: &str = "sram.characterize.surrogate_fallbacks";
 /// Strike combos characterized.
 pub const SRAM_COMBOS: &str = "sram.characterize.combos";
 /// Wall time per characterized combo, seconds.

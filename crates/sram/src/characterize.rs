@@ -3,16 +3,31 @@
 //! The paper's Section 4: "to obtain POF, we consider the threshold voltage
 //! variation by performing 1000 MC simulations based on accurate SPICE
 //! simulations using the current model described in Section 3.3". Because
-//! the cell upset is monotone in injected charge, each Monte-Carlo sample
-//! is characterized by its **critical charge** (bracketed on a geometric
-//! charge lattice, then refined by an ITP root search over transient
-//! simulations); the POF curve is the empirical CDF of those critical
-//! charges (see [`crate::pof::PofCurve`]).
+//! the cell upset is monotone in injected charge up to the first threshold,
+//! each Monte-Carlo sample is characterized by its **critical charge**; the
+//! POF curve is the empirical CDF of those critical charges (see
+//! [`crate::pof::PofCurve`]).
+//!
+//! Two searches find it, both to the same `hi/lo ≤ 1 + bisect_rel_tol`
+//! bracket:
+//!
+//! - the **lattice search** brackets the first flip on a geometric ×1.6
+//!   charge lattice, then refines the bracket by an ITP root search over
+//!   transient simulations. Nominal cells, standalone searches and the
+//!   first 16 (pilot) samples of a variation table use it.
+//! - the **fine walk** serves every later variation sample. A
+//!   least-squares fit of ln Q_crit on the six ΔVth over the pilot
+//!   samples predicts the sample's threshold; the walk steps on a lattice
+//!   of ratio `1 + bisect_rel_tol` centred on that prediction until a
+//!   no-flip/flip pair is verified, typically two transients. A sample
+//!   whose walk cannot close its bracket near the prediction falls back to
+//!   the lattice search.
 
 use crate::cell::{CellState, SramCell, TransistorRole};
 use crate::pof::{PofCurve, PofTable, StrikeCombo};
 use crate::scenario::StrikeEvent;
 use finrad_finfet::{Technology, VariationModel};
+use finrad_numerics::matrix::{self, Matrix};
 use finrad_numerics::par;
 use finrad_numerics::rng::{Rng, Xoshiro256pp};
 use finrad_numerics::roots::{itp_from, Endpoint};
@@ -100,17 +115,41 @@ pub struct CellCharacterizer {
     tech: Technology,
     options: CharacterizeOptions,
     /// Pre-strike DC operating points keyed by `(vdd, deltas)`: the
-    /// bracketing/refinement probes of one critical-charge search (~7
-    /// for an anchored Monte-Carlo sample, ~16 for a search from the
-    /// floor) all share one identical pre-strike state, so it is solved
-    /// once and reused. Clones share the cache (`Arc`), so a
-    /// characterizer handed to worker threads keeps one map.
+    /// probes of one critical-charge search (~2 for a fine-walk sample,
+    /// ~7 for an anchored lattice search, ~16 for a search from the floor)
+    /// all share one identical pre-strike state, so it is solved once and
+    /// reused. Clones share the cache (`Arc`), so a characterizer handed to
+    /// worker threads keeps one map.
     op_cache: Arc<Mutex<HashMap<OpKey, Arc<Vec<f64>>>>>,
 }
 
 /// Bottom of the critical-charge lattice, coulombs (~6 electrons): never
 /// probed, because no cell flips this low.
 const Q_FLOOR: f64 = 1.0e-18;
+
+/// Variation samples per table that run the lattice search and feed the
+/// surrogate fit; tables of at most this many samples never reach the
+/// fine walk.
+const PILOT: usize = 16;
+
+/// Fewest usable (neither saturated nor floored) pilot samples the
+/// surrogate fit accepts: seven coefficients plus a few degrees of freedom.
+const MIN_FIT_SAMPLES: usize = 10;
+
+/// Most lattice moves the fine walk makes past its first probe before the
+/// sample falls back to the lattice search: ±~12% at the default 2%
+/// tolerance, far below the restore window several ×1.6 steps above the
+/// threshold.
+const MAX_FINE_STEPS: usize = 6;
+
+/// Salt of the per-sample ΔVth streams.
+const SAMPLE_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The six per-transistor ΔVth values in [`TransistorRole::ALL`] order,
+/// volts (missing roles are nominal).
+fn role_deltas(deltas: &HashMap<TransistorRole, Voltage>) -> [f64; 6] {
+    TransistorRole::ALL.map(|role| deltas.get(&role).map(|v| v.volts()).unwrap_or(0.0))
+}
 
 /// Cache key for a pre-strike operating point: the supply voltage and the
 /// six per-transistor ΔVth values (in fixed role order), all as exact
@@ -120,11 +159,66 @@ type OpKey = [u64; 7];
 fn op_key(vdd: Voltage, deltas: &HashMap<TransistorRole, Voltage>) -> OpKey {
     let mut key = [0u64; 7];
     key[0] = vdd.volts().to_bits();
-    for (slot, role) in TransistorRole::ALL.into_iter().enumerate() {
-        let dv = deltas.get(&role).map(|v| v.volts()).unwrap_or(0.0);
-        key[slot + 1] = dv.to_bits();
+    for (slot, dv) in key[1..].iter_mut().zip(role_deltas(deltas)) {
+        *slot = dv.to_bits();
     }
     key
+}
+
+/// A linear surrogate of ln Q_crit in the six ΔVth, least-squares fitted
+/// to the pilot samples of one combo: it places each later sample's fine
+/// walk next to its threshold.
+struct QcritSurrogate {
+    /// Intercept, then one slope per [`TransistorRole::ALL`] entry.
+    coef: Vec<f64>,
+}
+
+impl QcritSurrogate {
+    /// Fits ln Q on `[1, ΔVth…]` over the `(deltas, Q_crit)` pilot samples
+    /// that are neither saturated (`q_max`) nor at the floor, accumulating
+    /// the normal equations in index order. `None` if fewer than
+    /// [`MIN_FIT_SAMPLES`] are usable or the system is singular.
+    fn fit(pilot: &[(HashMap<TransistorRole, Voltage>, f64)], q_max: f64) -> Option<Self> {
+        const N: usize = 7;
+        let mut ata = Matrix::zeros(N, N);
+        let mut aty = [0.0; N];
+        let mut usable = 0;
+        for (deltas, q) in pilot {
+            if !(*q > Q_FLOOR && *q < q_max) {
+                continue;
+            }
+            usable += 1;
+            let y = q.ln();
+            let phi = Self::features(deltas);
+            for (r, (&pr, acc)) in phi.iter().zip(&mut aty).enumerate() {
+                *acc += pr * y;
+                for (c, &pc) in phi.iter().enumerate() {
+                    ata.add_at(r, c, pr * pc);
+                }
+            }
+        }
+        if usable < MIN_FIT_SAMPLES {
+            return None;
+        }
+        let coef = matrix::solve(ata, &aty).ok()?;
+        coef.iter().all(|c| c.is_finite()).then_some(Self { coef })
+    }
+
+    /// `[1, ΔVth of TransistorRole::ALL…]`, volts.
+    fn features(deltas: &HashMap<TransistorRole, Voltage>) -> [f64; 7] {
+        let mut phi = [1.0; 7];
+        phi[1..].copy_from_slice(&role_deltas(deltas));
+        phi
+    }
+
+    /// The predicted ln Q_crit (Q in coulombs) of one sample.
+    fn predict_ln(&self, deltas: &HashMap<TransistorRole, Voltage>) -> f64 {
+        Self::features(deltas)
+            .iter()
+            .zip(&self.coef)
+            .map(|(p, c)| p * c)
+            .sum()
+    }
 }
 
 /// Maps a root-search failure with no underlying SPICE error (a non-finite
@@ -330,11 +424,12 @@ impl CellCharacterizer {
     /// A standalone search starts the walk at the lattice's first probe
     /// point, i.e. it scans upward from the floor to the first flip.
     /// Under [`Variation::MonteCarlo`],
-    /// [`CellCharacterizer::characterize_combo`] starts every sample's
-    /// walk at the nominal cell's first-flip lattice point instead and
-    /// steps down (if that point flips) or up (if it does not) to the
-    /// same bracket, so each search pays a couple of bracketing
-    /// transients rather than ~10 and returns the same bits.
+    /// [`CellCharacterizer::characterize_combo`] starts the walk of each
+    /// pilot sample (and of each sample whose fine walk falls back) at
+    /// the nominal cell's first-flip lattice point instead and steps down
+    /// (if that point flips) or up (if it does not) to the same bracket,
+    /// so each search pays a couple of bracketing transients rather than
+    /// ~10 and returns the same bits.
     ///
     /// If even `q_search_max` does not flip the cell, that bound is
     /// returned (a saturated sample: POF stays 0 up to it).
@@ -513,11 +608,135 @@ impl CellCharacterizer {
             .collect()
     }
 
+    /// The critical charge of a sample whose surrogate predicts
+    /// `ln_pred` (Q in coulombs), found by the fine walk: probe points sit
+    /// at `ln_pred + (k + ½)·ln(1 + bisect_rel_tol)`, the walk probes the
+    /// one just below the prediction (`k = −1`) and steps up while the
+    /// cell holds or down while it flips, until a no-flip/flip pair is
+    /// verified. Returns that pair's geometric midpoint, the bracket
+    /// contract of the lattice search with no refinement step, or `None`
+    /// when the walk leaves `[Q_FLOOR, q_search_max]` or needs more than
+    /// [`MAX_FINE_STEPS`] moves; the caller then falls back to the lattice
+    /// search.
+    ///
+    /// # Errors
+    ///
+    /// Propagates transient-analysis failures.
+    fn fine_walk_qcrit(
+        &self,
+        vdd: Voltage,
+        combo: StrikeCombo,
+        deltas: &HashMap<TransistorRole, Voltage>,
+        ln_pred: f64,
+    ) -> Result<Option<f64>, SpiceError> {
+        let step = (1.0 + self.options.bisect_rel_tol).ln();
+        let range = Q_FLOOR..=self.options.q_search_max;
+        // `Some(flipped)` at lattice point `k`, or `None` outside the range
+        // (a NaN prediction lands here too).
+        let probe = |k: i32| -> Result<Option<(f64, bool)>, SpiceError> {
+            let x = ln_pred + (f64::from(k) + 0.5) * step;
+            let q = x.exp();
+            if !range.contains(&q) {
+                return Ok(None);
+            }
+            let m = self.margin_counted(vdd, combo, Charge::from_coulombs(q), deltas)?;
+            // `m <= 0.0` is a flip; a NaN margin counts as "no flip".
+            Ok(Some((x, m <= 0.0)))
+        };
+        let mut k = -1;
+        let Some((mut x, first)) = probe(k)? else {
+            return Ok(None);
+        };
+        let dir = if first { -1 } else { 1 };
+        for _ in 0..MAX_FINE_STEPS {
+            k += dir;
+            let Some((next, flipped)) = probe(k)? else {
+                return Ok(None);
+            };
+            if flipped != first {
+                return Ok(Some((0.5 * (x + next)).exp()));
+            }
+            x = next;
+        }
+        Ok(None)
+    }
+
+    /// The critical charges of `samples` variation samples of `combo` at
+    /// `vdd`, in sample-index order, plus how many post-pilot samples fell
+    /// back to the lattice search.
+    ///
+    /// The first [`PILOT`] samples run the anchored lattice search; a
+    /// [`QcritSurrogate`] fitted to them places every later sample's
+    /// [`fine walk`](Self::fine_walk_qcrit). Both phases claim samples
+    /// through `available_parallelism()` workers; each sample draws its
+    /// ΔVth from its own stream derived from `seed` and its index, and the
+    /// fit reads the pilot in index order, so the result does not depend
+    /// on the worker count.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the transient-analysis failure of the lowest-index
+    /// sample that failed.
+    fn monte_carlo_qcrits(
+        &self,
+        vdd: Voltage,
+        combo: StrikeCombo,
+        samples: usize,
+        seed: u64,
+    ) -> Result<(Vec<f64>, usize), SpiceError> {
+        let var = VariationModel::pelgrom(&self.tech);
+        let lattice = self.charge_lattice();
+        // One nominal search before the workers spawn: its first-flip
+        // index anchors every lattice search's bracketing walk,
+        // independent of which worker runs the sample, and it caches the
+        // nominal pre-strike state before any worker could race to solve
+        // it.
+        let (_, anchor) = self.critical_charge_from(vdd, combo, &HashMap::new(), 1, &lattice)?;
+        let threads = std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN);
+        let deltas_of = |i: usize| {
+            let mut rng = Xoshiro256pp::salted_stream(seed, i as u64, SAMPLE_SALT);
+            self.sample_deltas(&var, &mut rng)
+        };
+        let lattice_qcrit = |deltas: &HashMap<TransistorRole, Voltage>| {
+            self.critical_charge_from(vdd, combo, deltas, anchor, &lattice)
+                .map(|(q, _)| q.coulombs())
+        };
+        // Collecting in index order returns the lowest-index error.
+        let pilot = par::map_indexed(samples.min(PILOT), threads, |i| {
+            let deltas = deltas_of(i);
+            lattice_qcrit(&deltas).map(|q| (deltas, q))
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
+        let surrogate = QcritSurrogate::fit(&pilot, self.options.q_search_max);
+        let rest = par::map_indexed(samples - pilot.len(), threads, |j| {
+            let deltas = deltas_of(PILOT + j);
+            if let Some(fit) = &surrogate {
+                let ln_pred = fit.predict_ln(&deltas);
+                if let Some(q) = self.fine_walk_qcrit(vdd, combo, &deltas, ln_pred)? {
+                    return Ok((q, false));
+                }
+            }
+            lattice_qcrit(&deltas).map(|q| (q, true))
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, SpiceError>>()?;
+        let fallbacks = rest.iter().filter(|(_, fell_back)| *fell_back).count();
+        let qs = pilot
+            .into_iter()
+            .map(|(_, q)| q)
+            .chain(rest.into_iter().map(|(q, _)| q))
+            .collect();
+        Ok((qs, fallbacks))
+    }
+
     /// Characterizes one combo: the POF curve at `vdd`.
     ///
-    /// For [`Variation::MonteCarlo`] the samples are claimed one at a time
-    /// by `std::thread::available_parallelism()` workers, each sample with
-    /// its own deterministic RNG stream derived from `seed` and its index.
+    /// [`Variation::Nominal`] runs one lattice search on the nominal cell.
+    /// [`Variation::MonteCarlo`] runs the lattice search on the first 16
+    /// (pilot) samples and the surrogate-placed fine walk on the rest
+    /// (see the module docs); each sample's ΔVth comes from its own
+    /// deterministic RNG stream derived from `seed` and its index.
     ///
     /// # Errors
     ///
@@ -539,29 +758,12 @@ impl CellCharacterizer {
             }
             Variation::MonteCarlo { samples } => {
                 assert!(samples > 0, "need at least one MC sample");
-                let var = VariationModel::pelgrom(&self.tech);
-                let lattice = self.charge_lattice();
-                // One nominal search before the workers spawn: its
-                // first-flip index anchors every sample's bracketing
-                // walk, independent of which worker runs the sample, and
-                // it caches the nominal pre-strike state before any
-                // worker could race to solve it.
-                let (_, anchor) =
-                    self.critical_charge_from(vdd, combo, &HashMap::new(), 1, &lattice)?;
-                let threads = std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN);
-                let qs = par::map_indexed(samples, threads, |i| {
-                    // Each sample draws from its own salted stream, so its
-                    // ΔVth values do not depend on which worker claims it.
-                    let mut rng =
-                        Xoshiro256pp::salted_stream(seed, i as u64, 0x9E37_79B9_7F4A_7C15);
-                    let deltas = self.sample_deltas(&var, &mut rng);
-                    self.critical_charge_from(vdd, combo, &deltas, anchor, &lattice)
-                        .map(|(q, _)| q.coulombs())
-                });
-                // Collecting in index order returns the lowest-index error.
-                Ok(PofCurve::from_critical_charges(
-                    qs.into_iter().collect::<Result<_, _>>()?,
-                ))
+                let (qs, fallbacks) = self.monte_carlo_qcrits(vdd, combo, samples, seed)?;
+                finrad_observe::counter_add(
+                    finrad_observe::keys::SRAM_SURROGATE_FALLBACKS,
+                    fallbacks as u64,
+                );
+                Ok(PofCurve::from_critical_charges(qs))
             }
         }
     }
@@ -842,30 +1044,29 @@ mod tests {
     #[test]
     fn golden_variation_qcrit_bits() {
         // Every sorted per-sample critical charge of a variation-MC table,
-        // pinned by a `to_bits` hash per (vdd, combo). The pins were taken
-        // while the sample loop still ran in 32-sample blocks with batched
-        // warm seeding; 66 samples give each of one or two workers at
-        // least one full block and a remainder. Built on a fresh
-        // characterizer so no other test's cached operating points feed
-        // the solves.
+        // pinned by a `to_bits` hash per (vdd, combo). 66 samples are 16
+        // pilot samples on the lattice search plus 50 on the
+        // surrogate-placed fine walk, so the pins cover both searches and
+        // the fit between them. Built on a fresh characterizer so no other
+        // test's cached operating points feed the solves.
         const GOLDEN: [[u64; 7]; 2] = [
             [
-                0x4818_eaba_3a04_5db6,
-                0xb53a_1d34_4ad1_c7ad,
-                0xca7d_e102_14b4_1764,
-                0x9e94_69b2_42e1_903d,
-                0xd7ec_3eee_2c8d_cdf3,
-                0x29be_79ce_04c4_650d,
-                0x8e21_5815_0e2d_1331,
+                0x8eaa_ac34_280b_89ab,
+                0x25dc_1d4c_783a_314b,
+                0xda0f_04ff_a193_42f6,
+                0x7e77_0fb9_7e88_5305,
+                0x6bff_dde1_7c5e_33b7,
+                0x573e_8c07_4117_79f2,
+                0x4234_8e79_5d10_f121,
             ],
             [
-                0x5fc1_a9be_b27b_56b6,
-                0x72ab_e7f3_4d8e_2092,
-                0xf3c4_ff2b_de22_b54b,
-                0x41e4_c8e8_5f3f_c519,
-                0x3432_f25c_fbe3_156a,
-                0x22c7_8c09_5227_0f42,
-                0x3c7c_598e_97ca_57ee,
+                0xaaed_1142_784c_09d7,
+                0x1e89_e81f_b19c_130c,
+                0xa4f1_886c_78fb_0c7d,
+                0xcb34_193b_925b_a14b,
+                0x64c2_8216_8250_c075,
+                0xd954_55d0_3444_a646,
+                0x30f5_36a5_c086_5dd9,
             ],
         ];
         let ch = characterizer();
@@ -897,6 +1098,19 @@ mod tests {
         combo: StrikeCombo,
         deltas: &HashMap<TransistorRole, Voltage>,
     ) -> (Charge, usize) {
+        let (q, probes, _) = upward_scan_bracket(ch, vdd, combo, deltas);
+        (q, probes)
+    }
+
+    /// [`upward_scan_reference`], plus the final bracket the search
+    /// verified: the charges of its last no-flip and last flip probes,
+    /// coulombs (`None` for a saturated or floored sample).
+    fn upward_scan_bracket(
+        ch: &CellCharacterizer,
+        vdd: Voltage,
+        combo: StrikeCombo,
+        deltas: &HashMap<TransistorRole, Voltage>,
+    ) -> (Charge, usize, Option<(f64, f64)>) {
         let margin = |q: f64| {
             ch.margin_counted(vdd, combo, Charge::from_coulombs(q), deltas)
                 .unwrap()
@@ -919,20 +1133,38 @@ mod tests {
             m_lo = Some(m);
         }
         let Some(m_hi) = bracket else {
-            return (Charge::from_coulombs(ch.options().q_search_max), probes);
+            return (
+                Charge::from_coulombs(ch.options().q_search_max),
+                probes,
+                None,
+            );
         };
         let Some(m_lo) = m_lo else {
-            return (Charge::from_coulombs(lo), probes);
+            return (Charge::from_coulombs(lo), probes, None);
         };
+        // ITP keeps the latest probe of each sign as its bracket ends.
+        let (mut held, mut flipped) = (lo.ln(), hi.ln());
         let root = itp_from(
-            |x: f64| margin(x.exp()),
+            |x: f64| {
+                let m = margin(x.exp());
+                if m <= 0.0 {
+                    flipped = x;
+                } else {
+                    held = x;
+                }
+                m
+            },
             Endpoint::new(lo.ln(), m_lo),
             Endpoint::new(hi.ln(), m_hi),
             (1.0 + ch.options().bisect_rel_tol).ln(),
             200,
         )
         .unwrap();
-        (Charge::from_coulombs(root.x.exp()), probes)
+        (
+            Charge::from_coulombs(root.x.exp()),
+            probes,
+            Some((held.exp(), flipped.exp())),
+        )
     }
 
     /// Runs 16 variation samples of every combo at `vdd` through the
@@ -1042,5 +1274,197 @@ mod tests {
                 .unwrap();
             assert_eq!((q.coulombs().to_bits(), k), (Q_FLOOR.to_bits(), 1));
         }
+    }
+
+    /// How the post-pilot samples of some tables compare with the lattice
+    /// search on the same ΔVth.
+    #[derive(Debug, Default)]
+    struct Agreement {
+        /// Post-pilot samples compared.
+        checked: usize,
+        /// Of those, samples that fell back to the lattice search.
+        fallbacks: usize,
+        /// Samples more than one bracket width from the lattice search.
+        disagreements: usize,
+        /// Disagreements where both brackets are verified and one's flip
+        /// lies below the other's hold: a non-monotone flip response.
+        non_monotone: usize,
+    }
+
+    impl std::ops::AddAssign for Agreement {
+        fn add_assign(&mut self, other: Self) {
+            self.checked += other.checked;
+            self.fallbacks += other.fallbacks;
+            self.disagreements += other.disagreements;
+            self.non_monotone += other.non_monotone;
+        }
+    }
+
+    /// Characterizes every combo at `vdd` with `samples` variation samples
+    /// and compares each post-pilot critical charge with the lattice
+    /// search on the same ΔVth. Also checks that every result lies in
+    /// `[Q_FLOOR, q_search_max]` and that the fine walk ran for some
+    /// sample of every combo.
+    fn compare_fine_walk_with_lattice(
+        ch: &CellCharacterizer,
+        vdd: Voltage,
+        samples: usize,
+    ) -> Agreement {
+        let var = VariationModel::pelgrom(ch.technology());
+        let lattice = ch.charge_lattice();
+        let width = (1.0 + ch.options().bisect_rel_tol).ln();
+        let q_max = ch.options().q_search_max;
+        let mut agreement = Agreement::default();
+        for (c, combo) in StrikeCombo::all().into_iter().enumerate() {
+            let seed = 17 + c as u64;
+            let (qs, fallbacks) = ch.monte_carlo_qcrits(vdd, combo, samples, seed).unwrap();
+            assert_eq!(qs.len(), samples);
+            assert!(
+                fallbacks < samples - PILOT,
+                "{vdd:?} {combo:?}: all {fallbacks} post-pilot samples fell back"
+            );
+            agreement.checked += samples - PILOT;
+            agreement.fallbacks += fallbacks;
+            let (_, anchor) = ch
+                .critical_charge_from(vdd, combo, &HashMap::new(), 1, &lattice)
+                .unwrap();
+            for (i, &q) in qs.iter().enumerate().skip(PILOT) {
+                assert!((Q_FLOOR..=q_max).contains(&q), "sample {i}: {q} C");
+                let mut rng = Xoshiro256pp::salted_stream(seed, i as u64, SAMPLE_SALT);
+                let deltas = ch.sample_deltas(&var, &mut rng);
+                let (reference, _) = ch
+                    .critical_charge_from(vdd, combo, &deltas, anchor, &lattice)
+                    .unwrap();
+                if (q / reference.coulombs()).ln().abs() <= width {
+                    continue;
+                }
+                agreement.disagreements += 1;
+                // Verify both brackets: the lattice search's by its own
+                // probes (the upward scan it reproduces), the fine walk's
+                // by re-simulating its ends.
+                let (scanned, _, bracket) = upward_scan_bracket(ch, vdd, combo, &deltas);
+                let flips = |q: f64| {
+                    ch.flips(vdd, combo, Charge::from_coulombs(q), &deltas)
+                        .unwrap()
+                };
+                let (fine_held, fine_flipped) = (q * (-0.5 * width).exp(), q * (0.5 * width).exp());
+                let verified = scanned.coulombs().to_bits() == reference.coulombs().to_bits()
+                    && !flips(fine_held)
+                    && flips(fine_flipped);
+                let non_monotone = bracket
+                    .is_some_and(|(held, flipped)| fine_flipped < held || flipped < fine_held);
+                let (held, flipped) = bracket.unwrap_or((f64::NAN, f64::NAN));
+                eprintln!(
+                    "{vdd:?} {combo:?} sample {i}: fine walk {q:.4e} C in \
+                     [{fine_held:.4e}, {fine_flipped:.4e}], lattice {:.4e} C in \
+                     [{held:.4e}, {flipped:.4e}], verified non-monotone: {}",
+                    reference.coulombs(),
+                    verified && non_monotone
+                );
+                if verified && non_monotone {
+                    agreement.non_monotone += 1;
+                }
+            }
+        }
+        agreement
+    }
+
+    /// [`compare_fine_walk_with_lattice`] at each supply, one thread per
+    /// supply, summed.
+    fn compare_at_supplies(ch: &CellCharacterizer, volts: &[f64], samples: usize) -> Agreement {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = volts
+                .iter()
+                .map(|&v| {
+                    scope.spawn(move || {
+                        compare_fine_walk_with_lattice(ch, Voltage::from_volts(v), samples)
+                    })
+                })
+                .collect();
+            let mut total = Agreement::default();
+            for h in handles {
+                total += h.join().unwrap();
+            }
+            total
+        })
+    }
+
+    #[test]
+    fn fine_walk_agrees_with_lattice_search() {
+        // Every post-pilot critical charge of a 40-sample table lies
+        // within one bracket width of the lattice search on the same ΔVth,
+        // except where both brackets are verified on a non-monotone
+        // response (at most one such sample over both supplies).
+        let got = compare_at_supplies(&characterizer(), &[0.7, 1.1], 40);
+        assert_eq!(got.disagreements, got.non_monotone, "{got:?}");
+        assert!(got.non_monotone <= 1, "{got:?}");
+    }
+
+    #[test]
+    #[ignore = "quick-scale release check: cargo test --release -p finrad-sram -- --ignored"]
+    fn fine_walk_agrees_at_quick_scale() {
+        // Figure quick scale: default options, 150 samples, all seven
+        // combos at 0.7, 0.9 and 1.1 V. At least 99.9% of the post-pilot
+        // samples agree with the lattice search within one bracket width.
+        let ch = CellCharacterizer::new(
+            Technology::soi_finfet_14nm(),
+            CharacterizeOptions::default(),
+        );
+        let got = compare_at_supplies(&ch, &[0.7, 0.9, 1.1], 150);
+        println!(
+            "{} post-pilot samples: {} fallbacks, {} disagreements ({} verified non-monotone)",
+            got.checked, got.fallbacks, got.disagreements, got.non_monotone
+        );
+        assert!(
+            (got.checked - got.disagreements) as f64 >= 0.999 * got.checked as f64,
+            "{got:?}"
+        );
+    }
+
+    #[test]
+    fn pilot_only_and_saturated_tables_keep_the_lattice_bits() {
+        // Pinned on the lattice search alone, before the fine walk: a
+        // table of 16 samples is all pilot, and a search range that
+        // saturates every sample leaves the fit no usable pilot sample,
+        // so every later sample falls back to the lattice search.
+        const PILOT_TABLE: u64 = 0xe194_7407_d342_08f8;
+        const SATURATED_TABLE: u64 = 0x42a8_2f39_0528_a745;
+        let table_hash = |ch: &CellCharacterizer, volts: f64, samples: usize| {
+            let table = ch
+                .build_table(
+                    Voltage::from_volts(volts),
+                    Variation::MonteCarlo { samples },
+                    5,
+                )
+                .unwrap();
+            let qs: Vec<f64> = StrikeCombo::all()
+                .into_iter()
+                .flat_map(|combo| table.curve(combo).unwrap().qcrit_samples().to_vec())
+                .collect();
+            assert_eq!(qs.len(), 7 * samples);
+            fnv1a64_bits(&qs)
+        };
+        let tiny = CellCharacterizer::new(
+            Technology::soi_finfet_14nm(),
+            CharacterizeOptions {
+                q_search_max: 1.0e-17,
+                ..characterizer().options().clone()
+            },
+        );
+        let got = [
+            table_hash(&characterizer(), 0.9, PILOT),
+            table_hash(&tiny, 0.7, 24),
+        ];
+        assert_eq!(got, [PILOT_TABLE, SATURATED_TABLE], "got {got:#018x?}");
+        let (qs, fallbacks) = tiny
+            .monte_carlo_qcrits(
+                Voltage::from_volts(0.7),
+                StrikeCombo::single(StrikeTarget::I1),
+                24,
+                5,
+            )
+            .unwrap();
+        assert!(qs.iter().all(|&q| q == 1.0e-17));
+        assert_eq!(fallbacks, 24 - PILOT);
     }
 }

@@ -1,7 +1,9 @@
 //! Work counts of the variation Monte Carlo repeat exactly for the same
 //! seed, not just its results, and every kept hot-path mechanism (DC-op
 //! cache, warm-started Newton, `StructuredLu`, chord Jacobian reuse,
-//! LTE-adaptive settle stepping) fires. Lives in its own binary because a
+//! LTE-adaptive settle stepping) fires. A 16-sample table runs the pilot's
+//! lattice search alone; a 24-sample table adds the surrogate-placed fine
+//! walk, whose fallback count must repeat too (it may well be zero). Lives in its own binary because a
 //! process can install exactly one recorder, and the counter deltas need a
 //! process where nothing else simulates circuits concurrently.
 
@@ -22,9 +24,16 @@ const COUNTED: [&str; 9] = [
     keys::SPICE_NEWTON_REFACTORIZATIONS,
 ];
 
-/// Builds a reduced variation-MC POF table on a fresh characterizer (so
-/// an empty operating-point cache) and returns the counter deltas.
-fn build_counts(recorder: &InMemoryRecorder) -> [u64; COUNTED.len()] {
+/// Counted too, but allowed to read zero.
+const MAY_BE_ZERO: [&str; 1] = [keys::SRAM_SURROGATE_FALLBACKS];
+
+/// Builds a reduced variation-MC POF table of `samples` samples on a
+/// fresh characterizer (so an empty operating-point cache) and returns
+/// the counter deltas of [`COUNTED`] and [`MAY_BE_ZERO`].
+fn build_counts(
+    recorder: &InMemoryRecorder,
+    samples: usize,
+) -> ([u64; COUNTED.len()], [u64; MAY_BE_ZERO.len()]) {
     let before = recorder.snapshot();
     let ch = CellCharacterizer::new(
         Technology::soi_finfet_14nm(),
@@ -36,27 +45,39 @@ fn build_counts(recorder: &InMemoryRecorder) -> [u64; COUNTED.len()] {
     );
     ch.build_table(
         Voltage::from_volts(0.8),
-        Variation::MonteCarlo { samples: 16 },
+        Variation::MonteCarlo { samples },
         3,
     )
     .expect("table");
     let after = recorder.snapshot();
-    COUNTED.map(|key| after.counter(key) - before.counter(key))
+    let delta = |key: &str| after.counter(key) - before.counter(key);
+    (COUNTED.map(delta), MAY_BE_ZERO.map(delta))
 }
 
 #[test]
 fn variation_table_work_counts_repeat_exactly() {
     let recorder = finrad_observe::install_in_memory().expect("first install");
-    let first = build_counts(recorder);
-    let second = build_counts(recorder);
-    for (key, (a, b)) in COUNTED.iter().zip(first.iter().zip(&second)) {
-        assert!(*a > 0, "{key} never counted");
-        assert_eq!(a, b, "{key}: {a} then {b} on the same seed");
+    for samples in [16, 24] {
+        let (first, first_zero) = build_counts(recorder, samples);
+        let (second, second_zero) = build_counts(recorder, samples);
+        for (key, (a, b)) in COUNTED.iter().zip(first.iter().zip(&second)) {
+            assert!(*a > 0, "{samples} samples: {key} never counted");
+            assert_eq!(
+                a, b,
+                "{samples} samples, {key}: {a} then {b} on the same seed"
+            );
+        }
+        for (key, (a, b)) in MAY_BE_ZERO.iter().zip(first_zero.iter().zip(&second_zero)) {
+            assert_eq!(
+                a, b,
+                "{samples} samples, {key}: {a} then {b} on the same seed"
+            );
+        }
+        let count = |key: &str| first[COUNTED.iter().position(|k| *k == key).expect("counted")];
+        assert_eq!(
+            count(keys::SPICE_NEWTON_JACOBIAN_REUSES) + count(keys::SPICE_NEWTON_REFACTORIZATIONS),
+            count(keys::SPICE_NEWTON_ITERATIONS),
+            "every Newton iteration either reuses or refactors the Jacobian"
+        );
     }
-    let count = |key: &str| first[COUNTED.iter().position(|k| *k == key).expect("counted")];
-    assert_eq!(
-        count(keys::SPICE_NEWTON_JACOBIAN_REUSES) + count(keys::SPICE_NEWTON_REFACTORIZATIONS),
-        count(keys::SPICE_NEWTON_ITERATIONS),
-        "every Newton iteration either reuses or refactors the Jacobian"
-    );
 }
