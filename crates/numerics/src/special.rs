@@ -2,7 +2,7 @@
 //!
 //! Only what the workspace needs: the error function, used by the
 //! conditional-expectation straggling treatment (Moyal survival
-//! probabilities) and by normal-distribution utilities.
+//! probabilities).
 
 /// The error function `erf(x) = 2/√π ∫₀ˣ e^(−t²) dt`.
 ///
@@ -49,25 +49,6 @@ pub fn erf(x: f64) -> f64 {
     let t = 1.0 / (1.0 + P * x);
     let poly = ((((A5 * t + A4) * t + A3) * t + A2) * t + A1) * t;
     1.0 - poly * (-x * x).exp()
-}
-
-/// The complementary error function `erfc(x) = 1 − erf(x)`.
-pub fn erfc(x: f64) -> f64 {
-    1.0 - erf(x)
-}
-
-/// Standard normal CDF `Φ(x)`.
-///
-/// # Examples
-///
-/// ```
-/// use finrad_numerics::special::normal_cdf;
-///
-/// assert!((normal_cdf(0.0) - 0.5).abs() < 1e-12);
-/// assert!((normal_cdf(1.959964) - 0.975).abs() < 1e-4);
-/// ```
-pub fn normal_cdf(x: f64) -> f64 {
-    0.5 * (1.0 + erf(x / std::f64::consts::SQRT_2))
 }
 
 #[cfg(test)]
@@ -123,8 +104,8 @@ mod tests {
             assert!((erf(-x) + erf(x)).abs() < 1e-12);
         }
         assert!(erf(10.0) <= 1.0);
-        assert!(erfc(10.0) >= 0.0);
-        assert!((erfc(0.0) - 1.0).abs() < 1e-15);
+        assert!(1.0 - erf(10.0) >= 0.0);
+        assert!(erf(0.0).abs() < 1e-15);
     }
 
     #[test]
@@ -134,13 +115,6 @@ mod tests {
             let v = erf(-3.0 + i as f64 * 0.06);
             assert!(v >= prev - 1e-9);
             prev = v;
-        }
-    }
-
-    #[test]
-    fn normal_cdf_symmetry() {
-        for x in [0.3, 1.0, 2.2] {
-            assert!((normal_cdf(x) + normal_cdf(-x) - 1.0).abs() < 1e-10);
         }
     }
 }

@@ -57,11 +57,12 @@ pub const SRAM_BISECTION_STEPS: &str = "sram.characterize.bisection_steps";
 pub const SRAM_DCOP_CACHE_HITS: &str = "sram.characterize.dcop_cache_hits";
 /// Pre-strike DC operating points that missed the cache and were solved.
 pub const SRAM_DCOP_CACHE_MISSES: &str = "sram.characterize.dcop_cache_misses";
-/// Transient settle phases cut short by the stationarity early exit.
+/// Strike transients stopped at a decided verdict (past the pulse window,
+/// |margin| > ½ with both storage nodes within 50 mV of a rail) instead
+/// of running the full settle.
 pub const SRAM_SETTLE_EARLY_EXITS: &str = "sram.characterize.settle_early_exits";
-/// Post-pilot variation samples whose surrogate-placed fine walk could
-/// not close its bracket (or had no fit) and fell back to the lattice
-/// search.
+/// Variation samples, pilot samples included, whose fine walk could not
+/// close its bracket near its centre and fell back to the lattice search.
 pub const SRAM_SURROGATE_FALLBACKS: &str = "sram.characterize.surrogate_fallbacks";
 /// Strike combos characterized.
 pub const SRAM_COMBOS: &str = "sram.characterize.combos";

@@ -5,7 +5,10 @@
 //! LU factorization from `finrad-numerics`. Capacitors enter the transient
 //! system through their backward-Euler companion model `i = C/h·(v − v⁻)`;
 //! backward Euler is L-stable, which the stiff femtosecond-pulse →
-//! picosecond-settling dynamics of an SRAM upset demand.
+//! picosecond-settling dynamics of an SRAM upset demand. Each transient
+//! step's Newton iteration starts from the linear extrapolation of the
+//! last accepted step, clamped to `v_clamp`; the companion model always
+//! uses the accepted state itself.
 
 use crate::circuit::Circuit;
 use crate::recovery::{RecoveryRung, RecoveryTrace};
@@ -799,14 +802,23 @@ impl<'c> Assembler<'c> {
 /// halving the step (SPICE-style timestep rejection) when Newton fails —
 /// the remedy for steps that straddle the cell's metastable transition.
 ///
+/// Newton starts from `guess` (the previous state `v` when `None`); the
+/// backward-Euler companion always uses `v`. Halved retries start from
+/// the previous state.
+///
 /// The cascade is bounded twice: by `opts.max_step_halvings` and by the
 /// absolute floor `opts.min_dt`. Hitting either bound fails with the
 /// rejected step's full diagnostics (time, dt, depth, floor) attached to
 /// the error instead of a context-free `NoConvergence`; every halving is
 /// recorded in `trace`.
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one recursive step: state, guess, time, step, options, depth and trace"
+)]
 fn advance_step(
     asm: &Assembler<'_>,
     v: Vec<f64>,
+    guess: Option<&[f64]>,
     t: f64,
     dt: f64,
     opts: &NewtonOptions,
@@ -814,7 +826,7 @@ fn advance_step(
     trace: &mut RecoveryTrace,
 ) -> Result<Vec<f64>, SpiceError> {
     match asm.newton(
-        &v,
+        guess.unwrap_or(&v),
         Some((dt, &v)),
         t + dt,
         opts,
@@ -865,8 +877,8 @@ fn advance_step(
                     depth + 1
                 ),
             );
-            let mid = advance_step(asm, v, t, half, opts, depth + 1, trace)?;
-            advance_step(asm, mid, t + half, half, opts, depth + 1, trace)
+            let mid = advance_step(asm, v, None, t, half, opts, depth + 1, trace)?;
+            advance_step(asm, mid, None, t + half, half, opts, depth + 1, trace)
         }
     }
 }
@@ -1240,8 +1252,8 @@ impl TimeStepPlan {
 
     /// A plan suited to SRAM upset simulation: resolves a pulse of width
     /// `pulse_width` starting at `pulse_start` with ~8 steps across it on
-    /// an exact fixed grid (so waveform sampling and the stationarity
-    /// early-exit stay bit-reproducible), then relaxes over `settle`
+    /// an exact fixed grid (so waveform sampling and a caller's early
+    /// exit stay bit-reproducible), then relaxes over `settle`
     /// under LTE-adaptive stepping seeded with the coarse tail dt.
     pub fn for_pulse(pulse_start: f64, pulse_width: f64, settle: f64) -> Self {
         let fine_dt = (pulse_width / 8.0).max(1.0e-16);
@@ -1357,7 +1369,7 @@ pub fn transient_from_state(
 ///
 /// The predicate sees the timestamp and the full node-voltage vector of
 /// the accepted step. It is the hook for settle-phase early exits in
-/// critical-charge searches: once the cell state is provably stationary,
+/// critical-charge searches: once the flip verdict is decided,
 /// simulating the rest of the tail adds nothing but wall time.
 ///
 /// # Errors
@@ -1431,7 +1443,25 @@ fn run_transient(
     let mut stopped = false;
     let mut lte_growths = 0u64;
     let mut phase_start = 0.0f64;
+    // Newton starts each step from the linear extrapolation `v + der·h`
+    // of the phase's last accepted step (`der = (v − v_old)/h_old`),
+    // clamped to `v_clamp`: on the fixed grid that is `2v − v_prev`. A
+    // phase's first step starts from `v`.
+    let mut v_old = vec![0.0; v.len()];
+    let mut der = vec![0.0; v.len()];
+    let mut guess = vec![0.0; v.len()];
+    let predict = |guess: &mut [f64], v: &[f64], der: &[f64], h: f64| {
+        for (g, (x, d)) in guess.iter_mut().zip(v.iter().zip(der)) {
+            *g = (x + d * h).clamp(opts.v_clamp.0, opts.v_clamp.1);
+        }
+    };
+    let slope = |der: &mut [f64], v: &[f64], v_old: &[f64], h: f64| {
+        for (d, (a, b)) in der.iter_mut().zip(v.iter().zip(v_old)) {
+            *d = (a - b) / h;
+        }
+    };
     'phases: for (pi, phase) in plan.phases().iter().enumerate() {
+        der.fill(0.0);
         if plan.phase_adaptive(pi) {
             // LTE-controlled phase. `dt` starts at the phase's base step
             // and doubles while the backward-Euler truncation-error
@@ -1444,14 +1474,13 @@ fn run_transient(
             let dt_max = phase.dt * LTE_MAX_GROWTH;
             let mut dt = phase.dt;
             let mut t = phase_start;
-            let mut v_old = vec![0.0; v.len()];
-            let mut der = vec![0.0; v.len()];
             let mut der_prev: Vec<f64> = Vec::new();
             while phase_end - t > phase.dt * 1.0e-9 {
                 let h = dt.min(phase_end - t);
                 v_old.copy_from_slice(&v);
+                predict(&mut guess, &v, &der, h);
                 let rejections_before = trace.attempts().len() + trace.suppressed();
-                v = advance_step(&asm, v, t, h, opts, 0, &mut trace)?;
+                v = advance_step(&asm, v, Some(&guess), t, h, opts, 0, &mut trace)?;
                 let t1 = if phase_end - (t + h) <= phase.dt * 1.0e-9 {
                     phase_end
                 } else {
@@ -1464,9 +1493,7 @@ fn run_transient(
                         break 'phases;
                     }
                 }
-                for (d, (a, b)) in der.iter_mut().zip(v.iter().zip(&v_old)) {
-                    *d = (a - b) / h;
-                }
+                slope(&mut der, &v, &v_old, h);
                 if trace.attempts().len() + trace.suppressed() > rejections_before {
                     // The step-halving rejection path is the shrink side
                     // of this controller: a step Newton had to cut up is
@@ -1496,14 +1523,28 @@ fn run_transient(
             // Sub-ppb leftovers are quantization noise of `duration/dt`,
             // not a real remainder step.
             let has_remainder = remainder > phase.dt * 1.0e-9;
-            for i in 0..n_full {
+            let phase_end = phase_start + phase.duration;
+            // `(t0, h, t1)` of every step: the full steps on the derived
+            // grid, then the remainder step, the last landing on the
+            // phase end exactly.
+            let full = (0..n_full).map(|i| {
                 let t0 = phase_start + i as f64 * phase.dt;
-                v = advance_step(&asm, v, t0, phase.dt, opts, 0, &mut trace)?;
                 let t1 = if i + 1 == n_full && !has_remainder {
-                    phase_start + phase.duration
+                    phase_end
                 } else {
                     phase_start + (i + 1) as f64 * phase.dt
                 };
+                (t0, phase.dt, t1)
+            });
+            let rest = has_remainder.then_some((
+                phase_start + n_full as f64 * phase.dt,
+                remainder,
+                phase_end,
+            ));
+            for (t0, h, t1) in full.chain(rest) {
+                v_old.copy_from_slice(&v);
+                predict(&mut guess, &v, &der, h);
+                v = advance_step(&asm, v, Some(&guess), t0, h, opts, 0, &mut trace)?;
                 result.push_sample(t1, probes.iter().map(|&n| v[n.index()]));
                 if let Some(stop) = stop.as_deref_mut() {
                     if stop(t1, &v) {
@@ -1511,18 +1552,7 @@ fn run_transient(
                         break 'phases;
                     }
                 }
-            }
-            if has_remainder {
-                let t0 = phase_start + n_full as f64 * phase.dt;
-                v = advance_step(&asm, v, t0, remainder, opts, 0, &mut trace)?;
-                let t1 = phase_start + phase.duration;
-                result.push_sample(t1, probes.iter().map(|&n| v[n.index()]));
-                if let Some(stop) = stop.as_deref_mut() {
-                    if stop(t1, &v) {
-                        stopped = true;
-                        break 'phases;
-                    }
-                }
+                slope(&mut der, &v, &v_old, h);
             }
         }
         phase_start += phase.duration;
@@ -1860,7 +1890,7 @@ mod tests {
         }
         assert_eq!(
             (res.times().len(), hash),
-            (26, 0xb92f_7e0c_7967_07c2),
+            (26, 0x0f1c_c705_af63_f34a),
             "the full-Newton waveform moved"
         );
     }

@@ -13,15 +13,18 @@
 //!
 //! - the **lattice search** brackets the first flip on a geometric ×1.6
 //!   charge lattice, then refines the bracket by an ITP root search over
-//!   transient simulations. Nominal cells, standalone searches and the
-//!   first 16 (pilot) samples of a variation table use it.
-//! - the **fine walk** serves every later variation sample. A
-//!   least-squares fit of ln Q_crit on the six ΔVth over the pilot
-//!   samples predicts the sample's threshold; the walk steps on a lattice
-//!   of ratio `1 + bisect_rel_tol` centred on that prediction until a
-//!   no-flip/flip pair is verified, typically two transients. A sample
-//!   whose walk cannot close its bracket near the prediction falls back to
-//!   the lattice search.
+//!   transient simulations. Nominal cells and standalone searches use it.
+//! - the **fine walk** serves every variation sample: it steps on a
+//!   lattice of ratio `1 + bisect_rel_tol` centred on a predicted
+//!   threshold until a no-flip/flip pair is verified, typically two
+//!   transients. The first 16 (pilot) samples of a table centre it on the
+//!   nominal cell's critical charge; a least-squares fit of ln Q_crit on
+//!   the six ΔVth over the pilot samples centres every later one. A sample
+//!   whose walk cannot close its bracket near its centre falls back to the
+//!   lattice search.
+//!
+//! Each transient reads only the flip verdict, so it stops as soon as the
+//! verdict is decided (see [`CellCharacterizer::simulate_strike`]).
 
 use crate::cell::{CellState, SramCell, TransistorRole};
 use crate::pof::{PofCurve, PofTable, StrikeCombo};
@@ -127,9 +130,9 @@ pub struct CellCharacterizer {
 /// probed, because no cell flips this low.
 const Q_FLOOR: f64 = 1.0e-18;
 
-/// Variation samples per table that run the lattice search and feed the
-/// surrogate fit; tables of at most this many samples never reach the
-/// fine walk.
+/// Variation samples per table whose fine walk centres on the nominal
+/// critical charge and which feed the surrogate fit; tables of at most
+/// this many samples never use the fit.
 const PILOT: usize = 16;
 
 /// Fewest usable (neither saturated nor floored) pilot samples the
@@ -141,6 +144,10 @@ const MIN_FIT_SAMPLES: usize = 10;
 /// tolerance, far below the restore window several ×1.6 steps above the
 /// threshold.
 const MAX_FINE_STEPS: usize = 6;
+
+/// How close to a rail (0 or Vdd) both storage nodes must be for a strike
+/// transient's verdict to count as decided, volts.
+const RAIL_BAND: f64 = 0.05;
 
 /// Salt of the per-sample ΔVth streams.
 const SAMPLE_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -166,7 +173,7 @@ fn op_key(vdd: Voltage, deltas: &HashMap<TransistorRole, Voltage>) -> OpKey {
 }
 
 /// A linear surrogate of ln Q_crit in the six ΔVth, least-squares fitted
-/// to the pilot samples of one combo: it places each later sample's fine
+/// to the pilot samples of one combo: it centres each later sample's fine
 /// walk next to its threshold.
 struct QcritSurrogate {
     /// Intercept, then one slope per [`TransistorRole::ALL`] entry.
@@ -178,13 +185,16 @@ impl QcritSurrogate {
     /// that are neither saturated (`q_max`) nor at the floor, accumulating
     /// the normal equations in index order. `None` if fewer than
     /// [`MIN_FIT_SAMPLES`] are usable or the system is singular.
-    fn fit(pilot: &[(HashMap<TransistorRole, Voltage>, f64)], q_max: f64) -> Option<Self> {
+    fn fit<'a>(
+        pilot: impl IntoIterator<Item = (&'a HashMap<TransistorRole, Voltage>, f64)>,
+        q_max: f64,
+    ) -> Option<Self> {
         const N: usize = 7;
         let mut ata = Matrix::zeros(N, N);
         let mut aty = [0.0; N];
         let mut usable = 0;
         for (deltas, q) in pilot {
-            if !(*q > Q_FLOOR && *q < q_max) {
+            if !(q > Q_FLOOR && q < q_max) {
                 continue;
             }
             usable += 1;
@@ -269,6 +279,12 @@ impl CellCharacterizer {
     /// nominal). The cell holds [`CellState::One`]; by symmetry the result
     /// applies to the mirrored strike on a `Zero` cell.
     ///
+    /// The transient stops once the verdict is decided: after the pulse
+    /// window, the normalized margin `(v_Q − v_QB)/vdd` exceeds ½ in
+    /// magnitude with both storage nodes within 50 mV of a rail. A cell
+    /// parked near its saddle never meets that rule and is simulated over
+    /// the full settle.
+    ///
     /// # Errors
     ///
     /// Propagates transient-analysis failures.
@@ -280,7 +296,7 @@ impl CellCharacterizer {
     ) -> Result<bool, SpiceError> {
         // Flipped ⇔ the decoded state differs from the held `One`, which
         // `decode_state` defines as vq > vqb — i.e. margin ≤ 0.
-        Ok(self.strike_margin(vdd, event, deltas)? <= 0.0)
+        Ok(self.strike_margin(vdd, event, deltas)?.0 <= 0.0)
     }
 
     /// Pre-strike operating point of the (un-struck) cell with the given
@@ -327,23 +343,14 @@ impl CellCharacterizer {
         Ok(entry)
     }
 
-    /// Simulates one strike and returns the cell's final normalized state
-    /// margin `(v_Q − v_QB)/vdd`: positive = held `One`, ≤ 0 = flipped.
-    ///
-    /// The transient starts from the cached pre-strike operating point and
-    /// exits the settle phase early once the margin is provably
-    /// stationary: |margin| beyond half the supply with a per-step change
-    /// under 1e-3 sustained over 200 fs of simulated time. The window is
-    /// time-based (not step-counted) so it is equally meaningful on the
-    /// fixed strike grid and on the sparse LTE-adaptive settle samples;
-    /// the exit decision depends only on the trajectory, so results stay
-    /// deterministic.
-    fn strike_margin(
+    /// The held-`One` cell with the given ΔVth, its cached pre-strike
+    /// operating point, and `event` injected.
+    fn struck_cell(
         &self,
         vdd: Voltage,
         event: &StrikeEvent,
         deltas: &HashMap<TransistorRole, Voltage>,
-    ) -> Result<f64, SpiceError> {
+    ) -> Result<(SramCell, Arc<Vec<f64>>), SpiceError> {
         let state = CellState::One;
         let mut cell = SramCell::new(&self.tech, vdd);
         for (&role, &dv) in deltas {
@@ -353,44 +360,53 @@ impl CellCharacterizer {
         }
         let pre = self.pre_strike_state(vdd, deltas, &cell, state)?;
         event.inject(&mut cell, state);
+        Ok((cell, pre))
+    }
 
+    /// Simulates one strike and returns the cell's normalized state margin
+    /// `(v_Q − v_QB)/vdd` at the decision (positive = held `One`, ≤ 0 =
+    /// flipped), and whether the verdict was decided before the horizon.
+    ///
+    /// The transient starts from the cached pre-strike operating point.
+    /// After the pulse window and its immediate aftermath (`t_start + 2 ×
+    /// width`), it stops at the first accepted step where the verdict is
+    /// decided: |margin| > ½ with both Q and QB within [`RAIL_BAND`] of a
+    /// rail. The returned margin is the margin at that step, not the
+    /// settled one; only its sign is the verdict. A cell parked near its
+    /// saddle (|margin| ≈ 0) never meets the rule and runs to the horizon.
+    /// The decision depends only on the trajectory, so results stay
+    /// deterministic.
+    fn strike_margin(
+        &self,
+        vdd: Voltage,
+        event: &StrikeEvent,
+        deltas: &HashMap<TransistorRole, Voltage>,
+    ) -> Result<(f64, bool), SpiceError> {
+        let (cell, pre) = self.struck_cell(vdd, event, deltas)?;
         let plan = TimeStepPlan::for_pulse(event.t_start, event.width, self.options.settle);
         let fine_span = event.t_start + event.width * 2.0;
         let vdd_v = vdd.volts();
         let (iq, iqb) = (cell.q().index(), cell.qb().index());
-        let mut prev_m = f64::NAN;
-        let mut prev_t = f64::NAN;
-        let mut stable_time = 0.0f64;
-        let (res, stopped) = analysis::transient_until(
+        let at_rail = |x: f64| x.abs().min((x - vdd_v).abs()) < RAIL_BAND;
+        let (res, decided) = analysis::transient_until(
             cell.circuit(),
             &plan,
             &pre,
             &[cell.q(), cell.qb()],
             &self.options.newton,
             |t, v| {
-                // Only the settle tail may be cut short; the pulse window
-                // and its immediate aftermath are always simulated.
-                if t <= fine_span {
-                    return false;
-                }
-                let m = (v[iq] - v[iqb]) / vdd_v;
-                let stationary = m.abs() > 0.5 && (m - prev_m).abs() < 1.0e-3;
-                stable_time = if stationary && prev_t.is_finite() {
-                    stable_time + (t - prev_t)
-                } else {
-                    0.0
-                };
-                prev_m = m;
-                prev_t = t;
-                stable_time >= 2.0e-13
+                t > fine_span
+                    && ((v[iq] - v[iqb]) / vdd_v).abs() > 0.5
+                    && at_rail(v[iq])
+                    && at_rail(v[iqb])
             },
         )?;
-        if stopped {
+        if decided {
             finrad_observe::counter_add(finrad_observe::keys::SRAM_SETTLE_EARLY_EXITS, 1);
         }
         let vq = res.final_voltage(cell.q());
         let vqb = res.final_voltage(cell.qb());
-        Ok((vq - vqb) / vdd_v)
+        Ok(((vq - vqb) / vdd_v, decided))
     }
 
     /// Whether a strike of total charge `q` on `combo` (split equally)
@@ -425,11 +441,10 @@ impl CellCharacterizer {
     /// point, i.e. it scans upward from the floor to the first flip.
     /// Under [`Variation::MonteCarlo`],
     /// [`CellCharacterizer::characterize_combo`] starts the walk of each
-    /// pilot sample (and of each sample whose fine walk falls back) at
-    /// the nominal cell's first-flip lattice point instead and steps down
-    /// (if that point flips) or up (if it does not) to the same bracket,
-    /// so each search pays a couple of bracketing transients rather than
-    /// ~10 and returns the same bits.
+    /// sample whose fine walk falls back at the nominal cell's first-flip
+    /// lattice point instead and steps down (if that point flips) or up
+    /// (if it does not) to the same bracket, so each search pays a couple
+    /// of bracketing transients rather than ~10 and returns the same bits.
     ///
     /// If even `q_search_max` does not flip the cell, that bound is
     /// returned (a saturated sample: POF stays 0 up to it).
@@ -593,7 +608,7 @@ impl CellCharacterizer {
             self.pulse_width(vdd),
             self.options.shape,
         );
-        self.strike_margin(vdd, &event, deltas)
+        Ok(self.strike_margin(vdd, &event, deltas)?.0)
     }
 
     /// Draws one per-transistor ΔVth assignment.
@@ -608,16 +623,17 @@ impl CellCharacterizer {
             .collect()
     }
 
-    /// The critical charge of a sample whose surrogate predicts
-    /// `ln_pred` (Q in coulombs), found by the fine walk: probe points sit
-    /// at `ln_pred + (k + ½)·ln(1 + bisect_rel_tol)`, the walk probes the
-    /// one just below the prediction (`k = −1`) and steps up while the
-    /// cell holds or down while it flips, until a no-flip/flip pair is
-    /// verified. Returns that pair's geometric midpoint, the bracket
-    /// contract of the lattice search with no refinement step, or `None`
-    /// when the walk leaves `[Q_FLOOR, q_search_max]` or needs more than
-    /// [`MAX_FINE_STEPS`] moves; the caller then falls back to the lattice
-    /// search.
+    /// The critical charge of a sample predicted at `ln_pred` (Q in
+    /// coulombs: the nominal critical charge for a pilot sample, the
+    /// surrogate's prediction for a later one), found by the fine walk:
+    /// probe points sit at `ln_pred + (k + ½)·ln(1 + bisect_rel_tol)`,
+    /// the walk probes the one just below the prediction (`k = −1`) and
+    /// steps up while the cell holds or down while it flips, until a
+    /// no-flip/flip pair is verified. Returns that pair's geometric
+    /// midpoint, the bracket contract of the lattice search with no
+    /// refinement step, or `None` when the walk leaves `[Q_FLOOR,
+    /// q_search_max]` or needs more than [`MAX_FINE_STEPS`] moves; the
+    /// caller then falls back to the lattice search.
     ///
     /// # Errors
     ///
@@ -662,16 +678,19 @@ impl CellCharacterizer {
     }
 
     /// The critical charges of `samples` variation samples of `combo` at
-    /// `vdd`, in sample-index order, plus how many post-pilot samples fell
-    /// back to the lattice search.
+    /// `vdd`, in sample-index order, plus how many samples fell back to the
+    /// lattice search.
     ///
-    /// The first [`PILOT`] samples run the anchored lattice search; a
-    /// [`QcritSurrogate`] fitted to them places every later sample's
-    /// [`fine walk`](Self::fine_walk_qcrit). Both phases claim samples
-    /// through `available_parallelism()` workers; each sample draws its
-    /// ΔVth from its own stream derived from `seed` and its index, and the
-    /// fit reads the pilot in index order, so the result does not depend
-    /// on the worker count.
+    /// Every sample runs the [`fine walk`](Self::fine_walk_qcrit); only its
+    /// centre differs. The first [`PILOT`] samples centre it on the nominal
+    /// cell's critical charge; a [`QcritSurrogate`] fitted to them centres
+    /// every later sample's walk on its prediction (on the nominal critical
+    /// charge too when the fit is unavailable). A walk that cannot close
+    /// its bracket falls back to the anchored lattice search. Both phases
+    /// claim samples through `available_parallelism()` workers; each sample
+    /// draws its ΔVth from its own stream derived from `seed` and its
+    /// index, and the fit reads the pilot in index order, so the result
+    /// does not depend on the worker count.
     ///
     /// # Errors
     ///
@@ -686,56 +705,60 @@ impl CellCharacterizer {
     ) -> Result<(Vec<f64>, usize), SpiceError> {
         let var = VariationModel::pelgrom(&self.tech);
         let lattice = self.charge_lattice();
-        // One nominal search before the workers spawn: its first-flip
-        // index anchors every lattice search's bracketing walk,
-        // independent of which worker runs the sample, and it caches the
-        // nominal pre-strike state before any worker could race to solve
-        // it.
-        let (_, anchor) = self.critical_charge_from(vdd, combo, &HashMap::new(), 1, &lattice)?;
+        // One nominal search before the workers spawn: its critical charge
+        // centres the pilot walks, its first-flip index anchors every
+        // fallback lattice search, independent of which worker runs the
+        // sample, and it caches the nominal pre-strike state before any
+        // worker could race to solve it.
+        let (q_nominal, anchor) =
+            self.critical_charge_from(vdd, combo, &HashMap::new(), 1, &lattice)?;
+        let ln_nominal = q_nominal.coulombs().ln();
         let threads = std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN);
         let deltas_of = |i: usize| {
             let mut rng = Xoshiro256pp::salted_stream(seed, i as u64, SAMPLE_SALT);
             self.sample_deltas(&var, &mut rng)
         };
-        let lattice_qcrit = |deltas: &HashMap<TransistorRole, Voltage>| {
+        // `(Q_crit, fell back)` of one sample whose walk centres on `ln_centre`.
+        let qcrit = |deltas: &HashMap<TransistorRole, Voltage>, ln_centre: f64| {
+            if let Some(q) = self.fine_walk_qcrit(vdd, combo, deltas, ln_centre)? {
+                return Ok((q, false));
+            }
             self.critical_charge_from(vdd, combo, deltas, anchor, &lattice)
-                .map(|(q, _)| q.coulombs())
+                .map(|(q, _)| (q.coulombs(), true))
         };
         // Collecting in index order returns the lowest-index error.
         let pilot = par::map_indexed(samples.min(PILOT), threads, |i| {
             let deltas = deltas_of(i);
-            lattice_qcrit(&deltas).map(|q| (deltas, q))
-        })
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()?;
-        let surrogate = QcritSurrogate::fit(&pilot, self.options.q_search_max);
-        let rest = par::map_indexed(samples - pilot.len(), threads, |j| {
-            let deltas = deltas_of(PILOT + j);
-            if let Some(fit) = &surrogate {
-                let ln_pred = fit.predict_ln(&deltas);
-                if let Some(q) = self.fine_walk_qcrit(vdd, combo, &deltas, ln_pred)? {
-                    return Ok((q, false));
-                }
-            }
-            lattice_qcrit(&deltas).map(|q| (q, true))
+            qcrit(&deltas, ln_nominal).map(|q| (deltas, q))
         })
         .into_iter()
         .collect::<Result<Vec<_>, SpiceError>>()?;
-        let fallbacks = rest.iter().filter(|(_, fell_back)| *fell_back).count();
-        let qs = pilot
-            .into_iter()
-            .map(|(_, q)| q)
-            .chain(rest.into_iter().map(|(q, _)| q))
-            .collect();
+        let surrogate = QcritSurrogate::fit(
+            pilot.iter().map(|(deltas, (q, _))| (deltas, *q)),
+            self.options.q_search_max,
+        );
+        let rest = par::map_indexed(samples - pilot.len(), threads, |j| {
+            let deltas = deltas_of(PILOT + j);
+            let ln_centre = surrogate
+                .as_ref()
+                .map_or(ln_nominal, |fit| fit.predict_ln(&deltas));
+            qcrit(&deltas, ln_centre)
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, SpiceError>>()?;
+        let all = pilot.into_iter().map(|(_, q)| q).chain(rest);
+        let (qs, fell_back): (Vec<f64>, Vec<bool>) = all.unzip();
+        let fallbacks = fell_back.into_iter().filter(|&f| f).count();
         Ok((qs, fallbacks))
     }
 
     /// Characterizes one combo: the POF curve at `vdd`.
     ///
     /// [`Variation::Nominal`] runs one lattice search on the nominal cell.
-    /// [`Variation::MonteCarlo`] runs the lattice search on the first 16
-    /// (pilot) samples and the surrogate-placed fine walk on the rest
-    /// (see the module docs); each sample's ΔVth comes from its own
+    /// [`Variation::MonteCarlo`] runs the fine walk on every sample, centred
+    /// on the nominal critical charge for the first 16 (pilot) samples and
+    /// on the surrogate's prediction for the rest (see the module docs);
+    /// each sample's ΔVth comes from its own
     /// deterministic RNG stream derived from `seed` and its index.
     ///
     /// # Errors
@@ -1045,28 +1068,29 @@ mod tests {
     fn golden_variation_qcrit_bits() {
         // Every sorted per-sample critical charge of a variation-MC table,
         // pinned by a `to_bits` hash per (vdd, combo). 66 samples are 16
-        // pilot samples on the lattice search plus 50 on the
-        // surrogate-placed fine walk, so the pins cover both searches and
-        // the fit between them. Built on a fresh characterizer so no other
-        // test's cached operating points feed the solves.
+        // pilot samples on the fine walk centred on the nominal critical
+        // charge plus 50 centred on the surrogate's prediction, so the
+        // pins cover both centres and the fit between them. Built on a
+        // fresh characterizer so no other test's cached operating points
+        // feed the solves.
         const GOLDEN: [[u64; 7]; 2] = [
             [
-                0x8eaa_ac34_280b_89ab,
-                0x25dc_1d4c_783a_314b,
-                0xda0f_04ff_a193_42f6,
-                0x7e77_0fb9_7e88_5305,
-                0x6bff_dde1_7c5e_33b7,
-                0x573e_8c07_4117_79f2,
-                0x4234_8e79_5d10_f121,
+                0x9b66_228a_1730_759c,
+                0x0a22_bc55_a3bf_e000,
+                0x79ff_692f_7206_4162,
+                0xb771_9c23_d09e_173c,
+                0xea94_0223_5f91_0256,
+                0x6e24_238f_e0db_e27d,
+                0x2622_de0d_415e_e444,
             ],
             [
-                0xaaed_1142_784c_09d7,
-                0x1e89_e81f_b19c_130c,
-                0xa4f1_886c_78fb_0c7d,
-                0xcb34_193b_925b_a14b,
-                0x64c2_8216_8250_c075,
-                0xd954_55d0_3444_a646,
-                0x30f5_36a5_c086_5dd9,
+                0xdc05_faf9_a4fe_50f6,
+                0xe346_f606_72ec_6fd8,
+                0xae09_436a_f38f_4c5d,
+                0xc776_8645_f037_54eb,
+                0x7c5f_e5bd_7693_e7ae,
+                0xe468_d0a3_0237_421b,
+                0xc5c7_bbc5_7579_9c1e,
             ],
         ];
         let ch = characterizer();
@@ -1422,12 +1446,13 @@ mod tests {
     }
 
     #[test]
-    fn pilot_only_and_saturated_tables_keep_the_lattice_bits() {
-        // Pinned on the lattice search alone, before the fine walk: a
-        // table of 16 samples is all pilot, and a search range that
-        // saturates every sample leaves the fit no usable pilot sample,
-        // so every later sample falls back to the lattice search.
-        const PILOT_TABLE: u64 = 0xe194_7407_d342_08f8;
+    fn pilot_walk_and_saturated_fallback_tables_keep_their_bits() {
+        // A table of 16 samples is all pilot: every sample walks from the
+        // nominal critical charge. A search range that saturates every
+        // sample sends every walk out of range, so every sample falls
+        // back to the lattice search; that hash was pinned on the lattice
+        // search alone, before the fine walk existed.
+        const PILOT_TABLE: u64 = 0x4662_9498_0c03_848e;
         const SATURATED_TABLE: u64 = 0x42a8_2f39_0528_a745;
         let table_hash = |ch: &CellCharacterizer, volts: f64, samples: usize| {
             let table = ch
@@ -1465,6 +1490,146 @@ mod tests {
             )
             .unwrap();
         assert!(qs.iter().all(|&q| q == 1.0e-17));
-        assert_eq!(fallbacks, 24 - PILOT);
+        assert_eq!(fallbacks, 24);
+    }
+
+    /// The margin at the plan's horizon of the strike `event`: the same
+    /// struck cell, pre-strike state and plan as
+    /// [`CellCharacterizer::strike_margin`], simulated in full.
+    fn full_settle_margin(
+        ch: &CellCharacterizer,
+        vdd: Voltage,
+        event: &StrikeEvent,
+        deltas: &HashMap<TransistorRole, Voltage>,
+    ) -> f64 {
+        let (cell, pre) = ch.struck_cell(vdd, event, deltas).unwrap();
+        let plan = TimeStepPlan::for_pulse(event.t_start, event.width, ch.options().settle);
+        let res = analysis::transient_from_state(
+            cell.circuit(),
+            &plan,
+            &pre,
+            &[cell.q(), cell.qb()],
+            &ch.options().newton,
+        )
+        .unwrap();
+        (res.final_voltage(cell.q()) - res.final_voltage(cell.qb())) / vdd.volts()
+    }
+
+    #[test]
+    fn metastable_strike_runs_to_the_horizon() {
+        // A rectangular 8 fs I1 strike of 0.4 fC at 0.8 V parks the
+        // nominal cell near its saddle for the whole settle: the decided-
+        // verdict rule must not fire, and the margin (hence the verdict)
+        // is the full-horizon transient's, bit for bit.
+        let ch = CellCharacterizer::new(
+            Technology::soi_finfet_14nm(),
+            CharacterizeOptions::default(),
+        );
+        let vdd = Voltage::from_volts(0.8);
+        let none = HashMap::new();
+        let event = StrikeEvent::rectangular(vec![(StrikeTarget::I1, 0.4e-15)], 2.0e-15, 8.0e-15);
+        let (margin, decided) = ch.strike_margin(vdd, &event, &none).unwrap();
+        let full = full_settle_margin(&ch, vdd, &event, &none);
+        assert!(!decided, "the rule fired at margin {margin}");
+        assert!(full.abs() < 0.5, "not metastable: settled margin {full}");
+        assert_eq!(margin.to_bits(), full.to_bits());
+    }
+
+    /// Decided-verdict checks against the full-horizon transient.
+    #[derive(Debug, Default)]
+    struct VerdictAgreement {
+        /// Strikes compared.
+        cases: usize,
+        /// Of those, strikes whose transient stopped at a decided verdict.
+        decided: usize,
+        /// Strikes whose decided verdict differs from the settled one.
+        disagreements: usize,
+    }
+
+    /// Compares the decided verdict with the full-horizon verdict of every
+    /// combo at `vdd`, on the nominal cell and `draws` ΔVth draws, at the
+    /// charges `Q_crit·(1 + bisect_rel_tol)^k` for `k` in −3..=3 around
+    /// each case's lattice-search threshold.
+    fn verdict_agreement(ch: &CellCharacterizer, vdd: Voltage, draws: u64) -> VerdictAgreement {
+        let var = VariationModel::pelgrom(ch.technology());
+        let ratio = 1.0 + ch.options().bisect_rel_tol;
+        let mut got = VerdictAgreement::default();
+        for (c, combo) in StrikeCombo::all().into_iter().enumerate() {
+            let cells = std::iter::once(HashMap::new()).chain((0..draws).map(|i| {
+                let mut rng = Xoshiro256pp::salted_stream(c as u64, i, SAMPLE_SALT);
+                ch.sample_deltas(&var, &mut rng)
+            }));
+            for deltas in cells {
+                let q_crit = ch.critical_charge(vdd, combo, &deltas).unwrap().coulombs();
+                for k in -3..=3 {
+                    let q = Charge::from_coulombs(q_crit * ratio.powi(k));
+                    let event = StrikeEvent::with_shape(
+                        combo.split_charge(q),
+                        ch.options().t_start,
+                        ch.pulse_width(vdd),
+                        ch.options().shape,
+                    );
+                    let (margin, decided) = ch.strike_margin(vdd, &event, &deltas).unwrap();
+                    let full = full_settle_margin(ch, vdd, &event, &deltas);
+                    got.cases += 1;
+                    got.decided += usize::from(decided);
+                    if (margin <= 0.0) != (full <= 0.0) {
+                        eprintln!(
+                            "{vdd:?} {combo:?} {deltas:?} {q:?}: decided {margin}, settled {full}"
+                        );
+                        got.disagreements += 1;
+                    }
+                }
+            }
+        }
+        got
+    }
+
+    /// [`verdict_agreement`] at 0.7, 0.9 and 1.1 V, one thread per supply,
+    /// summed.
+    fn verdict_agreement_at_supplies(ch: &CellCharacterizer, draws: u64) -> VerdictAgreement {
+        std::thread::scope(|scope| {
+            let handles = [0.7, 0.9, 1.1]
+                .map(|v| scope.spawn(move || verdict_agreement(ch, Voltage::from_volts(v), draws)));
+            let mut total = VerdictAgreement::default();
+            for h in handles {
+                let got = h.join().unwrap();
+                total.cases += got.cases;
+                total.decided += got.decided;
+                total.disagreements += got.disagreements;
+            }
+            total
+        })
+    }
+
+    #[test]
+    fn decided_verdict_matches_the_settled_verdict() {
+        // Every strike within three bracket widths of its threshold, on
+        // the nominal cell and two ΔVth draws per combo: the decided
+        // verdict equals the full-horizon one.
+        let got = verdict_agreement_at_supplies(&characterizer(), 2);
+        println!(
+            "{} strikes near threshold: {} decided early, {} disagreements",
+            got.cases, got.decided, got.disagreements
+        );
+        assert_eq!(got.disagreements, 0, "{got:?}");
+        assert!(got.decided > 0, "{got:?}");
+    }
+
+    #[test]
+    #[ignore = "quick-scale release check: cargo test --release -p finrad-sram -- --ignored"]
+    fn decided_verdict_matches_at_quick_scale() {
+        // Figure quick scale: default options, the nominal cell and eight
+        // ΔVth draws per combo at 0.7, 0.9 and 1.1 V.
+        let ch = CellCharacterizer::new(
+            Technology::soi_finfet_14nm(),
+            CharacterizeOptions::default(),
+        );
+        let got = verdict_agreement_at_supplies(&ch, 8);
+        println!(
+            "{} strikes near threshold: {} decided early, {} disagreements",
+            got.cases, got.decided, got.disagreements
+        );
+        assert_eq!(got.disagreements, 0, "{got:?}");
     }
 }

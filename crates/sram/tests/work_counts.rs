@@ -2,8 +2,9 @@
 //! seed, not just its results, and every kept hot-path mechanism (DC-op
 //! cache, warm-started Newton, `StructuredLu`, chord Jacobian reuse,
 //! LTE-adaptive settle stepping) fires. A 16-sample table runs the pilot's
-//! lattice search alone; a 24-sample table adds the surrogate-placed fine
-//! walk, whose fallback count must repeat too (it may well be zero). Lives in its own binary because a
+//! fine walk from the nominal threshold alone; a 24-sample table adds the
+//! surrogate-placed fine walk. The fallback count must repeat too (it may
+//! well be zero). Lives in its own binary because a
 //! process can install exactly one recorder, and the counter deltas need a
 //! process where nothing else simulates circuits concurrently.
 

@@ -2,7 +2,9 @@
 //!
 //! Built on [`crate::cfg`] + [`crate::dataflow`], these families analyze
 //! every workspace `fn` body *together* (a lightweight interprocedural
-//! layer over a name-keyed function index) and emit three diagnostics:
+//! layer over a function index keyed by `Type::f` for path calls on a
+//! type and by bare name otherwise, see `call_key`) and emit three
+//! diagnostics:
 //!
 //! * `lock-order-audit` — the workspace lock-acquisition graph: while a
 //!   guard for lock `a` is live, acquiring lock `b` (directly or through a
@@ -118,6 +120,10 @@ fn primitive_name(name: &str) -> bool {
 #[derive(Debug)]
 struct FnDef {
     name: String,
+    /// The type of the enclosing `impl` block, `None` for free functions.
+    owner: Option<String>,
+    /// The trait of an enclosing `impl Trait for Type` block.
+    trait_name: Option<String>,
     file: usize,
     /// Token indices of the body braces (inclusive).
     body: (usize, usize),
@@ -125,6 +131,19 @@ struct FnDef {
     in_test: bool,
     /// True for the `finrad_spice::sync` helper implementations.
     sanctioned: bool,
+}
+
+impl FnDef {
+    /// The index keys this fn is filed under: its bare name, plus
+    /// `Type::name` (and `Trait::name`) when it sits in an impl of `Type`
+    /// (for `Trait`).
+    fn keys(&self) -> impl Iterator<Item = String> + '_ {
+        let paths = [&self.owner, &self.trait_name]
+            .into_iter()
+            .flatten()
+            .map(|ty| format!("{ty}::{}", self.name));
+        std::iter::once(self.name.clone()).chain(paths)
+    }
 }
 
 #[derive(Debug, Default, Clone)]
@@ -160,6 +179,7 @@ fn extract_fns(units: &[FileUnit]) -> Vec<FnDef> {
     for (fi, u) in units.iter().enumerate() {
         let toks = &u.lexed.tokens;
         let sync_file = u.path.ends_with(Path::new("spice/src/sync.rs"));
+        let impls = impl_blocks(toks);
         let mut k = 0;
         while k < toks.len() {
             if !(toks[k].kind == TokenKind::Ident && toks[k].text == "fn") {
@@ -241,8 +261,11 @@ fn extract_fns(units: &[FileUnit]) -> Vec<FnDef> {
                 }
                 p += 1;
             }
+            let block = impls.iter().rev().find(|b| (b.open..b.close).contains(&k));
             out.push(FnDef {
                 name: name_tok.text.clone(),
+                owner: block.map(|b| b.ty.clone()),
+                trait_name: block.and_then(|b| b.trait_name.clone()),
                 file: fi,
                 body: (open, close),
                 params,
@@ -253,6 +276,86 @@ fn extract_fns(units: &[FileUnit]) -> Vec<FnDef> {
         }
     }
     out
+}
+
+/// One `impl` item block.
+struct ImplBlock {
+    /// Token indices of the body braces.
+    open: usize,
+    close: usize,
+    /// The implementing type.
+    ty: String,
+    /// The implemented trait, if any.
+    trait_name: Option<String>,
+}
+
+/// Every `impl` item block of a file, outer blocks before the ones nested
+/// in them. A name is the last path ident at angle depth 0: `impl<T>
+/// a::Foo<T>` gives type `Foo`, `impl Trait for Foo` type `Foo` and trait
+/// `Trait`. `impl Trait` in type position (after `->`, `:`, `(` or `,`)
+/// is not an item and is skipped.
+fn impl_blocks(toks: &[Token]) -> Vec<ImplBlock> {
+    let mut out = Vec::new();
+    for (k, t) in toks.iter().enumerate() {
+        let item = k == 0
+            || ["}", ";", "]", "{"]
+                .iter()
+                .any(|p| is_punct(toks, k - 1, p))
+            || toks[k - 1].text == "unsafe";
+        if !(t.kind == TokenKind::Ident && t.text == "impl" && item) {
+            continue;
+        }
+        let mut angle = 0i32;
+        let (mut ty, mut trait_name) = (None, None);
+        let mut j = k + 1;
+        while let Some(tj) = toks.get(j) {
+            match (tj.kind, tj.text.as_str()) {
+                (TokenKind::Punct, "<") => angle += 1,
+                (TokenKind::Punct, ">") if !is_punct(toks, j - 1, "-") => angle -= 1,
+                (TokenKind::Punct, "{") if angle == 0 => break,
+                (TokenKind::Ident, "where") if angle == 0 => break,
+                (TokenKind::Ident, "for") if angle == 0 => trait_name = ty.take(),
+                (TokenKind::Ident, "dyn" | "mut") => {}
+                (TokenKind::Ident, name) if angle == 0 => ty = Some(name.to_string()),
+                _ => {}
+            }
+            j += 1;
+        }
+        while j < toks.len() && !is_punct(toks, j, "{") {
+            j += 1;
+        }
+        if let (Some(ty), true) = (ty, j < toks.len()) {
+            out.push(ImplBlock {
+                open: j,
+                close: matching_brace(toks, j),
+                ty,
+                trait_name,
+            });
+        }
+    }
+    out
+}
+
+/// The function-index key a call at token `i` resolves to. A path call
+/// on a type or trait, `Type::f(` (`Self::f(` inside an impl of `Type`),
+/// resolves to `Type::f`: the fns named `f` in the workspace's impls of
+/// (or for) `Type`, none for a type the workspace does not implement `f`
+/// on, such as `Vec::new`. Every other call — a method call `x.f(`, a
+/// free call `f(` or a module path `m::f(` — resolves to the bare name
+/// `f`: the conservative union of every workspace fn named `f`.
+fn call_key(toks: &[Token], i: usize, owner: Option<&str>) -> Option<String> {
+    let name = call_name(toks, i)?;
+    let qualifier = (i >= 3 && is_punct(toks, i - 1, ":") && is_punct(toks, i - 2, ":"))
+        .then(|| &toks[i - 3])
+        .filter(|q| q.kind == TokenKind::Ident && q.text.starts_with(char::is_uppercase))
+        .and_then(|q| {
+            if q.text == "Self" {
+                owner
+            } else {
+                Some(q.text.as_str())
+            }
+        });
+    Some(qualifier.map_or_else(|| name.to_string(), |ty| format!("{ty}::{name}")))
 }
 
 // ---------------------------------------------------------------------------
@@ -436,12 +539,15 @@ struct GuardAnalysis<'a> {
     /// same-named *method* call — `job.token.cancel()` inside
     /// `Service::cancel` — is usually a collision, not recursion).
     fn_name: &'a str,
+    /// The enclosing impl's type, which `Self::f(` calls resolve to.
+    owner: Option<&'a str>,
     params: &'a BTreeSet<String>,
-    facts_by_name: &'a BTreeMap<String, FnFacts>,
+    facts_by_key: &'a BTreeMap<String, FnFacts>,
 }
 
 impl<'a> GuardAnalysis<'a> {
-    fn is_blocking_call(&self, name: &str) -> bool {
+    /// Whether the call `name` (resolved to index key `key`) blocks.
+    fn is_blocking_call(&self, name: &str, key: &str) -> bool {
         if self.params.contains(name) {
             return false;
         }
@@ -450,7 +556,7 @@ impl<'a> GuardAnalysis<'a> {
         }
         name != self.fn_name
             && !primitive_name(name)
-            && self.facts_by_name.get(name).is_some_and(|f| f.blocking)
+            && self.facts_by_key.get(key).is_some_and(|f| f.blocking)
     }
 
     /// Detects an acquisition at token `i`; returns the lock identity.
@@ -584,8 +690,8 @@ impl<'a> GuardAnalysis<'a> {
                 continue;
             }
 
-            if let Some(name) = call_name(self.toks, i) {
-                let name = name.to_string();
+            if let Some(key) = call_key(self.toks, i, self.owner) {
+                let name = self.toks[i].text.clone();
                 // Condvar wait: only when an argument is a tracked guard
                 // (methods merely *named* `wait` exist on other types).
                 let wait_like = WAIT_CALLS.contains(&name.as_str())
@@ -650,7 +756,7 @@ impl<'a> GuardAnalysis<'a> {
                 // A plain call: guard-lifetime check + interprocedural
                 // lock-order edges through the callee's transitive locks.
                 if let Some(s) = sink.as_deref_mut() {
-                    if self.is_blocking_call(&name) {
+                    if self.is_blocking_call(&name, &key) {
                         for (gname, g) in &f {
                             s.held_across.push(HeldSite {
                                 file: self.file,
@@ -658,7 +764,7 @@ impl<'a> GuardAnalysis<'a> {
                                 col: t.col,
                                 guard: gname.clone(),
                                 lock: g.lock.clone(),
-                                callee: name.clone(),
+                                callee: key.clone(),
                             });
                         }
                     }
@@ -666,7 +772,7 @@ impl<'a> GuardAnalysis<'a> {
                         && !primitive_name(&name)
                         && name != self.fn_name
                     {
-                        if let Some(cf) = self.facts_by_name.get(&name) {
+                        if let Some(cf) = self.facts_by_key.get(&key) {
                             for l in &cf.locks {
                                 for g in f.values() {
                                     record_edge(s, &g.lock, l, self.file, t);
@@ -857,18 +963,19 @@ impl<'a> dataflow::Analysis for GuardAnalysis<'a> {
 fn range_blocking(
     toks: &[Token],
     range: (usize, usize),
-    params: &BTreeSet<String>,
-    facts_by_name: &BTreeMap<String, FnFacts>,
+    f: &FnDef,
+    facts_by_key: &BTreeMap<String, FnFacts>,
 ) -> Option<String> {
     for i in range.0..range.1 {
-        if let Some(name) = call_name(toks, i) {
-            if params.contains(name) {
+        if let Some(key) = call_key(toks, i, f.owner.as_deref()) {
+            let name = toks[i].text.as_str();
+            if f.params.contains(name) {
                 continue;
             }
             if BLOCKING_SEEDS.contains(&name)
-                || (!primitive_name(name) && facts_by_name.get(name).is_some_and(|f| f.blocking))
+                || (!primitive_name(name) && facts_by_key.get(&key).is_some_and(|f| f.blocking))
             {
-                return Some(name.to_string());
+                return Some(key);
             }
         }
     }
@@ -878,8 +985,8 @@ fn range_blocking(
 fn range_polls(
     toks: &[Token],
     range: (usize, usize),
-    params: &BTreeSet<String>,
-    facts_by_name: &BTreeMap<String, FnFacts>,
+    f: &FnDef,
+    facts_by_key: &BTreeMap<String, FnFacts>,
 ) -> bool {
     for i in range.0..range.1 {
         let t = &toks[i];
@@ -889,10 +996,11 @@ fn range_polls(
         if POLL_MARKERS.contains(&t.text.as_str()) {
             return true;
         }
-        if call_name(toks, i).is_some()
-            && !params.contains(&t.text)
+        if !f.params.contains(&t.text)
             && !primitive_name(&t.text)
-            && facts_by_name.get(&t.text).is_some_and(|f| f.polls)
+            && call_key(toks, i, f.owner.as_deref())
+                .and_then(|key| facts_by_key.get(&key))
+                .is_some_and(|f| f.polls)
         {
             return true;
         }
@@ -986,9 +1094,11 @@ pub fn analyze(units: &[FileUnit]) -> Vec<Violation> {
         .map(|u| cfg::brace_depths(&u.lexed.tokens))
         .collect();
     let fns = extract_fns(units);
-    let mut by_name: BTreeMap<String, Vec<usize>> = BTreeMap::new();
+    let mut by_key: BTreeMap<String, Vec<usize>> = BTreeMap::new();
     for (i, f) in fns.iter().enumerate() {
-        by_name.entry(f.name.clone()).or_default().push(i);
+        for key in f.keys() {
+            by_key.entry(key).or_default().push(i);
+        }
     }
 
     // Direct per-fn facts. Test fns contribute nothing: test code may
@@ -1006,12 +1116,13 @@ pub fn analyze(units: &[FileUnit]) -> Vec<Violation> {
                 if POLL_MARKERS.contains(&t.text.as_str()) {
                     facts.polls = true;
                 }
-                if let Some(name) = call_name(toks, i) {
+                if let Some(key) = call_key(toks, i, f.owner.as_deref()) {
+                    let name = t.text.as_str();
                     if f.params.contains(name) {
                         continue;
                     }
                     if !primitive_name(name) && name != f.name {
-                        facts.calls.insert(name.to_string());
+                        facts.calls.insert(key);
                     }
                     if BLOCKING_SEEDS.contains(&name) {
                         facts.blocking = true;
@@ -1033,11 +1144,11 @@ pub fn analyze(units: &[FileUnit]) -> Vec<Violation> {
         direct.push(facts);
     }
 
-    // Name-keyed transitive closures: blocking / polls / lock sets. Same
-    // names merge (conservative: a call resolves to the union of every
-    // workspace fn with that name).
-    let mut facts_by_name: BTreeMap<String, FnFacts> = BTreeMap::new();
-    for (name, ids) in &by_name {
+    // Key-indexed transitive closures: blocking / polls / lock sets. Fns
+    // sharing a key merge: `Type::f` over the impls of `Type`, a bare name
+    // over every workspace fn with that name (conservative).
+    let mut facts_by_key: BTreeMap<String, FnFacts> = BTreeMap::new();
+    for (key, ids) in &by_key {
         let mut merged = FnFacts::default();
         for &i in ids {
             let d = &direct[i];
@@ -1046,24 +1157,24 @@ pub fn analyze(units: &[FileUnit]) -> Vec<Violation> {
             merged.locks.extend(d.locks.iter().cloned());
             merged.calls.extend(d.calls.iter().cloned());
         }
-        facts_by_name.insert(name.clone(), merged);
+        facts_by_key.insert(key.clone(), merged);
     }
     loop {
         let mut changed = false;
-        let names: Vec<String> = facts_by_name.keys().cloned().collect();
-        for name in &names {
-            let callees: Vec<String> = facts_by_name[name].calls.iter().cloned().collect();
-            let mut blocking = facts_by_name[name].blocking;
-            let mut polls = facts_by_name[name].polls;
-            let mut locks = facts_by_name[name].locks.clone();
+        let keys: Vec<String> = facts_by_key.keys().cloned().collect();
+        for key in &keys {
+            let callees: Vec<String> = facts_by_key[key].calls.iter().cloned().collect();
+            let mut blocking = facts_by_key[key].blocking;
+            let mut polls = facts_by_key[key].polls;
+            let mut locks = facts_by_key[key].locks.clone();
             for c in &callees {
-                if let Some(cf) = facts_by_name.get(c) {
+                if let Some(cf) = facts_by_key.get(c) {
                     blocking |= cf.blocking;
                     polls |= cf.polls;
                     locks.extend(cf.locks.iter().cloned());
                 }
             }
-            let e = facts_by_name.get_mut(name).unwrap();
+            let e = facts_by_key.get_mut(key).unwrap();
             if blocking != e.blocking || polls != e.polls || locks.len() != e.locks.len() {
                 e.blocking = blocking;
                 e.polls = polls;
@@ -1093,7 +1204,7 @@ pub fn analyze(units: &[FileUnit]) -> Vec<Violation> {
                 let close = skip_parens(toks, i + 1);
                 for tj in &toks[i + 2..close] {
                     if tj.kind == TokenKind::Ident
-                        && by_name.contains_key(&tj.text)
+                        && by_key.contains_key(&tj.text)
                         && !origin.contains_key(&tj.text)
                     {
                         origin.insert(tj.text.clone(), tj.text.clone());
@@ -1104,12 +1215,12 @@ pub fn analyze(units: &[FileUnit]) -> Vec<Violation> {
         }
     }
     while let Some(n) = bfs.pop_front() {
-        let Some(ff) = facts_by_name.get(&n) else {
+        let Some(ff) = facts_by_key.get(&n) else {
             continue;
         };
         let org = origin[&n].clone();
         for c in ff.calls.clone() {
-            if by_name.contains_key(&c) && !origin.contains_key(&c) {
+            if by_key.contains_key(&c) && !origin.contains_key(&c) {
                 origin.insert(c.clone(), org.clone());
                 bfs.push_back(c);
             }
@@ -1130,8 +1241,9 @@ pub fn analyze(units: &[FileUnit]) -> Vec<Violation> {
             depths: &depths[f.file],
             file: f.file,
             fn_name: &f.name,
+            owner: f.owner.as_deref(),
             params: &f.params,
-            facts_by_name: &facts_by_name,
+            facts_by_key: &facts_by_key,
         };
         let facts = dataflow::solve(&graph, &analysis);
         for (b, fact) in facts.iter().enumerate() {
@@ -1139,18 +1251,18 @@ pub fn analyze(units: &[FileUnit]) -> Vec<Violation> {
         }
 
         // Cancellation responsiveness for loops in supervised fns.
-        if let Some(entry) = origin.get(&f.name) {
+        if let Some(entry) = f.keys().find_map(|key| origin.get(&key)) {
             for lp in &graph.loops {
                 let unbounded = matches!(lp.kind, LoopKind::Loop)
                     || (matches!(lp.kind, LoopKind::While) && !cond_has_comparison(toks, lp.cond));
                 if !unbounded {
                     continue;
                 }
-                let Some(blocker) = range_blocking(toks, lp.body, &f.params, &facts_by_name) else {
+                let Some(blocker) = range_blocking(toks, lp.body, f, &facts_by_key) else {
                     continue;
                 };
-                if range_polls(toks, lp.cond, &f.params, &facts_by_name)
-                    || range_polls(toks, lp.body, &f.params, &facts_by_name)
+                if range_polls(toks, lp.cond, f, &facts_by_key)
+                    || range_polls(toks, lp.body, f, &facts_by_key)
                 {
                     continue;
                 }

@@ -223,6 +223,17 @@ fn guard_lifetime_fixture() {
 }
 
 #[test]
+fn guard_lifetime_resolves_path_calls_by_type() {
+    // Two types each define `new` and only `Slow::new` blocks: the guard
+    // held across `Quick::new` stays clean.
+    let v = flow_fixture("guard_lifetime_paths.rs");
+    assert_eq!(v.len(), 1, "{v:#?}");
+    assert_eq!(v[0].lint, LintId::GuardLifetimeAudit);
+    assert_eq!(v[0].line, 36);
+    assert!(v[0].message.contains("`Slow::new`"), "{}", v[0].message);
+}
+
+#[test]
 fn cancellation_fixture() {
     let v = flow_fixture("cancellation.rs");
     // Only the unpolled `pump` loop fires; the polled twin and the
