@@ -10,8 +10,8 @@ cargo build --workspace --release --offline
 echo "==> cargo test -q --offline (every doctest too, the finrad-units compile_fail suite included)"
 cargo test --workspace -q --offline
 
-echo "==> ignored release-mode checks (fine-walk Q_crit agreement at quick scale)"
-cargo test --release --offline -p finrad-sram -- --ignored
+echo "==> ignored release-mode checks (fine-walk Q_crit agreement, shared-pass VddSweep bits at quick scale)"
+cargo test --release --offline -p finrad-sram -p finrad-bench -- --ignored
 
 echo "==> cargo test --features fault-injection (robustness suite)"
 cargo test -q --offline --features fault-injection --test fault_injection

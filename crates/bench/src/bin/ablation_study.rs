@@ -71,9 +71,9 @@ fn main() {
             FlipModel::Expected,
             None,
         )
-        .estimate(particle, e, iters, 21)
-        .total
-        .mean();
+        .estimate(particle, e, iters, 21)[0]
+            .total
+            .mean();
         // Mean-only: sample the deposit without fluctuations.
         let without = StrikeSimulator::new(
             &array,
@@ -84,9 +84,9 @@ fn main() {
             FlipModel::Sampled,
             None,
         )
-        .estimate(particle, e, iters, 22)
-        .total
-        .mean();
+        .estimate(particle, e, iters, 22)[0]
+            .total
+            .mean();
         println!("{particle:>10}  {e_mev:>10.1}  {with:>14.4e}  {without:>14.4e}");
     }
     println!();
@@ -116,7 +116,8 @@ fn main() {
             FlipModel::Expected,
             None,
         )
-        .estimate(Particle::Alpha, e, iters, 24);
+        .estimate(Particle::Alpha, e, iters, 24)
+        .remove(0);
         let lut_mode = StrikeSimulator::new(
             &array,
             traversal_with(StragglingModel::Auto),
@@ -126,7 +127,8 @@ fn main() {
             FlipModel::Sampled,
             Some(&lut),
         )
-        .estimate(Particle::Alpha, e, iters, 25);
+        .estimate(Particle::Alpha, e, iters, 25)
+        .remove(0);
         println!(
             "{e_mev:>12.1}  {:>14.4e}  {:>14.4e}",
             exact.total.mean(),
@@ -152,7 +154,8 @@ fn main() {
             FlipModel::Expected,
             None,
         )
-        .estimate(Particle::Alpha, Energy::from_mev(2.0), iters, 26);
+        .estimate(Particle::Alpha, Energy::from_mev(2.0), iters, 26)
+        .remove(0);
         println!(
             "{name:>16}  {:>14.4e}  {:>12.3}",
             est.total.mean(),
@@ -176,7 +179,8 @@ fn main() {
             FlipModel::Expected,
             None,
         )
-        .estimate(Particle::Alpha, Energy::from_mev(2.0), iters, 27);
+        .estimate(Particle::Alpha, Energy::from_mev(2.0), iters, 27)
+        .remove(0);
         println!(
             "{name:>16}  {:>14.4e}  {:>12.3}",
             est.total.mean(),

@@ -3,7 +3,8 @@
 //! Per V_dd the three figures need two POF tables, with process variation
 //! and on nominal devices, and the strike Monte Carlo of two deposit modes
 //! on each. [`SweepFigures::run`] characterizes each table once and runs
-//! each distinct report once; [`SweepFigures::write`] prints the figures.
+//! two strike passes per deposit mode, each scoring its rays against
+//! every table it needs; [`SweepFigures::write`] prints the figures.
 
 use std::io::{self, Write};
 
@@ -49,41 +50,60 @@ impl SweepFigures {
     /// pipeline; the nominal pipeline differs from it only in `variation`,
     /// the LUT pipeline only in `deposit` and `flip_model`.
     ///
+    /// Every table is characterized first. Each deposit mode then runs two
+    /// strike passes: protons over the with-variation tables, and alphas
+    /// over the with-variation plus the nominal tables. A strike run reads
+    /// no `variation`, so the with-variation pipeline of a mode serves the
+    /// nominal tables too. Each report equals an independent
+    /// [`SerPipeline::run`] of its cell, bit for bit.
+    ///
     /// # Errors
     ///
     /// Propagates characterization failures.
     pub fn run(base: &PipelineConfig, vdds: &[f64]) -> Result<Self, CoreError> {
         let mut nominal = base.clone();
         nominal.variation = Variation::Nominal;
-        let chord = [base.clone(), nominal].map(SerPipeline::new);
+        let [chord, nominal] = [base.clone(), nominal].map(SerPipeline::new);
         let mut lut_cfg = base.clone();
         lut_cfg.deposit = DepositMode::LutMean;
         lut_cfg.flip_model = FlipModel::Sampled;
         let lut = SerPipeline::new(lut_cfg);
 
-        let mut points = Vec::with_capacity(vdds.len());
-        for &vdd_v in vdds {
-            let vdd = Voltage::from_volts(vdd_v);
-            // Neither table depends on the deposit mode or the flip model,
-            // so both modes run on the chord pipelines' tables.
-            let tables = [
-                chord[0].build_pof_table(vdd)?,
-                chord[1].build_pof_table(vdd)?,
-            ];
-            let reports = |pv: &SerPipeline, nom: &SerPipeline| ModeReports {
-                proton: pv.run_with_table(Particle::Proton, vdd, &tables[0]),
-                alpha: pv.run_with_table(Particle::Alpha, vdd, &tables[0]),
-                alpha_nominal: nom.run_with_table(Particle::Alpha, vdd, &tables[1]),
-            };
-            points.push(VddPoint {
-                vdd: vdd_v,
-                chord: reports(&chord[0], &chord[1]),
-                // A run on a given table reads no `variation`, so the LUT
-                // pipeline serves the nominal table too, and its one alpha
-                // LUT is built once.
-                lut: reports(&lut, &lut),
-            });
+        let supplies: Vec<Voltage> = vdds.iter().map(|&v| Voltage::from_volts(v)).collect();
+        // Neither table depends on the deposit mode or the flip model, so
+        // both modes run on the chord pipelines' tables.
+        let mut pv_tables = Vec::with_capacity(vdds.len());
+        let mut nominal_tables = Vec::with_capacity(vdds.len());
+        for &vdd in &supplies {
+            pv_tables.push(chord.build_pof_table(vdd)?);
+            nominal_tables.push(nominal.build_pof_table(vdd)?);
         }
+        let pv: Vec<_> = supplies.iter().copied().zip(&pv_tables).collect();
+        let pv_and_nominal: Vec<_> = pv
+            .iter()
+            .copied()
+            .chain(supplies.iter().copied().zip(&nominal_tables))
+            .collect();
+        let reports = |pipeline: &SerPipeline| {
+            let proton = pipeline.run_with_tables(Particle::Proton, &pv);
+            let mut alpha = pipeline.run_with_tables(Particle::Alpha, &pv_and_nominal);
+            let alpha_nominal = alpha.split_off(vdds.len());
+            proton
+                .into_iter()
+                .zip(alpha)
+                .zip(alpha_nominal)
+                .map(|((proton, alpha), alpha_nominal)| ModeReports {
+                    proton,
+                    alpha,
+                    alpha_nominal,
+                })
+                .collect::<Vec<_>>()
+        };
+        let points = vdds
+            .iter()
+            .zip(reports(&chord).into_iter().zip(reports(&lut)))
+            .map(|(&vdd, (chord, lut))| VddPoint { vdd, chord, lut })
+            .collect();
         Ok(Self { points })
     }
 

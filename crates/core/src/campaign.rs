@@ -26,6 +26,7 @@ use crate::checkpoint::{
 };
 use crate::fit::{FitRate, PofBin};
 use crate::pipeline::{BinExecutor, BinPlan, PipelineConfig, SerPipeline};
+use crate::strike::only_estimate;
 use crate::CoreError;
 use finrad_environment::SpectrumBin;
 use finrad_sram::PofTable;
@@ -372,7 +373,7 @@ pub(crate) fn prepare(
     // compose bit-exactly with freshly computed bins.
     let pipeline = SerPipeline::new(cfg.pipeline.clone());
     let table = pof_table(&pipeline)?;
-    let plan = BinPlan::for_particle(&pipeline, cfg.particle, Cow::Owned(table));
+    let plan = BinPlan::for_particle(&pipeline, cfg.particle, vec![Cow::Owned(table)]);
     let outcomes = prefill_outcomes(prior, &plan.bins)?;
     Ok((plan, outcomes))
 }
@@ -413,7 +414,7 @@ pub(crate) fn supervised_bin(
                 panic!("injected fault: bin {k} panicked (attempt {attempt})");
             }
         }
-        executor.run_bin(k)
+        only_estimate(executor.run_bin(k))
     }));
     drop(bin_timer);
     finrad_observe::counter_add(

@@ -18,8 +18,8 @@
 use crate::array::MemoryArray;
 use crate::fit::{fit_rate, FitRate, PofBin};
 use crate::strike::{
-    charge_pofs, combine_cell_pofs, estimate_chunked, ArrayPofEstimate, IterationOutcome,
-    StrikeScratch,
+    charge_pofs, combine_cell_pofs, estimate_chunked, only_estimate, ArrayPofEstimate,
+    IterationOutcome, StrikeScratch,
 };
 use finrad_environment::{NeutronSpectrum, Spectrum};
 use finrad_geometry::{sampling, Aabb, Ray, Vec3};
@@ -196,16 +196,17 @@ impl<'a> NeutronSimulator<'a> {
     ) -> ArrayPofEstimate {
         assert!(iterations > 0, "need at least one iteration");
         let timer = finrad_observe::span(finrad_observe::keys::NEUTRON_ESTIMATE_SECONDS);
-        let out = estimate_chunked(iterations, threads, |chunk, len| {
+        let out = estimate_chunked(iterations, threads, 1, |chunk, len, accs| {
             let mut rng = Xoshiro256pp::salted_stream(seed, chunk + 1, 0xA076_1D64_78BD_642F);
             let mut scratch = StrikeScratch::default();
-            let mut acc = ArrayPofEstimate::default();
+            // One table: the simulator scores against `self.pof` alone.
+            let [acc] = accs else { return };
             for _ in 0..len {
                 acc.push(self.simulate_one_with(energy, &mut rng, &mut scratch));
             }
             finrad_observe::counter_add(finrad_observe::keys::NEUTRON_ITERATIONS, len);
-            acc
         });
+        let out = only_estimate(out);
         finrad_observe::counter_add(finrad_observe::keys::NEUTRON_QUARANTINED, out.quarantined);
         if let Some(secs) = timer.elapsed_seconds() {
             if secs > 0.0 {

@@ -10,7 +10,9 @@ use crate::array::{DataPattern, MemoryArray};
 use crate::campaign::{BinOutcome, Coverage};
 use crate::checkpoint::fnv1a64;
 use crate::fit::{fit_rate, FitRate, PofBin};
-use crate::strike::{ArrayPofEstimate, DepositMode, DirectionLaw, FlipModel, StrikeSimulator};
+use crate::strike::{
+    only_estimate, ArrayPofEstimate, DepositMode, DirectionLaw, FlipModel, StrikeSimulator,
+};
 use crate::CoreError;
 use finrad_environment::{AlphaSpectrum, ProtonSpectrum, Spectrum, SpectrumBin};
 use finrad_finfet::Technology;
@@ -338,7 +340,7 @@ impl SerPipeline {
         table: &PofTable,
         energies: &[Energy],
     ) -> Vec<(Energy, ArrayPofEstimate)> {
-        let plan = BinPlan::for_particle(self, particle, Cow::Borrowed(table));
+        let plan = BinPlan::for_particle(self, particle, vec![Cow::Borrowed(table)]);
         let executor = plan.executor();
         energies
             .iter()
@@ -350,7 +352,7 @@ impl SerPipeline {
                     self.config.iterations_per_energy,
                     self.config.seed.wrapping_add(k as u64 * 7919),
                 );
-                (e, est)
+                (e, only_estimate(est))
             })
             .collect()
     }
@@ -367,42 +369,80 @@ impl SerPipeline {
     }
 
     /// Full pipeline reusing a prebuilt POF table (`vdd` must match the
-    /// table's characterization voltage).
+    /// table's characterization voltage): the one-table case of
+    /// [`SerPipeline::run_with_tables`].
     pub fn run_with_table(&self, particle: Particle, vdd: Voltage, table: &PofTable) -> SerReport {
-        let plan = BinPlan::for_particle(self, particle, Cow::Borrowed(table));
-        let executor = plan.executor();
-        let outcomes: Vec<BinOutcome> = (0..plan.bins.len())
-            .map(|k| plan.outcome(k, &executor.run_bin(k)))
-            .collect();
-        let (fit, _) = plan.integrate(&outcomes);
-        let bins = outcomes
-            .into_iter()
-            .filter_map(|o| match o {
-                BinOutcome::Ok { bin, .. } => Some(bin),
-                BinOutcome::Failed { .. } => None,
-            })
-            .collect();
-        SerReport {
+        // One table in, one report out.
+        self.run_with_tables(particle, &[(vdd, table)])
+            .swap_remove(0)
+    }
+
+    /// Full pipeline over several prebuilt POF tables in one strike pass,
+    /// one report per `(vdd, table)` entry, in order (each `vdd` must
+    /// match its table's characterization voltage).
+    ///
+    /// The bins' strike seeds depend on neither the supply nor the table,
+    /// so a separate run per table would trace the same rays each time.
+    /// Here each ray is traced once and scored against every table, and
+    /// each report equals [`SerPipeline::run_with_table`] on its table,
+    /// bit for bit.
+    pub fn run_with_tables(
+        &self,
+        particle: Particle,
+        tables: &[(Voltage, &PofTable)],
+    ) -> Vec<SerReport> {
+        let plan = BinPlan::for_particle(
+            self,
             particle,
-            vdd,
-            fit_total: fit.total,
-            fit_seu: fit.seu,
-            fit_mbu: fit.mbu,
-            bins,
-        }
+            tables.iter().map(|&(_, t)| Cow::Borrowed(t)).collect(),
+        );
+        let executor = plan.executor();
+        // `estimates[k][t]`: bin `k` under table `t`.
+        let estimates: Vec<Vec<ArrayPofEstimate>> =
+            (0..plan.bins.len()).map(|k| executor.run_bin(k)).collect();
+        tables
+            .iter()
+            .enumerate()
+            .map(|(t, &(vdd, _))| {
+                let outcomes: Vec<BinOutcome> = estimates
+                    .iter()
+                    .enumerate()
+                    .map(|(k, est)| plan.outcome(k, &est[t]))
+                    .collect();
+                let (fit, _) = plan.integrate(&outcomes);
+                let bins = outcomes
+                    .into_iter()
+                    .filter_map(|o| match o {
+                        BinOutcome::Ok { bin, .. } => Some(bin),
+                        BinOutcome::Failed { .. } => None,
+                    })
+                    .collect();
+                SerReport {
+                    particle,
+                    vdd,
+                    fit_total: fit.total,
+                    fit_seu: fit.seu,
+                    fit_mbu: fit.mbu,
+                    bins,
+                }
+            })
+            .collect()
     }
 }
 
-/// The Eq. 8 loop for one (particle, V_dd) once its POF table exists: the
-/// array, traversal and spectrum bins, built once, and the pipeline's
-/// shared e-h LUT when the deposit mode needs it.
+/// The Eq. 8 loop for one particle once its POF tables exist: the array,
+/// traversal and spectrum bins, built once, and the pipeline's shared e-h
+/// LUT when the deposit mode needs it. Each bin's strike Monte Carlo
+/// scores its rays against every table of the plan.
 ///
-/// [`SerPipeline::run_with_table`] runs the bins serially; the campaign
-/// runner and service run each bin inside their supervision envelope.
-/// All of them fold the outcomes with [`BinPlan::integrate`].
+/// [`SerPipeline::run_with_tables`] runs the bins serially; the campaign
+/// runner and service run each bin of a one-table plan inside their
+/// supervision envelope. All of them fold the outcomes with
+/// [`BinPlan::integrate`].
 pub(crate) struct BinPlan<'t> {
     particle: Particle,
-    table: Cow<'t, PofTable>,
+    /// Never empty.
+    tables: Vec<Cow<'t, PofTable>>,
     array: MemoryArray,
     traversal: FinTraversal,
     lut: Option<Arc<EhpLut>>,
@@ -416,7 +456,8 @@ pub(crate) struct BinPlan<'t> {
 }
 
 impl<'t> BinPlan<'t> {
-    /// Builds the plan of `pipeline`'s configuration for `particle`.
+    /// Builds the plan of `pipeline`'s configuration for `particle`,
+    /// scoring against `tables`.
     ///
     /// Named apart from `new`: in LUT mode it may tabulate the pipeline's
     /// e-h LUT on worker threads, and the `cargo xtask lint` guard audit
@@ -425,12 +466,12 @@ impl<'t> BinPlan<'t> {
     pub(crate) fn for_particle(
         pipeline: &SerPipeline,
         particle: Particle,
-        table: Cow<'t, PofTable>,
+        tables: Vec<Cow<'t, PofTable>>,
     ) -> Self {
         let config = &pipeline.config;
         Self {
             particle,
-            table,
+            tables,
             array: pipeline.build_array(),
             traversal: pipeline.traversal(),
             lut: (config.deposit == DepositMode::LutMean).then(|| pipeline.ehp_lut(particle)),
@@ -454,12 +495,13 @@ impl<'t> BinPlan<'t> {
     /// Builds the plan's strike simulator. A caller builds one and runs
     /// every bin it owns on it.
     pub(crate) fn executor(&self) -> BinExecutor<'_> {
+        let tables: Vec<&PofTable> = self.tables.iter().map(|t| &**t).collect();
         BinExecutor {
             plan: self,
-            sim: StrikeSimulator::new(
+            sim: StrikeSimulator::with_tables(
                 &self.array,
                 self.traversal.clone(),
-                &self.table,
+                &tables,
                 self.direction,
                 self.deposit,
                 self.flip_model,
@@ -523,8 +565,8 @@ pub(crate) struct BinExecutor<'p> {
 
 impl BinExecutor<'_> {
     /// Runs bin `k`'s strike Monte Carlo at its representative energy on
-    /// the bin's own seed stream.
-    pub(crate) fn run_bin(&self, k: usize) -> ArrayPofEstimate {
+    /// the bin's own seed stream: one estimate per table of the plan.
+    pub(crate) fn run_bin(&self, k: usize) -> Vec<ArrayPofEstimate> {
         let plan = self.plan;
         self.sim.estimate(
             plan.particle,
@@ -558,7 +600,7 @@ mod tests {
         BinPlan::for_particle(
             &SerPipeline::new(cfg),
             Particle::Alpha,
-            Cow::Borrowed(table),
+            vec![Cow::Borrowed(table)],
         )
     }
 

@@ -1007,7 +1007,7 @@ mod tests {
         let plan = BinPlan::for_particle(
             &SerPipeline::new(pipeline.clone()),
             Particle::Alpha,
-            Cow::Owned(PofTable::new(vdd, curves)),
+            vec![Cow::Owned(PofTable::new(vdd, curves))],
         );
         let total = plan.bins.len();
         assert!(total > 0);

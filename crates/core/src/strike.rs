@@ -9,7 +9,9 @@
 //! fixed-size logical chunks of [`MC_CHUNK_ITERATIONS`] iterations whose
 //! RNG streams are derived from the chunk index — never from the worker
 //! thread — so same-seed results are bit-identical on any host (see
-//! [`StrikeSimulator::estimate`]).
+//! [`StrikeSimulator::estimate`]). Steps 1–3 do not read the POF table, so
+//! one pass can score each ray against several tables
+//! ([`StrikeSimulator::with_tables`]).
 
 use crate::array::{clamp_pof, MemoryArray};
 use finrad_geometry::trace::{Crossing, TraceScratch};
@@ -35,17 +37,19 @@ use std::num::NonZeroUsize;
 pub const MC_CHUNK_ITERATIONS: u64 = 4096;
 
 /// Splits `iterations` into [`MC_CHUNK_ITERATIONS`]-sized chunks, runs
-/// `chunk_fn(chunk_index, chunk_len)` for each across `threads` workers,
-/// and merges the partial estimates **in chunk order**. Both the per-chunk
-/// streams and the merge order are independent of `threads`, which is what
-/// makes same-seed results bit-identical across hosts.
+/// `chunk_fn(chunk_index, chunk_len, partials)` for each across `threads`
+/// workers, and merges each of the `tables` partial estimates **in chunk
+/// order**. Both the per-chunk streams and the merge order are independent
+/// of `threads`, which is what makes same-seed results bit-identical across
+/// hosts.
 pub(crate) fn estimate_chunked<F>(
     iterations: u64,
     threads: NonZeroUsize,
+    tables: usize,
     chunk_fn: F,
-) -> ArrayPofEstimate
+) -> Vec<ArrayPofEstimate>
 where
-    F: Fn(u64, u64) -> ArrayPofEstimate + Sync,
+    F: Fn(u64, u64, &mut [ArrayPofEstimate]) + Sync,
 {
     let n_chunks = iterations.div_ceil(MC_CHUNK_ITERATIONS);
     // The merge below runs in chunk order, not in the (thread-count and
@@ -54,13 +58,22 @@ where
     let partials = par::map_indexed(n_chunks as usize, threads, |c| {
         let c = c as u64;
         let start = c * MC_CHUNK_ITERATIONS;
-        chunk_fn(c, MC_CHUNK_ITERATIONS.min(iterations - start))
+        let mut partial = vec![ArrayPofEstimate::default(); tables];
+        chunk_fn(c, MC_CHUNK_ITERATIONS.min(iterations - start), &mut partial);
+        partial
     });
-    let mut out = ArrayPofEstimate::default();
-    for p in &partials {
-        out.merge(p);
+    let mut out = vec![ArrayPofEstimate::default(); tables];
+    for partial in &partials {
+        for (acc, p) in out.iter_mut().zip(partial) {
+            acc.merge(p);
+        }
     }
     out
+}
+
+/// The estimate of a one-table strike run.
+pub(crate) fn only_estimate(estimates: Vec<ArrayPofEstimate>) -> ArrayPofEstimate {
+    estimates.into_iter().next().unwrap_or_default()
 }
 
 /// How particle arrival directions are sampled.
@@ -585,20 +598,33 @@ impl ThresholdBlock {
 }
 
 /// The array strike simulator binding geometry, transport and POF tables.
+///
+/// A simulator scores every traced ray against one or more POF tables
+/// (see [`StrikeSimulator::with_tables`]): the ray, its crossings and the
+/// struck cells' deposits do not depend on the table, so they are worked
+/// out once per iteration, and only the per-cell flip probabilities and
+/// the Eqs. 4–6 combination run once per table.
 pub struct StrikeSimulator<'a> {
     array: &'a MemoryArray,
     traversal: FinTraversal,
     lut: Option<&'a EhpLut>,
-    pof: &'a PofTable,
-    /// `pof`'s curves prepared for the `Expected` flip model, by combo.
-    exceedance: Vec<(StrikeCombo, ExceedanceCurve)>,
+    /// The tables every ray is scored against, in the caller's order;
+    /// never empty.
+    tables: Vec<ScoredTable<'a>>,
     direction: DirectionLaw,
     deposit: DepositMode,
     flip_model: FlipModel,
 }
 
+/// One POF table of a [`StrikeSimulator`], prepared for scoring.
+struct ScoredTable<'a> {
+    pof: &'a PofTable,
+    /// `pof`'s curves prepared for the `Expected` flip model, by combo.
+    exceedance: Vec<(StrikeCombo, ExceedanceCurve)>,
+}
+
 impl<'a> StrikeSimulator<'a> {
-    /// Creates a simulator.
+    /// Creates a simulator scoring against the one table `pof`.
     ///
     /// # Panics
     ///
@@ -614,6 +640,35 @@ impl<'a> StrikeSimulator<'a> {
         flip_model: FlipModel,
         lut: Option<&'a EhpLut>,
     ) -> Self {
+        Self::with_tables(
+            array,
+            traversal,
+            &[pof],
+            direction,
+            deposit,
+            flip_model,
+            lut,
+        )
+    }
+
+    /// Creates a simulator scoring every ray against each of `tables`:
+    /// [`StrikeSimulator::estimate`] returns one estimate per table, each
+    /// bit-identical to the estimate of a [`StrikeSimulator::new`] on that
+    /// table alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tables` is empty, and as [`StrikeSimulator::new`] does.
+    pub fn with_tables(
+        array: &'a MemoryArray,
+        traversal: FinTraversal,
+        tables: &[&'a PofTable],
+        direction: DirectionLaw,
+        deposit: DepositMode,
+        flip_model: FlipModel,
+        lut: Option<&'a EhpLut>,
+    ) -> Self {
+        assert!(!tables.is_empty(), "a strike simulator needs a POF table");
         assert!(
             deposit != DepositMode::LutMean || lut.is_some(),
             "LutMean deposit mode requires an electron-hole pair LUT"
@@ -622,35 +677,45 @@ impl<'a> StrikeSimulator<'a> {
             !(deposit == DepositMode::LutMean && flip_model == FlipModel::Expected),
             "the Expected flip model requires chord-exact deposits"
         );
-        let exceedance = match flip_model {
-            FlipModel::Expected => pof
-                .combos()
-                .filter_map(|combo| Some((combo, ExceedanceCurve::new(pof.curve(combo)?))))
-                .collect(),
-            FlipModel::Sampled => Vec::new(),
-        };
+        let tables = tables
+            .iter()
+            .map(|&pof| ScoredTable {
+                pof,
+                exceedance: match flip_model {
+                    FlipModel::Expected => pof
+                        .combos()
+                        .filter_map(|combo| Some((combo, ExceedanceCurve::new(pof.curve(combo)?))))
+                        .collect(),
+                    FlipModel::Sampled => Vec::new(),
+                },
+            })
+            .collect();
         Self {
             array,
             traversal,
             lut,
-            pof,
-            exceedance,
+            tables,
             direction,
             deposit,
             flip_model,
         }
     }
 
-    /// The POF table in use.
+    /// The first POF table: the one the single-ray methods score against.
     pub fn pof_table(&self) -> &PofTable {
-        self.pof
+        self.lead().pof
+    }
+
+    /// The first table, which the constructors guarantee exists.
+    fn lead(&self) -> &ScoredTable<'a> {
+        &self.tables[0]
     }
 
     /// Simulates one particle of `energy` forced to arrive on the array
     /// footprint (the paper's Fig. 8 condition: "the particle definitely
-    /// hits the layout of the memory array"). Allocates fresh buffers; a
-    /// loop keeps a [`StrikeScratch`] and calls
-    /// [`StrikeSimulator::simulate_one_with`].
+    /// hits the layout of the memory array"), scored against the first
+    /// table. Allocates fresh buffers; a loop keeps a [`StrikeScratch`]
+    /// and calls [`StrikeSimulator::simulate_one_with`].
     pub fn simulate_one<R: Rng + ?Sized>(
         &self,
         particle: Particle,
@@ -696,8 +761,8 @@ impl<'a> StrikeSimulator<'a> {
         Ray::new(launch, dir)
     }
 
-    /// Simulates one explicit ray (used by tests and by alternative launch
-    /// geometries).
+    /// Simulates one explicit ray against the first table (used by tests
+    /// and by alternative launch geometries).
     pub fn simulate_ray<R: Rng + ?Sized>(
         &self,
         particle: Particle,
@@ -709,9 +774,10 @@ impl<'a> StrikeSimulator<'a> {
         combine_cell_pofs(self.cell_pofs_with(particle, energy, ray, rng, &mut scratch))
     }
 
-    /// The per-cell flip probabilities of one explicit ray, before the
-    /// Eqs. 4-6 combination — the input to upset-multiplicity statistics
-    /// ([`multiplicity_pmf`]). Empty when nothing sensitive was struck.
+    /// The per-cell flip probabilities of one explicit ray under the first
+    /// table, before the Eqs. 4-6 combination — the input to
+    /// upset-multiplicity statistics ([`multiplicity_pmf`]). Empty when
+    /// nothing sensitive was struck.
     pub fn cell_pofs_for_ray<R: Rng + ?Sized>(
         &self,
         particle: Particle,
@@ -725,8 +791,9 @@ impl<'a> StrikeSimulator<'a> {
     }
 
     /// [`StrikeSimulator::cell_pofs_for_ray`] through caller-owned
-    /// buffers: traces into `scratch`, resolves into it, and returns the
-    /// flip probabilities it leaves there, in ascending cell order.
+    /// buffers: strikes into `scratch`, scores the first table, and
+    /// returns the flip probabilities it leaves there, in ascending cell
+    /// order.
     fn cell_pofs_with<'s, R: Rng + ?Sized>(
         &self,
         particle: Particle,
@@ -735,25 +802,50 @@ impl<'a> StrikeSimulator<'a> {
         rng: &mut R,
         scratch: &'s mut StrikeScratch,
     ) -> &'s [f64] {
+        self.strike(particle, energy, ray, rng, scratch);
+        self.score(self.lead(), scratch)
+    }
+
+    /// Steps 2–3 of an iteration, the table-independent half: traces `ray`
+    /// and leaves the struck cells' deposits in `scratch` — collected
+    /// charges under `Sampled`, summed Moyal deposits under `Expected`.
+    /// Overwrites what the last ray left, also when this one strikes
+    /// nothing.
+    fn strike<R: Rng + ?Sized>(
+        &self,
+        particle: Particle,
+        energy: Energy,
+        ray: &Ray,
+        rng: &mut R,
+        scratch: &mut StrikeScratch,
+    ) {
+        let crossings = self.array.trace_into(ray, &mut scratch.trace);
+        match self.flip_model {
+            FlipModel::Sampled => {
+                self.resolve_sampled(particle, energy, crossings, rng, &mut scratch.charges)
+            }
+            FlipModel::Expected => {
+                self.resolve_expected(particle, energy, crossings, &mut scratch.moyal)
+            }
+        }
+    }
+
+    /// Step 4 against one table, the table-dependent half: the flip
+    /// probability of each cell [`StrikeSimulator::strike`] left in
+    /// `scratch`, in ascending cell order. Clears the previous scoring
+    /// first, so a ray that struck nothing scores an empty slice.
+    fn score<'s>(&self, table: &ScoredTable<'_>, scratch: &'s mut StrikeScratch) -> &'s [f64] {
         let StrikeScratch {
-            trace,
             charges,
             moyal,
             pofs,
             exceedance,
+            ..
         } = scratch;
         pofs.clear();
-        let crossings = self.array.trace_into(ray, trace);
-        if !crossings.is_empty() {
-            match self.flip_model {
-                FlipModel::Sampled => {
-                    self.resolve_sampled(particle, energy, crossings, rng, charges);
-                    charge_pofs(charges, self.pof, pofs);
-                }
-                FlipModel::Expected => {
-                    self.resolve_expected(particle, energy, crossings, moyal, pofs, exceedance);
-                }
-            }
+        match self.flip_model {
+            FlipModel::Sampled => charge_pofs(charges, table.pof, pofs),
+            FlipModel::Expected => expected_pofs(moyal, &table.exceedance, pofs, exceedance),
         }
         pofs
     }
@@ -804,17 +896,15 @@ impl<'a> StrikeSimulator<'a> {
         }
     }
 
-    /// Conditional expectation over straggling: each struck cell
-    /// contributes `mean_i P(deposit ≥ Q_crit,i)` exactly, pushed onto
-    /// `pofs` in ascending cell order.
+    /// The straggling distribution of each struck cell's deposit, summed
+    /// into `cells` as Moyal means and variances for the conditional
+    /// expectation of [`expected_pofs`].
     fn resolve_expected(
         &self,
         particle: Particle,
         energy: Energy,
         crossings: &[Crossing],
         cells: &mut CellHits<MoyalSum>,
-        pofs: &mut Vec<f64>,
-        counts: &mut ExceedanceCounts,
     ) {
         cells.clear();
         let fins = self.array.fins();
@@ -852,31 +942,12 @@ impl<'a> StrikeSimulator<'a> {
             // effect on downstream fins is second order at nm scales).
             energy_left -= params.mean;
         }
-
-        for hit in cells.iter() {
-            let Some((_, curve)) = self.exceedance.iter().find(|(c, _)| *c == hit.combo) else {
-                // An uncharacterized combo cannot yield a probability.
-                // Surface the iteration as a poisoned sample so the
-                // accumulator-level NaN quarantine counts it instead of
-                // panicking mid-campaign or silently skipping the cell.
-                pofs.push(f64::NAN);
-                continue;
-            };
-            // Multi-fin cells: approximate the sum of per-fin Moyal deposits
-            // by a single Moyal with summed mean and quadrature-summed
-            // scale (exact for the dominant single-fin case).
-            let params = LandauParams {
-                mean: Energy::from_ev(hit.acc.mean_ev),
-                scale: Energy::from_ev(hit.acc.var_ev2.sqrt()),
-            };
-            pofs.push(curve.flip_probability(&params, hit.acc.available, counts));
-        }
     }
 
-    /// Expected rate of exactly-k-bit upsets per forced-hit particle, for
-    /// `k = 0..=max_k` (the last entry aggregates `≥ max_k`). Runs
-    /// `iterations` strikes and averages the exact per-iteration
-    /// Poisson-binomial multiplicity distribution.
+    /// Expected rate of exactly-k-bit upsets per forced-hit particle under
+    /// the first table, for `k = 0..=max_k` (the last entry aggregates
+    /// `≥ max_k`). Runs `iterations` strikes and averages the exact
+    /// per-iteration Poisson-binomial multiplicity distribution.
     ///
     /// # Panics
     ///
@@ -909,13 +980,16 @@ impl<'a> StrikeSimulator<'a> {
     }
 
     /// Runs `iterations` forced-hit strikes at one energy, split across
-    /// `std::thread::available_parallelism()` workers.
+    /// `std::thread::available_parallelism()` workers, and returns one
+    /// estimate per table, in the order the simulator was given them.
     ///
-    /// RNG streams are derived per [`MC_CHUNK_ITERATIONS`]-sized logical
-    /// chunk, not per worker thread, so the result for a given `seed` is
-    /// bit-identical regardless of the host's core count (enforced by a
-    /// regression test against [`Self::estimate_with_threads`] at 1
-    /// worker).
+    /// Each ray is traced once and scored against every table, so the
+    /// tables' estimates come from common rays. RNG streams are derived per
+    /// [`MC_CHUNK_ITERATIONS`]-sized logical chunk, not per worker thread,
+    /// so the result for a given `seed` is bit-identical regardless of the
+    /// host's core count (enforced by a regression test against
+    /// [`Self::estimate_with_threads`] at 1 worker), and each table's
+    /// estimate is bit-identical to a one-table simulator's.
     ///
     /// # Panics
     ///
@@ -926,7 +1000,7 @@ impl<'a> StrikeSimulator<'a> {
         energy: Energy,
         iterations: u64,
         seed: u64,
-    ) -> ArrayPofEstimate {
+    ) -> Vec<ArrayPofEstimate> {
         let threads = std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN);
         self.estimate_with_threads(particle, energy, iterations, seed, threads)
     }
@@ -946,29 +1020,37 @@ impl<'a> StrikeSimulator<'a> {
         iterations: u64,
         seed: u64,
         threads: NonZeroUsize,
-    ) -> ArrayPofEstimate {
+    ) -> Vec<ArrayPofEstimate> {
         assert!(iterations > 0, "need at least one iteration");
         let timer = finrad_observe::span(finrad_observe::keys::STRIKE_ESTIMATE_SECONDS);
-        let out = estimate_chunked(iterations, threads, |chunk, len| {
-            let mut rng = Xoshiro256pp::salted_stream(seed, chunk + 1, 0xD6E8_FEB8_6659_FD93);
-            let mut scratch = StrikeScratch::default();
-            let mut acc = ArrayPofEstimate::default();
-            for _ in 0..len {
-                acc.push(self.simulate_one_with(particle, energy, &mut rng, &mut scratch));
-            }
-            finrad_observe::counter_add(finrad_observe::keys::STRIKE_ITERATIONS, len);
-            let counts = scratch.exceedance;
-            finrad_observe::counter_add(
-                finrad_observe::keys::STRIKE_EXCEEDANCE_BLOCKS_EXPANDED,
-                counts.blocks_expanded,
-            );
-            finrad_observe::counter_add(
-                finrad_observe::keys::STRIKE_EXCEEDANCE_TERMS_EXACT,
-                counts.terms_exact,
-            );
-            acc
-        });
-        finrad_observe::counter_add(finrad_observe::keys::STRIKE_QUARANTINED, out.quarantined);
+        let out = estimate_chunked(
+            iterations,
+            threads,
+            self.tables.len(),
+            |chunk, len, accs| {
+                let mut rng = Xoshiro256pp::salted_stream(seed, chunk + 1, 0xD6E8_FEB8_6659_FD93);
+                let mut scratch = StrikeScratch::default();
+                for _ in 0..len {
+                    let ray = self.sample_ray(&mut rng);
+                    self.strike(particle, energy, &ray, &mut rng, &mut scratch);
+                    for (table, acc) in self.tables.iter().zip(accs.iter_mut()) {
+                        acc.push(combine_cell_pofs(self.score(table, &mut scratch)));
+                    }
+                }
+                finrad_observe::counter_add(finrad_observe::keys::STRIKE_ITERATIONS, len);
+                let counts = scratch.exceedance;
+                finrad_observe::counter_add(
+                    finrad_observe::keys::STRIKE_EXCEEDANCE_BLOCKS_EXPANDED,
+                    counts.blocks_expanded,
+                );
+                finrad_observe::counter_add(
+                    finrad_observe::keys::STRIKE_EXCEEDANCE_TERMS_EXACT,
+                    counts.terms_exact,
+                );
+            },
+        );
+        let quarantined = out.iter().map(|est| est.quarantined).sum();
+        finrad_observe::counter_add(finrad_observe::keys::STRIKE_QUARANTINED, quarantined);
         if let Some(secs) = timer.elapsed_seconds() {
             if secs > 0.0 {
                 finrad_observe::record(
@@ -978,6 +1060,35 @@ impl<'a> StrikeSimulator<'a> {
             }
         }
         out
+    }
+}
+
+/// Conditional expectation over straggling: each cell of `cells`
+/// contributes `mean_i P(deposit ≥ Q_crit,i)` under its combo's curve in
+/// `exceedance`, pushed onto `pofs` in ascending cell order.
+fn expected_pofs(
+    cells: &CellHits<MoyalSum>,
+    exceedance: &[(StrikeCombo, ExceedanceCurve)],
+    pofs: &mut Vec<f64>,
+    counts: &mut ExceedanceCounts,
+) {
+    for hit in cells.iter() {
+        let Some((_, curve)) = exceedance.iter().find(|(c, _)| *c == hit.combo) else {
+            // An uncharacterized combo cannot yield a probability.
+            // Surface the iteration as a poisoned sample so the
+            // accumulator-level NaN quarantine counts it instead of
+            // panicking mid-campaign or silently skipping the cell.
+            pofs.push(f64::NAN);
+            continue;
+        };
+        // Multi-fin cells: approximate the sum of per-fin Moyal deposits
+        // by a single Moyal with summed mean and quadrature-summed
+        // scale (exact for the dominant single-fin case).
+        let params = LandauParams {
+            mean: Energy::from_ev(hit.acc.mean_ev),
+            scale: Energy::from_ev(hit.acc.var_ev2.sqrt()),
+        };
+        pofs.push(curve.flip_probability(&params, hit.acc.available, counts));
     }
 }
 
@@ -1040,7 +1151,9 @@ mod tests {
             model,
             (deposit == DepositMode::LutMean).then_some(&lut),
         );
-        let est = sim.estimate(Particle::Alpha, Energy::from_mev(2.0), 10_000, 5);
+        let est = sim
+            .estimate(Particle::Alpha, Energy::from_mev(2.0), 10_000, 5)
+            .remove(0);
         [est.total.mean(), est.seu.mean(), est.mbu.mean()].map(f64::to_bits)
     }
 
@@ -1409,8 +1522,8 @@ mod tests {
             None,
         );
         let e = Energy::from_mev(1.0);
-        let alpha = sim.estimate(Particle::Alpha, e, 4000, 11);
-        let proton = sim.estimate(Particle::Proton, e, 4000, 12);
+        let alpha = sim.estimate(Particle::Alpha, e, 4000, 11).remove(0);
+        let proton = sim.estimate(Particle::Proton, e, 4000, 12).remove(0);
         assert!(
             alpha.total.mean() > 2.0 * proton.total.mean(),
             "alpha {} vs proton {}",
@@ -1434,8 +1547,8 @@ mod tests {
             None,
         );
         let e = Energy::from_mev(2.0);
-        let a = sim.estimate(Particle::Alpha, e, 500, 99);
-        let b = sim.estimate(Particle::Alpha, e, 500, 99);
+        let a = sim.estimate(Particle::Alpha, e, 500, 99).remove(0);
+        let b = sim.estimate(Particle::Alpha, e, 500, 99).remove(0);
         assert_eq!(a.total.mean(), b.total.mean());
         assert_eq!(a.total.count(), 500);
         // Ratio helper.
@@ -1465,9 +1578,13 @@ mod tests {
         let iters = 3 * MC_CHUNK_ITERATIONS + 123;
         let one = NonZeroUsize::new(1).unwrap();
         let many = NonZeroUsize::new(7).unwrap();
-        let single = sim.estimate_with_threads(Particle::Alpha, e, iters, 77, one);
-        let multi = sim.estimate_with_threads(Particle::Alpha, e, iters, 77, many);
-        let default = sim.estimate(Particle::Alpha, e, iters, 77);
+        let single = sim
+            .estimate_with_threads(Particle::Alpha, e, iters, 77, one)
+            .remove(0);
+        let multi = sim
+            .estimate_with_threads(Particle::Alpha, e, iters, 77, many)
+            .remove(0);
+        let default = sim.estimate(Particle::Alpha, e, iters, 77).remove(0);
         assert_eq!(single.total.count(), iters);
         for other in [&multi, &default] {
             assert_eq!(
@@ -1486,6 +1603,122 @@ mod tests {
                 "POF_MBU mean must be bit-identical"
             );
             assert_eq!(&single, other);
+        }
+    }
+
+    /// `table`'s curves redrawn as `n`-sample variation curves about each
+    /// combo's critical charge, with relative spread `rel_sigma`.
+    fn variation_table(table: &PofTable, n: usize, rel_sigma: f64, seed: u64) -> PofTable {
+        let mut rng = Xoshiro256pp::seed_from_u64(seed);
+        let curves = table
+            .combos()
+            .map(|combo| {
+                let q = table.curve(combo).unwrap().median_qcrit().coulombs();
+                (
+                    combo,
+                    PofCurve::from_critical_charges(gaussian_qcrits(&mut rng, n, q, rel_sigma)),
+                )
+            })
+            .collect();
+        PofTable::new(table.vdd(), curves)
+    }
+
+    /// The bits an estimate's statistics are compared by.
+    fn estimate_bits(est: &ArrayPofEstimate) -> Vec<u64> {
+        let mut bits = vec![est.total.count(), est.quarantined];
+        for stats in [&est.total, &est.seu, &est.mbu] {
+            bits.extend([stats.mean(), stats.stddev()].map(f64::to_bits));
+        }
+        bits
+    }
+
+    /// An isotropic-down simulator over `tables`.
+    fn simulator<'a>(
+        array: &'a MemoryArray,
+        tables: &[&'a PofTable],
+        deposit: DepositMode,
+        model: FlipModel,
+        lut: Option<&'a EhpLut>,
+    ) -> StrikeSimulator<'a> {
+        StrikeSimulator::with_tables(
+            array,
+            FinTraversal::paper_default(),
+            tables,
+            DirectionLaw::IsotropicDown,
+            deposit,
+            model,
+            lut,
+        )
+    }
+
+    #[test]
+    fn shared_pass_matches_each_single_table_run_bitwise() {
+        // Three tables scored in one pass — a 40-sample variation table
+        // (blocked, so `Expected` takes the block expansion), a nominal
+        // table and a wide 8-sample variation table (unblocked) — against
+        // a one-table run of each, in both flip models and both deposit
+        // modes, at 1 and 2 workers. Several chunks of rays, many of
+        // which strike nothing right after one that struck a cell.
+        let tech = Technology::soi_finfet_14nm();
+        let array = MemoryArray::build(&tech, 4, 4, DataPattern::Checkerboard);
+        let nominal = pof_table(0.8);
+        let variation = variation_table(&nominal, 40, 0.1, 9);
+        let wide = variation_table(&nominal, 8, 0.3, 10);
+        let tables = [&variation, &nominal, &wide];
+        let lut = EhpLut::tabulate(
+            &FinTraversal::paper_default(),
+            Particle::Alpha,
+            Energy::from_mev(0.5),
+            Energy::from_mev(20.0),
+            6,
+            200,
+            21,
+        );
+        let iters = 2 * MC_CHUNK_ITERATIONS + 321;
+        let e = Energy::from_mev(2.0);
+        let cases = [
+            (DepositMode::ChordExact, FlipModel::Expected),
+            (DepositMode::ChordExact, FlipModel::Sampled),
+            (DepositMode::LutMean, FlipModel::Sampled),
+        ];
+        for (deposit, model) in cases {
+            let lut = (deposit == DepositMode::LutMean).then_some(&lut);
+            let shared = simulator(&array, &tables, deposit, model, lut);
+
+            // The lead table's rays: misses right after hits, and blocks
+            // expanded under `Expected`.
+            let mut rng = Xoshiro256pp::salted_stream(41, 1, 0xD6E8_FEB8_6659_FD93);
+            let mut scratch = StrikeScratch::default();
+            let (mut struck_before, mut miss_after_hit) = (false, 0);
+            for _ in 0..MC_CHUNK_ITERATIONS {
+                let o = shared.simulate_one_with(Particle::Alpha, e, &mut rng, &mut scratch);
+                miss_after_hit += usize::from(struck_before && o.cells_struck == 0);
+                struck_before = o.cells_struck > 0;
+            }
+            assert!(miss_after_hit > 100, "{miss_after_hit} misses after a hit");
+            if model == FlipModel::Expected {
+                let curves = &shared.tables[0].exceedance;
+                assert!(curves.iter().all(|(_, curve)| !curve.blocks.is_empty()));
+                assert!(scratch.exceedance.blocks_expanded > 0);
+            }
+
+            for threads in [1, 2].map(|n| NonZeroUsize::new(n).unwrap()) {
+                let got = shared.estimate_with_threads(Particle::Alpha, e, iters, 41, threads);
+                assert_eq!(got.len(), tables.len());
+                for (t, (table, est)) in tables.iter().zip(&got).enumerate() {
+                    let alone = simulator(&array, &[table], deposit, model, lut)
+                        .estimate_with_threads(Particle::Alpha, e, iters, 41, threads);
+                    assert_eq!(
+                        estimate_bits(est),
+                        estimate_bits(&alone[0]),
+                        "{deposit:?} {model:?} table {t} at {threads} workers"
+                    );
+                }
+                // The tables are told apart, so a table mixed up with
+                // another cannot pass by coincidence.
+                assert_ne!(got[0].total.mean(), got[1].total.mean());
+                assert_ne!(got[1].total.mean(), got[2].total.mean());
+            }
         }
     }
 
@@ -1551,7 +1784,7 @@ mod tests {
         // P(>=1 flip) from the multiplicity spectrum matches POF_tot from
         // the plain estimator (same physics, different bookkeeping; allow
         // MC noise between the independent runs).
-        let est = sim.estimate(Particle::Alpha, e, 6000, 34);
+        let est = sim.estimate(Particle::Alpha, e, 6000, 34).remove(0);
         let p_any: f64 = pmf[1..].iter().sum();
         let pof_tot = est.total.mean();
         assert!(

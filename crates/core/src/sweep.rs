@@ -4,6 +4,8 @@
 //! [`VddSweep`] runs the full pipeline over a list of supply voltages for
 //! both particle species, reusing one POF characterization per voltage
 //! (the expensive step), and returns the FIT/MBU series the figures plot.
+//! The strike Monte Carlo runs one pass per species: each ray is traced
+//! once and scored against every voltage's table.
 
 use crate::pipeline::{SerPipeline, SerReport};
 use crate::CoreError;
@@ -34,7 +36,10 @@ pub struct VddSweep {
 }
 
 impl VddSweep {
-    /// Runs the pipeline at every voltage in `vdds`.
+    /// Runs the pipeline at every voltage in `vdds`: characterizes each
+    /// voltage's POF table, then runs one strike pass per species over all
+    /// the tables ([`SerPipeline::run_with_tables`]). Each report equals
+    /// [`SerPipeline::run`] at its (species, voltage), bit for bit.
     ///
     /// # Errors
     ///
@@ -45,15 +50,18 @@ impl VddSweep {
     /// Panics if `vdds` is empty.
     pub fn run(pipeline: &SerPipeline, vdds: &[Voltage]) -> Result<Self, CoreError> {
         assert!(!vdds.is_empty(), "sweep needs at least one voltage");
-        let mut points = Vec::with_capacity(vdds.len());
-        for &vdd in vdds {
-            let table = pipeline.build_pof_table(vdd)?;
-            points.push(SweepPoint {
-                vdd,
-                proton: pipeline.run_with_table(Particle::Proton, vdd, &table),
-                alpha: pipeline.run_with_table(Particle::Alpha, vdd, &table),
-            });
-        }
+        let tables = vdds
+            .iter()
+            .map(|&vdd| pipeline.build_pof_table(vdd))
+            .collect::<Result<Vec<_>, _>>()?;
+        let entries: Vec<_> = vdds.iter().copied().zip(&tables).collect();
+        let proton = pipeline.run_with_tables(Particle::Proton, &entries);
+        let alpha = pipeline.run_with_tables(Particle::Alpha, &entries);
+        let points = vdds
+            .iter()
+            .zip(proton.into_iter().zip(alpha))
+            .map(|(&vdd, (proton, alpha))| SweepPoint { vdd, proton, alpha })
+            .collect();
         Ok(Self { points })
     }
 
@@ -107,6 +115,7 @@ impl VddSweep {
 mod tests {
     use super::*;
     use crate::pipeline::PipelineConfig;
+    use finrad_sram::Variation;
 
     fn smoke_sweep() -> VddSweep {
         let mut cfg = PipelineConfig::smoke_test();
@@ -146,6 +155,39 @@ mod tests {
             "steepness {}",
             sweep.proton_to_alpha_steepness()
         );
+    }
+
+    #[test]
+    fn every_point_matches_an_independent_run() {
+        // A 32-sample variation table is blocked, so the alpha pass runs
+        // the block-expansion kernel on every supply's table at once.
+        let cfg = PipelineConfig {
+            variation: Variation::MonteCarlo { samples: 32 },
+            iterations_per_energy: 300,
+            energy_bins: 3,
+            ..PipelineConfig::smoke_test()
+        };
+        let pipeline = SerPipeline::new(cfg);
+        let vdds = [0.7, 1.1].map(Voltage::from_volts);
+        let sweep = VddSweep::run(&pipeline, &vdds).expect("sweep");
+        let bits = |r: &SerReport| [r.fit_total, r.fit_seu, r.fit_mbu].map(f64::to_bits);
+        assert_eq!(sweep.points().len(), vdds.len());
+        for (point, &vdd) in sweep.points().iter().zip(&vdds) {
+            assert_eq!(point.vdd, vdd);
+            for (report, particle) in [
+                (&point.proton, Particle::Proton),
+                (&point.alpha, Particle::Alpha),
+            ] {
+                let alone = pipeline.run(particle, vdd).expect("independent run");
+                assert_eq!((report.particle, report.vdd), (particle, vdd));
+                assert_eq!(bits(report), bits(&alone), "{particle:?} at {vdd:?}");
+                assert_eq!(report.bins.len(), alone.bins.len());
+            }
+        }
+        // The supplies are told apart, so a swapped table cannot pass the
+        // comparison above by coincidence.
+        let [low, high] = [0, 1].map(|i| bits(&sweep.points()[i].alpha));
+        assert_ne!(low, high);
     }
 
     #[test]

@@ -678,7 +678,7 @@ impl CellCharacterizer {
     }
 
     /// The critical charges of `samples` variation samples of `combo` at
-    /// `vdd`, in sample-index order, plus how many samples fell back to the
+    /// `vdd`, in sample-index order, each with whether it fell back to the
     /// lattice search.
     ///
     /// Every sample runs the [`fine walk`](Self::fine_walk_qcrit); only its
@@ -702,7 +702,7 @@ impl CellCharacterizer {
         combo: StrikeCombo,
         samples: usize,
         seed: u64,
-    ) -> Result<(Vec<f64>, usize), SpiceError> {
+    ) -> Result<(Vec<f64>, Vec<bool>), SpiceError> {
         let var = VariationModel::pelgrom(&self.tech);
         let lattice = self.charge_lattice();
         // One nominal search before the workers spawn: its critical charge
@@ -746,10 +746,7 @@ impl CellCharacterizer {
         })
         .into_iter()
         .collect::<Result<Vec<_>, SpiceError>>()?;
-        let all = pilot.into_iter().map(|(_, q)| q).chain(rest);
-        let (qs, fell_back): (Vec<f64>, Vec<bool>) = all.unzip();
-        let fallbacks = fell_back.into_iter().filter(|&f| f).count();
-        Ok((qs, fallbacks))
+        Ok(pilot.into_iter().map(|(_, q)| q).chain(rest).unzip())
     }
 
     /// Characterizes one combo: the POF curve at `vdd`.
@@ -781,10 +778,10 @@ impl CellCharacterizer {
             }
             Variation::MonteCarlo { samples } => {
                 assert!(samples > 0, "need at least one MC sample");
-                let (qs, fallbacks) = self.monte_carlo_qcrits(vdd, combo, samples, seed)?;
+                let (qs, fell_back) = self.monte_carlo_qcrits(vdd, combo, samples, seed)?;
                 finrad_observe::counter_add(
                     finrad_observe::keys::SRAM_SURROGATE_FALLBACKS,
-                    fallbacks as u64,
+                    fell_back.iter().filter(|&&f| f).count() as u64,
                 );
                 Ok(PofCurve::from_critical_charges(qs))
             }
@@ -1306,7 +1303,9 @@ mod tests {
     struct Agreement {
         /// Post-pilot samples compared.
         checked: usize,
-        /// Of those, samples that fell back to the lattice search.
+        /// Pilot samples that fell back to the lattice search.
+        pilot_fallbacks: usize,
+        /// Post-pilot samples that fell back to the lattice search.
         fallbacks: usize,
         /// Samples more than one bracket width from the lattice search.
         disagreements: usize,
@@ -1318,6 +1317,7 @@ mod tests {
     impl std::ops::AddAssign for Agreement {
         fn add_assign(&mut self, other: Self) {
             self.checked += other.checked;
+            self.pilot_fallbacks += other.pilot_fallbacks;
             self.fallbacks += other.fallbacks;
             self.disagreements += other.disagreements;
             self.non_monotone += other.non_monotone;
@@ -1341,13 +1341,16 @@ mod tests {
         let mut agreement = Agreement::default();
         for (c, combo) in StrikeCombo::all().into_iter().enumerate() {
             let seed = 17 + c as u64;
-            let (qs, fallbacks) = ch.monte_carlo_qcrits(vdd, combo, samples, seed).unwrap();
+            let (qs, fell_back) = ch.monte_carlo_qcrits(vdd, combo, samples, seed).unwrap();
             assert_eq!(qs.len(), samples);
+            let count = |flags: &[bool]| flags.iter().filter(|&&f| f).count();
+            let fallbacks = count(&fell_back[PILOT..]);
             assert!(
                 fallbacks < samples - PILOT,
                 "{vdd:?} {combo:?}: all {fallbacks} post-pilot samples fell back"
             );
             agreement.checked += samples - PILOT;
+            agreement.pilot_fallbacks += count(&fell_back[..PILOT]);
             agreement.fallbacks += fallbacks;
             let (_, anchor) = ch
                 .critical_charge_from(vdd, combo, &HashMap::new(), 1, &lattice)
@@ -1428,21 +1431,23 @@ mod tests {
     #[ignore = "quick-scale release check: cargo test --release -p finrad-sram -- --ignored"]
     fn fine_walk_agrees_at_quick_scale() {
         // Figure quick scale: default options, 150 samples, all seven
-        // combos at 0.7, 0.9 and 1.1 V. At least 99.9% of the post-pilot
-        // samples agree with the lattice search within one bracket width.
+        // combos at 0.7, 0.9 and 1.1 V. Every post-pilot sample agrees
+        // with the lattice search within one bracket width, except where
+        // both brackets are verified on a non-monotone flip response: a
+        // property of the cell, not a search fault, bounded apart at 0.2%
+        // of the samples.
         let ch = CellCharacterizer::new(
             Technology::soi_finfet_14nm(),
             CharacterizeOptions::default(),
         );
         let got = compare_at_supplies(&ch, &[0.7, 0.9, 1.1], 150);
         println!(
-            "{} post-pilot samples: {} fallbacks, {} disagreements ({} verified non-monotone)",
-            got.checked, got.fallbacks, got.disagreements, got.non_monotone
+            "{} post-pilot samples: {} fallbacks, {} disagreements ({} verified non-monotone); \
+             {} pilot fallbacks",
+            got.checked, got.fallbacks, got.disagreements, got.non_monotone, got.pilot_fallbacks
         );
-        assert!(
-            (got.checked - got.disagreements) as f64 >= 0.999 * got.checked as f64,
-            "{got:?}"
-        );
+        assert_eq!(got.disagreements, got.non_monotone, "{got:?}");
+        assert!(got.non_monotone * 500 <= got.checked, "{got:?}");
     }
 
     #[test]
@@ -1481,7 +1486,7 @@ mod tests {
             table_hash(&tiny, 0.7, 24),
         ];
         assert_eq!(got, [PILOT_TABLE, SATURATED_TABLE], "got {got:#018x?}");
-        let (qs, fallbacks) = tiny
+        let (qs, fell_back) = tiny
             .monte_carlo_qcrits(
                 Voltage::from_volts(0.7),
                 StrikeCombo::single(StrikeTarget::I1),
@@ -1490,7 +1495,7 @@ mod tests {
             )
             .unwrap();
         assert!(qs.iter().all(|&q| q == 1.0e-17));
-        assert_eq!(fallbacks, 24);
+        assert_eq!(fell_back, [true; 24]);
     }
 
     /// The margin at the plan's horizon of the strike `event`: the same

@@ -41,8 +41,12 @@ fn sampled_and_expected_flip_models_agree_in_expectation() {
             None,
         )
     };
-    let sampled = build(FlipModel::Sampled).estimate(Particle::Alpha, energy, 60_000, 5);
-    let expected = build(FlipModel::Expected).estimate(Particle::Alpha, energy, 30_000, 6);
+    let sampled = build(FlipModel::Sampled)
+        .estimate(Particle::Alpha, energy, 60_000, 5)
+        .remove(0);
+    let expected = build(FlipModel::Expected)
+        .estimate(Particle::Alpha, energy, 30_000, 6)
+        .remove(0);
     let (s, e) = (sampled.total.mean(), expected.total.mean());
     assert!(s > 0.0 && e > 0.0, "both must see flips: {s} vs {e}");
     let rel = (s - e).abs() / e;
@@ -53,7 +57,9 @@ fn sampled_and_expected_flip_models_agree_in_expectation() {
     // variance win shows up for protons, where Sampled sees almost no
     // events at all — covered by the proton bound below.
     assert!(expected.total.stddev() <= sampled.total.stddev() * 1.1);
-    let proton_expected = build(FlipModel::Expected).estimate(Particle::Proton, energy, 30_000, 7);
+    let proton_expected = build(FlipModel::Expected)
+        .estimate(Particle::Proton, energy, 30_000, 7)
+        .remove(0);
     assert!(
         proton_expected.total.mean() > 0.0,
         "Expected model must resolve rare proton flips"
