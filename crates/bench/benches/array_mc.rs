@@ -6,7 +6,7 @@
 use finrad_bench::harness::Harness;
 use finrad_core::array::{DataPattern, MemoryArray};
 use finrad_core::strike::{
-    combine_cell_pofs, DepositMode, DirectionLaw, FlipModel, StrikeScratch, StrikeSimulator,
+    combine_cell_pofs, DepositMode, DirectionLaw, FlipModel, StrikeSimulator, MC_CHUNK_ITERATIONS,
 };
 use finrad_finfet::Technology;
 use finrad_geometry::trace::TraceScratch;
@@ -17,6 +17,7 @@ use finrad_transport::fin::FinTraversal;
 use finrad_transport::straggling::sample_standard_normal;
 use finrad_units::{Energy, Particle, Voltage};
 use std::hint::black_box;
+use std::num::NonZeroUsize;
 
 fn nominal_table() -> PofTable {
     CellCharacterizer::new(
@@ -70,8 +71,11 @@ fn bench_ray_trace(c: &mut Harness) {
     });
 }
 
-fn bench_strike_iteration(c: &mut Harness) {
-    // One full Section 5.1 iteration (the paper's 10^7-count kernel).
+fn bench_strike_chunk(c: &mut Harness) {
+    // Full Section 5.1 iterations (the paper's 10^7-count kernel), timed
+    // as one logical chunk of `MC_CHUNK_ITERATIONS` iterations on one
+    // worker: the unit `estimate` schedules. Divide by 4096 for the cost
+    // of one iteration.
     let array = MemoryArray::build(
         &Technology::soi_finfet_14nm(),
         9,
@@ -99,16 +103,14 @@ fn bench_strike_iteration(c: &mut Harness) {
             model,
             None,
         );
-        // Through one reused scratch, as each `estimate` chunk runs it.
-        c.bench_function(&format!("fig8_strike_iteration/{name}"), |b| {
-            let mut rng = Xoshiro256pp::seed_from_u64(7);
-            let mut scratch = StrikeScratch::default();
+        c.bench_function(&format!("fig8_strike_chunk/{name}"), |b| {
             b.iter(|| {
-                black_box(sim.simulate_one_with(
+                black_box(sim.estimate_with_threads(
                     Particle::Alpha,
                     Energy::from_mev(2.0),
-                    &mut rng,
-                    &mut scratch,
+                    MC_CHUNK_ITERATIONS,
+                    7,
+                    NonZeroUsize::MIN,
                 ))
             })
         });
@@ -132,7 +134,7 @@ fn bench_array_build(c: &mut Harness) {
 fn main() {
     let mut h = Harness::from_env();
     bench_ray_trace(&mut h);
-    bench_strike_iteration(&mut h);
+    bench_strike_chunk(&mut h);
     bench_eqs_4_to_6(&mut h);
     bench_array_build(&mut h);
 }

@@ -21,9 +21,7 @@
 //! Everything that can go wrong maps to a typed [`CampaignError`]; no
 //! degradation path panics or silently returns a wrong FIT.
 
-use crate::checkpoint::{
-    config_fingerprint, BinRecord, Checkpoint, CheckpointError, CHECKPOINT_VERSION,
-};
+use crate::checkpoint::{config_fingerprint, BinRecord, Checkpoint, CheckpointError};
 use crate::fit::{FitRate, PofBin};
 use crate::pipeline::{BinExecutor, BinPlan, PipelineConfig, SerPipeline};
 use crate::strike::only_estimate;
@@ -333,7 +331,6 @@ impl CampaignRunner {
             return Ok(());
         };
         let ck = build_checkpoint(&self.config, outcomes);
-        debug_assert_eq!(CHECKPOINT_VERSION, 1);
         ck.save(path)?;
         Ok(())
     }

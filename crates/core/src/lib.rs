@@ -53,7 +53,6 @@ pub mod array;
 pub mod campaign;
 pub mod checkpoint;
 pub mod fit;
-pub mod neutron;
 pub mod pipeline;
 pub mod service;
 pub mod strike;

@@ -385,12 +385,15 @@ impl SerPipeline {
     /// so a separate run per table would trace the same rays each time.
     /// Here each ray is traced once and scored against every table, and
     /// each report equals [`SerPipeline::run_with_table`] on its table,
-    /// bit for bit.
+    /// bit for bit. No tables give no reports, and build nothing.
     pub fn run_with_tables(
         &self,
         particle: Particle,
         tables: &[(Voltage, &PofTable)],
     ) -> Vec<SerReport> {
+        if tables.is_empty() {
+            return Vec::new();
+        }
         let plan = BinPlan::for_particle(
             self,
             particle,
@@ -602,6 +605,19 @@ mod tests {
             Particle::Alpha,
             vec![Cow::Borrowed(table)],
         )
+    }
+
+    #[test]
+    fn run_with_no_tables_reports_nothing() {
+        let lut_mode = PipelineConfig {
+            deposit: DepositMode::LutMean,
+            flip_model: FlipModel::Sampled,
+            ..PipelineConfig::smoke_test()
+        };
+        for cfg in [PipelineConfig::smoke_test(), lut_mode] {
+            let reports = SerPipeline::new(cfg).run_with_tables(Particle::Alpha, &[]);
+            assert!(reports.is_empty());
+        }
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub const MC_CHUNK_ITERATIONS: u64 = 4096;
 /// order**. Both the per-chunk streams and the merge order are independent
 /// of `threads`, which is what makes same-seed results bit-identical across
 /// hosts.
-pub(crate) fn estimate_chunked<F>(
+fn estimate_chunked<F>(
     iterations: u64,
     threads: NonZeroUsize,
     tables: usize,
@@ -261,13 +261,13 @@ pub fn multiplicity_pmf(pofs: &[f64]) -> Vec<f64> {
 /// grown. Every iteration overwrites what the last one left, so results
 /// never depend on a scratch's history.
 #[derive(Debug, Clone, Default)]
-pub struct StrikeScratch {
-    pub(crate) trace: TraceScratch,
-    /// Collected charge per struck cell (coulombs): `Sampled` and neutrons.
-    pub(crate) charges: CellHits<f64>,
+struct StrikeScratch {
+    trace: TraceScratch,
+    /// Collected charge per struck cell (coulombs): `Sampled`.
+    charges: CellHits<f64>,
     /// Summed Moyal deposit per struck cell: `Expected`.
     moyal: CellHits<MoyalSum>,
-    pub(crate) pofs: Vec<f64>,
+    pofs: Vec<f64>,
     /// `Expected` flip-probability work since the scratch was made.
     exceedance: ExceedanceCounts,
 }
@@ -285,7 +285,7 @@ struct CellHit<T> {
 /// accumulated in crossing order. A ray strikes a handful of cells, so a
 /// sorted vector reused across iterations replaces a per-iteration map.
 #[derive(Debug, Clone)]
-pub(crate) struct CellHits<T>(Vec<CellHit<T>>);
+struct CellHits<T>(Vec<CellHit<T>>);
 
 impl<T> Default for CellHits<T> {
     fn default() -> Self {
@@ -294,12 +294,8 @@ impl<T> Default for CellHits<T> {
 }
 
 impl<T> CellHits<T> {
-    pub(crate) fn clear(&mut self) {
+    fn clear(&mut self) {
         self.0.clear();
-    }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        self.0.is_empty()
     }
 
     fn iter(&self) -> impl Iterator<Item = &CellHit<T>> {
@@ -308,12 +304,7 @@ impl<T> CellHits<T> {
 
     /// Adds `target` to `cell`'s combo and returns its accumulator,
     /// inserting the cell with `init()` on its first hit.
-    pub(crate) fn hit(
-        &mut self,
-        cell: usize,
-        target: StrikeTarget,
-        init: impl FnOnce() -> T,
-    ) -> &mut T {
+    fn hit(&mut self, cell: usize, target: StrikeTarget, init: impl FnOnce() -> T) -> &mut T {
         let at = self.0.partition_point(|h| h.cell < cell);
         if self.0.get(at).is_some_and(|h| h.cell == cell) {
             self.0[at].combo = self.0[at].combo.with(target);
@@ -345,7 +336,7 @@ struct MoyalSum {
 /// collected charge, pushed onto `pofs` in ascending cell order. An
 /// uncharacterized combo becomes NaN, which the accumulator's quarantine
 /// counts instead of crashing the campaign.
-pub(crate) fn charge_pofs(cells: &CellHits<f64>, table: &PofTable, pofs: &mut Vec<f64>) {
+fn charge_pofs(cells: &CellHits<f64>, table: &PofTable, pofs: &mut Vec<f64>) {
     pofs.extend(cells.iter().map(
         |hit| match table.pof(hit.combo, Charge::from_coulombs(hit.acc)) {
             Some(p) => clamp_pof(p),
@@ -701,42 +692,9 @@ impl<'a> StrikeSimulator<'a> {
         }
     }
 
-    /// The first POF table: the one the single-ray methods score against.
-    pub fn pof_table(&self) -> &PofTable {
-        self.lead().pof
-    }
-
     /// The first table, which the constructors guarantee exists.
     fn lead(&self) -> &ScoredTable<'a> {
         &self.tables[0]
-    }
-
-    /// Simulates one particle of `energy` forced to arrive on the array
-    /// footprint (the paper's Fig. 8 condition: "the particle definitely
-    /// hits the layout of the memory array"), scored against the first
-    /// table. Allocates fresh buffers; a loop keeps a [`StrikeScratch`]
-    /// and calls [`StrikeSimulator::simulate_one_with`].
-    pub fn simulate_one<R: Rng + ?Sized>(
-        &self,
-        particle: Particle,
-        energy: Energy,
-        rng: &mut R,
-    ) -> IterationOutcome {
-        self.simulate_one_with(particle, energy, rng, &mut StrikeScratch::default())
-    }
-
-    /// [`StrikeSimulator::simulate_one`] through caller-owned buffers:
-    /// one iteration of [`StrikeSimulator::estimate`], allocation-free once
-    /// `scratch` has grown.
-    pub fn simulate_one_with<R: Rng + ?Sized>(
-        &self,
-        particle: Particle,
-        energy: Energy,
-        rng: &mut R,
-        scratch: &mut StrikeScratch,
-    ) -> IterationOutcome {
-        let ray = self.sample_ray(rng);
-        combine_cell_pofs(self.cell_pofs_with(particle, energy, &ray, rng, scratch))
     }
 
     /// Draws one forced-hit ray: a uniform launch point on the array's top
@@ -1192,7 +1150,7 @@ mod tests {
 
     #[test]
     fn isotropic_ray_flips_a_tiny_upward_z_exactly() {
-        // Every forced-hit ray, from `simulate_one` and from
+        // Every forced-hit ray, from `estimate` and from
         // `estimate_multiplicity`, comes from `sample_ray`: an upward z of
         // 5e-7 is mirrored to -5e-7, not widened to -1e-6.
         let tech = Technology::soi_finfet_14nm();
@@ -1691,7 +1649,9 @@ mod tests {
             let mut scratch = StrikeScratch::default();
             let (mut struck_before, mut miss_after_hit) = (false, 0);
             for _ in 0..MC_CHUNK_ITERATIONS {
-                let o = shared.simulate_one_with(Particle::Alpha, e, &mut rng, &mut scratch);
+                let ray = shared.sample_ray(&mut rng);
+                let pofs = shared.cell_pofs_with(Particle::Alpha, e, &ray, &mut rng, &mut scratch);
+                let o = combine_cell_pofs(pofs);
                 miss_after_hit += usize::from(struck_before && o.cells_struck == 0);
                 struck_before = o.cells_struck > 0;
             }

@@ -43,11 +43,9 @@
 #![warn(missing_docs)]
 
 mod alpha;
-mod neutron;
 mod proton;
 
 pub use alpha::AlphaSpectrum;
-pub use neutron::NeutronSpectrum;
 pub use proton::ProtonSpectrum;
 
 use finrad_numerics::quadrature::{log_bins, trapezoid_fn, Bin};

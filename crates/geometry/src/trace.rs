@@ -471,8 +471,8 @@ mod tests {
 
     #[test]
     fn index_matches_scan_isotropic_rays_from_interior_origins() {
-        // Neutron secondaries: born anywhere in a volume around the array,
-        // including inside fins, flying in any direction.
+        // `trace` accepts any origin: rays born anywhere in a volume around
+        // the array, including inside fins, flying in any direction.
         let boxes = fin_layout();
         let u = union(&boxes);
         let volume = Aabb::new(

@@ -91,15 +91,6 @@ pub const STRIKE_EXCEEDANCE_BLOCKS_EXPANDED: &str = "core.strike.exceedance_bloc
 /// kinematic cap.
 pub const STRIKE_EXCEEDANCE_TERMS_EXACT: &str = "core.strike.exceedance_terms_exact";
 
-/// Neutron-MC histories executed.
-pub const NEUTRON_ITERATIONS: &str = "core.neutron.iterations";
-/// Neutron-MC histories rejected by the accumulator NaN quarantine.
-pub const NEUTRON_QUARANTINED: &str = "core.neutron.quarantined";
-/// Wall time of one `NeutronSimulator::estimate` call, seconds.
-pub const NEUTRON_ESTIMATE_SECONDS: &str = "core.neutron.estimate_seconds";
-/// Neutron-MC throughput of one estimate call, histories/second.
-pub const NEUTRON_ITERS_PER_SEC: &str = "core.neutron.iters_per_sec";
-
 /// Wall time per campaign energy bin, seconds.
 pub const CAMPAIGN_BIN_SECONDS: &str = "core.campaign.bin_seconds";
 /// Campaign energy bins that completed.

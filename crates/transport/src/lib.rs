@@ -55,7 +55,6 @@
 pub mod ehp;
 pub mod fin;
 pub mod lut;
-pub mod neutron;
 pub mod stopping;
 pub mod straggling;
 pub mod timing;

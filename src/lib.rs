@@ -76,7 +76,7 @@ pub mod prelude {
     };
     pub use finrad_core::strike::{DepositMode, DirectionLaw, FlipModel, StrikeSimulator};
     pub use finrad_core::CoreError;
-    pub use finrad_environment::{AlphaSpectrum, NeutronSpectrum, ProtonSpectrum, Spectrum};
+    pub use finrad_environment::{AlphaSpectrum, ProtonSpectrum, Spectrum};
     pub use finrad_finfet::{FinFet, Polarity, Technology, VariationModel};
     pub use finrad_spice::{Circuit, PulseShape, RecoveryRung, RecoveryTrace, SourceWaveform};
     pub use finrad_sram::{

@@ -1,16 +1,13 @@
 //! Integration tests of the features that go beyond the paper: noise
-//! margins, upset-multiplicity spectra, the neutron engine, and the
-//! programmatic voltage sweep.
+//! margins, upset-multiplicity spectra and the programmatic voltage sweep.
 
 use finrad::core::array::{DataPattern, MemoryArray};
-use finrad::core::neutron::{NeutronSimulator, NeutronVolume};
 use finrad::core::strike::{
     multiplicity_pmf, DepositMode, DirectionLaw, FlipModel, StrikeSimulator,
 };
 use finrad::core::sweep::VddSweep;
 use finrad::prelude::*;
 use finrad::sram::snm;
-use finrad::transport::neutron::NeutronInteraction;
 
 fn quick_table() -> PofTable {
     CellCharacterizer::new(
@@ -89,34 +86,6 @@ fn multiplicity_pmf_is_a_distribution() {
     assert_eq!(pmf.len(), 4);
     assert!((pmf.iter().sum::<f64>() - 1.0).abs() < 1e-12);
     assert!(pmf.iter().all(|&p| (0.0..=1.0).contains(&p)));
-}
-
-#[test]
-fn neutron_ser_well_below_direct_ionization() {
-    // SOI's headline radiation property, checked end to end.
-    let tech = Technology::soi_finfet_14nm();
-    let array = MemoryArray::build(&tech, 4, 4, DataPattern::Checkerboard);
-    let table = quick_table();
-    let neutron = NeutronSimulator::new(
-        &array,
-        NeutronInteraction::silicon(),
-        &table,
-        NeutronVolume::default(),
-    );
-    let (n_fit, _) = neutron.ser(&NeutronSpectrum::sea_level(), 4, 10_000, 3);
-
-    let mut cfg = PipelineConfig::smoke_test();
-    cfg.rows = 4;
-    cfg.cols = 4;
-    cfg.iterations_per_energy = 2_000;
-    let pipeline = SerPipeline::new(cfg);
-    let alpha = pipeline.run_with_table(Particle::Alpha, Voltage::from_volts(0.8), &table);
-    assert!(
-        n_fit.total < alpha.fit_total,
-        "neutron {} FIT should sit below alpha {} FIT",
-        n_fit.total,
-        alpha.fit_total
-    );
 }
 
 #[test]
