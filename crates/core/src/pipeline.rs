@@ -126,6 +126,23 @@ impl PipelineConfig {
                 "need at least one energy bin".into(),
             ));
         }
+        if self.variation == (Variation::MonteCarlo { samples: 0 }) {
+            return Err(CoreError::InvalidConfig(
+                "variation Monte Carlo needs at least one sample".into(),
+            ));
+        }
+        if self.deposit == DepositMode::LutMean {
+            if self.lut_energy_points < 2 {
+                return Err(CoreError::InvalidConfig(
+                    "the e-h pair LUT needs at least two energy points".into(),
+                ));
+            }
+            if self.lut_samples == 0 {
+                return Err(CoreError::InvalidConfig(
+                    "the e-h pair LUT needs at least one sample per energy point".into(),
+                ));
+            }
+        }
         Ok(())
     }
 }
@@ -795,6 +812,45 @@ mod tests {
         c2.energy_bins = 0;
         assert!(c2.validate().is_err());
         assert!(PipelineConfig::paper_baseline().validate().is_ok());
+
+        // Values that would reach the characterizer's or the LUT's
+        // assertions are rejected up front, so `run` reports them.
+        let no_samples = PipelineConfig {
+            variation: Variation::MonteCarlo { samples: 0 },
+            ..PipelineConfig::smoke_test()
+        };
+        assert!(matches!(
+            SerPipeline::new(no_samples).run(Particle::Alpha, Voltage::from_volts(0.8)),
+            Err(CoreError::InvalidConfig(_))
+        ));
+        let lut = PipelineConfig {
+            deposit: DepositMode::LutMean,
+            ..PipelineConfig::smoke_test()
+        };
+        assert!(lut.validate().is_ok());
+        for bad in [
+            PipelineConfig {
+                lut_energy_points: 1,
+                ..lut.clone()
+            },
+            PipelineConfig {
+                lut_samples: 0,
+                ..lut.clone()
+            },
+        ] {
+            assert!(matches!(
+                SerPipeline::new(bad).run(Particle::Alpha, Voltage::from_volts(0.8)),
+                Err(CoreError::InvalidConfig(_))
+            ));
+        }
+        // The LUT bounds bind only where a LUT is built.
+        let chord = PipelineConfig {
+            lut_energy_points: 0,
+            lut_samples: 0,
+            ..PipelineConfig::smoke_test()
+        };
+        assert_eq!(chord.deposit, DepositMode::ChordExact);
+        assert!(chord.validate().is_ok());
     }
 
     #[test]

@@ -96,12 +96,6 @@ impl Vec3 {
         self.dot(self).sqrt()
     }
 
-    /// Squared norm, avoiding the square root.
-    #[inline]
-    pub fn norm_squared(self) -> f64 {
-        self.dot(self)
-    }
-
     /// Unit vector in the same direction.
     ///
     /// # Panics

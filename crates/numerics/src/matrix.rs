@@ -113,11 +113,6 @@ impl Matrix {
         }
         Ok(y)
     }
-
-    /// Maximum absolute entry (∞-norm of the flattened data).
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0f64, |m, &v| m.max(v.abs()))
-    }
 }
 
 impl Index<(usize, usize)> for Matrix {

@@ -175,47 +175,6 @@ pub fn bisect_from(
     })
 }
 
-/// Expands `[lo, hi]` geometrically upward until `f` changes sign, then
-/// bisects. Useful when only a lower bound on the root is known (e.g.
-/// critical charge searches that start from an optimistic guess).
-///
-/// Every objective value computed during expansion is reused by the
-/// refinement stage; no endpoint is evaluated twice.
-///
-/// # Errors
-///
-/// * [`NumericsError::RootNotBracketed`] if no sign change is found within
-///   `max_expansions` doublings of the interval.
-/// * [`NumericsError::NonFiniteEvaluation`] if any evaluation of `f`
-///   returns NaN or ±∞.
-pub fn bisect_with_expansion(
-    mut f: impl FnMut(f64) -> f64,
-    lo: f64,
-    hi: f64,
-    xtol: f64,
-    max_iter: usize,
-    max_expansions: usize,
-) -> Result<Root, NumericsError> {
-    let flo = finite(lo, f(lo))?;
-    let mut a = Endpoint::new(lo, flo);
-    let mut b = Endpoint::new(hi, finite(hi, f(hi))?);
-    let mut expansions = 0;
-    while b.fx.signum() == a.fx.signum() {
-        expansions += 1;
-        if expansions > max_expansions {
-            return Err(NumericsError::RootNotBracketed { lo, hi: b.x });
-        }
-        // The rejected upper endpoint has the lower endpoint's sign, so it
-        // becomes the new lower endpoint: the eventual bracket is the last
-        // scan step, not the whole scanned range, and every scan
-        // evaluation is reused.
-        let next = lo + (b.x - lo) * 2.0;
-        a = b;
-        b = Endpoint::new(next, finite(next, f(next))?);
-    }
-    bisect_from(f, a, b, xtol, max_iter)
-}
-
 /// Finds a root of `f` on `[lo, hi]` with the ITP method: interpolate
 /// (regula falsi), truncate toward the midpoint, then project onto the
 /// minmax interval that preserves bisection's worst-case guarantee.
@@ -370,20 +329,6 @@ mod tests {
     }
 
     #[test]
-    fn expansion_finds_far_root() {
-        let r = bisect_with_expansion(|x| x - 1000.0, 0.0, 1.0, 1e-9, 200, 30).unwrap();
-        assert!((r.x - 1000.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn expansion_gives_up() {
-        assert!(matches!(
-            bisect_with_expansion(|_| 1.0, 0.0, 1.0, 1e-9, 100, 5),
-            Err(NumericsError::RootNotBracketed { .. })
-        ));
-    }
-
-    #[test]
     fn nan_midpoint_is_typed_error_not_convergence() {
         // Bracket is valid but the objective NaNs inside it: the old code
         // treated NaN as a sign change and silently bisected to garbage.
@@ -420,10 +365,6 @@ mod tests {
             itp(nan_at(1.0), 0.0, 1.0, 1e-12, 100),
             Err(NumericsError::NonFiniteEvaluation { .. })
         ));
-        assert!(matches!(
-            bisect_with_expansion(|_| f64::INFINITY, 0.0, 1.0, 1e-12, 100, 5),
-            Err(NumericsError::NonFiniteEvaluation { .. })
-        ));
         // And threaded-in endpoint values are validated too.
         assert!(matches!(
             bisect_from(
@@ -454,27 +395,6 @@ mod tests {
         .unwrap();
         assert!((r.x - 0.3).abs() < 1e-8);
         assert_eq!(calls, r.iterations);
-    }
-
-    #[test]
-    fn expansion_reuses_every_scan_evaluation() {
-        // Count evaluations per abscissa: the expansion scan plus the
-        // refinement must never evaluate the same point twice.
-        let mut seen: Vec<f64> = Vec::new();
-        let r = bisect_with_expansion(
-            |x| {
-                assert!(!seen.contains(&x), "duplicate evaluation at {x}");
-                seen.push(x);
-                x - 37.0
-            },
-            0.0,
-            1.0,
-            1e-9,
-            200,
-            30,
-        )
-        .unwrap();
-        assert!((r.x - 37.0).abs() < 1e-6);
     }
 
     #[test]

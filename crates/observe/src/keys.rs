@@ -52,10 +52,13 @@ pub const FINFET_MODEL_BATCHED_EVALS: &str = "finfet.model.batched_evals";
 
 /// Critical-charge bisection/bracketing transient evaluations.
 pub const SRAM_BISECTION_STEPS: &str = "sram.characterize.bisection_steps";
-/// Pre-strike DC operating points answered from the per-(vdd, deltas)
-/// cache instead of a fresh recovery-ladder solve.
+/// Strike transients that start from a pre-strike operating point an
+/// earlier transient of the same cell (nominal or variation sample)
+/// already started from, so it was not solved again. The name predates
+/// the per-sample probe that replaced the `(vdd, ΔVth)` cache.
 pub const SRAM_DCOP_CACHE_HITS: &str = "sram.characterize.dcop_cache_hits";
-/// Pre-strike DC operating points that missed the cache and were solved.
+/// Pre-strike DC operating points solved: one per variation sample plus
+/// the nominal cell, i.e. `7 · samples + 1` per POF table.
 pub const SRAM_DCOP_CACHE_MISSES: &str = "sram.characterize.dcop_cache_misses";
 /// Strike transients stopped at a decided verdict (past the pulse window,
 /// |margin| > ½ with both storage nodes within 50 mV of a rail) instead

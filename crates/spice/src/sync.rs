@@ -1,8 +1,8 @@
 //! Poison-tolerant synchronization helpers.
 //!
-//! The campaign daemon and the characterization cache both follow the same
-//! policy for lock poisoning: recover the inner data instead of propagating
-//! the panic. All job code runs under `catch_unwind` *off*-lock, so a thread
+//! The campaign daemon and the pipeline's e–h pair LUT slots both follow
+//! the same policy for lock poisoning: recover the inner data instead of
+//! propagating the panic. All job code runs under `catch_unwind` *off*-lock, so a thread
 //! panicking while holding one of these locks cannot happen in the first
 //! place — but if it ever does, a poisoned `Mutex` must not wedge the daemon
 //! (a wedged daemon loses the partial checkpoints a clean shutdown would

@@ -23,8 +23,12 @@
 //!   whose walk cannot close its bracket near its centre falls back to the
 //!   lattice search.
 //!
-//! Each transient reads only the flip verdict, so it stops as soon as the
-//! verdict is decided (see [`CellCharacterizer::simulate_strike`]).
+//! Every transient of one cell starts from that cell's pre-strike
+//! operating point, solved once: [`CellCharacterizer::build_table`]
+//! solves the nominal cell once per table, and each variation sample
+//! warm-starts its own solve from that nominal state. Each transient reads
+//! only the flip verdict, so it stops as soon as the verdict is decided
+//! (see [`CellCharacterizer::flips`]).
 
 use crate::cell::{CellState, SramCell, TransistorRole};
 use crate::pof::{PofCurve, PofTable, StrikeCombo};
@@ -36,12 +40,10 @@ use finrad_numerics::rng::{Rng, Xoshiro256pp};
 use finrad_numerics::roots::{itp_from, Endpoint};
 use finrad_numerics::NumericsError;
 use finrad_spice::analysis::{self, NewtonOptions, TimeStepPlan};
-use finrad_spice::sync::lock_recovering;
 use finrad_spice::{PulseShape, SpiceError};
 use finrad_units::{Charge, Voltage};
 use std::collections::{BTreeMap, HashMap};
 use std::num::NonZeroUsize;
-use std::sync::{Arc, Mutex};
 
 /// Whether (and how) process variation enters the characterization.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,6 +99,11 @@ impl Default for CharacterizeOptions {
 
 /// The characterization engine for one technology.
 ///
+/// A characterizer holds no state between calls: each public entry point
+/// solves the pre-strike operating points it needs (the nominal cell's,
+/// plus the sample's for a ΔVth assignment) and shares them across the
+/// transients of that call only.
+///
 /// # Examples
 ///
 /// ```no_run
@@ -117,13 +124,6 @@ impl Default for CharacterizeOptions {
 pub struct CellCharacterizer {
     tech: Technology,
     options: CharacterizeOptions,
-    /// Pre-strike DC operating points keyed by `(vdd, deltas)`: the
-    /// probes of one critical-charge search (~2 for a fine-walk sample,
-    /// ~7 for an anchored lattice search, ~16 for a search from the floor)
-    /// all share one identical pre-strike state, so it is solved once and
-    /// reused. Clones share the cache (`Arc`), so a characterizer handed to
-    /// worker threads keeps one map.
-    op_cache: Arc<Mutex<HashMap<OpKey, Arc<Vec<f64>>>>>,
 }
 
 /// Bottom of the critical-charge lattice, coulombs (~6 electrons): never
@@ -158,18 +158,122 @@ fn role_deltas(deltas: &HashMap<TransistorRole, Voltage>) -> [f64; 6] {
     TransistorRole::ALL.map(|role| deltas.get(&role).map(|v| v.volts()).unwrap_or(0.0))
 }
 
-/// Cache key for a pre-strike operating point: the supply voltage and the
-/// six per-transistor ΔVth values (in fixed role order), all as exact
-/// f64 bits — two keys are equal iff the circuits are bit-identical.
-type OpKey = [u64; 7];
+/// One cell's strike probe: the held-`One` cell at `vdd` with a ΔVth
+/// assignment applied, and its pre-strike operating point, solved once.
+/// Every transient of a critical-charge search on that cell (~2 for a
+/// fine-walk sample, ~7 for an anchored lattice search, ~16 for a search
+/// from the floor) starts from that state.
+struct StrikeProbe<'a> {
+    ch: &'a CellCharacterizer,
+    vdd: Voltage,
+    /// The un-struck cell.
+    cell: SramCell,
+    /// Its pre-strike node voltages.
+    pre: Vec<f64>,
+    /// Whether a transient has started from `pre` yet.
+    used: bool,
+}
 
-fn op_key(vdd: Voltage, deltas: &HashMap<TransistorRole, Voltage>) -> OpKey {
-    let mut key = [0u64; 7];
-    key[0] = vdd.volts().to_bits();
-    for (slot, dv) in key[1..].iter_mut().zip(role_deltas(deltas)) {
-        *slot = dv.to_bits();
+impl<'a> StrikeProbe<'a> {
+    /// The nominal cell's probe: a cold solve seeded from the
+    /// rail-idealized state, which selects the bistable basin.
+    fn nominal(ch: &'a CellCharacterizer, vdd: Voltage) -> Result<Self, SpiceError> {
+        let cell = SramCell::new(&ch.tech, vdd);
+        finrad_observe::counter_add(finrad_observe::keys::SRAM_DCOP_CACHE_MISSES, 1);
+        let op = analysis::dc_operating_point_from(
+            cell.circuit(),
+            &ch.options.newton,
+            &cell.initial_conditions(CellState::One),
+        )?;
+        Ok(Self::solved(ch, vdd, cell, op.node_voltages()))
     }
-    key
+
+    /// A variation sample's probe: this probe's cell with `deltas` applied,
+    /// solved warm from this probe's state. A near-identical circuit, so
+    /// the warm start saves Newton iterations; the seed is always the
+    /// deterministic nominal state, never "whatever sample solved last",
+    /// so results cannot depend on thread scheduling. An empty assignment
+    /// is the nominal cell itself and needs no solve.
+    fn with_deltas(&self, deltas: &HashMap<TransistorRole, Voltage>) -> Result<Self, SpiceError> {
+        let mut cell = self.cell.clone();
+        if deltas.is_empty() {
+            return Ok(Self::solved(self.ch, self.vdd, cell, &self.pre));
+        }
+        for (&role, &dv) in deltas {
+            let id = cell.mosfet_id(role);
+            let dev = cell.circuit().mosfet(id).with_delta_vth(dv);
+            *cell.circuit_mut().mosfet_mut(id) = dev;
+        }
+        finrad_observe::counter_add(finrad_observe::keys::SRAM_DCOP_CACHE_MISSES, 1);
+        let op =
+            analysis::dc_operating_point_warm(cell.circuit(), &self.ch.options.newton, &self.pre)?;
+        Ok(Self::solved(self.ch, self.vdd, cell, op.node_voltages()))
+    }
+
+    fn solved(ch: &'a CellCharacterizer, vdd: Voltage, cell: SramCell, pre: &[f64]) -> Self {
+        Self {
+            ch,
+            vdd,
+            cell,
+            pre: pre.to_vec(),
+            used: false,
+        }
+    }
+
+    /// Simulates `event` and returns the cell's normalized state margin
+    /// `(v_Q − v_QB)/vdd` at the decision (positive = held `One`, ≤ 0 =
+    /// flipped), and whether the verdict was decided before the horizon.
+    ///
+    /// The transient starts from the pre-strike state. After the pulse
+    /// window and its immediate aftermath (`t_start + 2 × width`), it
+    /// stops at the first accepted step where the verdict is decided:
+    /// |margin| > ½ with both Q and QB within [`RAIL_BAND`] of a rail. The
+    /// returned margin is the margin at that step, not the settled one;
+    /// only its sign is the verdict. A cell parked near its saddle
+    /// (|margin| ≈ 0) never meets the rule and runs to the horizon. The
+    /// decision depends only on the trajectory, so results stay
+    /// deterministic.
+    fn strike(&mut self, event: &StrikeEvent) -> Result<(f64, bool), SpiceError> {
+        if self.used {
+            finrad_observe::counter_add(finrad_observe::keys::SRAM_DCOP_CACHE_HITS, 1);
+        }
+        self.used = true;
+        let mut cell = self.cell.clone();
+        event.inject(&mut cell, CellState::One);
+        let plan = TimeStepPlan::for_pulse(event.t_start, event.width, self.ch.options.settle);
+        let fine_span = event.t_start + event.width * 2.0;
+        let vdd_v = self.vdd.volts();
+        let (iq, iqb) = (cell.q().index(), cell.qb().index());
+        let at_rail = |x: f64| x.abs().min((x - vdd_v).abs()) < RAIL_BAND;
+        let (res, decided) = analysis::transient_until(
+            cell.circuit(),
+            &plan,
+            &self.pre,
+            &[cell.q(), cell.qb()],
+            &self.ch.options.newton,
+            |t, v| {
+                t > fine_span
+                    && ((v[iq] - v[iqb]) / vdd_v).abs() > 0.5
+                    && at_rail(v[iq])
+                    && at_rail(v[iqb])
+            },
+        )?;
+        if decided {
+            finrad_observe::counter_add(finrad_observe::keys::SRAM_SETTLE_EARLY_EXITS, 1);
+        }
+        let vq = res.final_voltage(cell.q());
+        let vqb = res.final_voltage(cell.qb());
+        Ok(((vq - vqb) / vdd_v, decided))
+    }
+
+    /// Flip margin of a strike of total charge `q` on `combo`, plus the
+    /// bracketing/refinement transient-evaluation counter
+    /// (`sram.characterize.bisection_steps`).
+    fn margin(&mut self, combo: StrikeCombo, q: Charge) -> Result<f64, SpiceError> {
+        finrad_observe::counter_add(finrad_observe::keys::SRAM_BISECTION_STEPS, 1);
+        let event = self.ch.strike_event(self.vdd, combo, q);
+        Ok(self.strike(&event)?.0)
+    }
 }
 
 /// A linear surrogate of ln Q_crit in the six ΔVth, least-squares fitted
@@ -247,11 +351,7 @@ fn numerics_failure(e: &NumericsError) -> SpiceError {
 impl CellCharacterizer {
     /// Creates a characterizer.
     pub fn new(tech: Technology, options: CharacterizeOptions) -> Self {
-        Self {
-            tech,
-            options,
-            op_cache: Arc::new(Mutex::new(HashMap::new())),
-        }
+        Self { tech, options }
     }
 
     /// The technology being characterized.
@@ -273,7 +373,19 @@ impl CellCharacterizer {
         })
     }
 
-    /// Simulates one strike and reports whether the cell flipped.
+    /// The strike event of total charge `q` on `combo` (split equally)
+    /// at `vdd`, with the configured start, Eq. 2 width and shape.
+    fn strike_event(&self, vdd: Voltage, combo: StrikeCombo, q: Charge) -> StrikeEvent {
+        StrikeEvent::with_shape(
+            combo.split_charge(q),
+            self.options.t_start,
+            self.pulse_width(vdd),
+            self.options.shape,
+        )
+    }
+
+    /// Whether a strike of total charge `q` on `combo` (split equally)
+    /// flips the cell.
     ///
     /// `deltas` holds per-transistor threshold shifts (missing roles are
     /// nominal). The cell holds [`CellState::One`]; by symmetry the result
@@ -287,134 +399,7 @@ impl CellCharacterizer {
     ///
     /// # Errors
     ///
-    /// Propagates transient-analysis failures.
-    pub fn simulate_strike(
-        &self,
-        vdd: Voltage,
-        event: &StrikeEvent,
-        deltas: &HashMap<TransistorRole, Voltage>,
-    ) -> Result<bool, SpiceError> {
-        // Flipped ⇔ the decoded state differs from the held `One`, which
-        // `decode_state` defines as vq > vqb — i.e. margin ≤ 0.
-        Ok(self.strike_margin(vdd, event, deltas)?.0 <= 0.0)
-    }
-
-    /// Pre-strike operating point of the (un-struck) cell with the given
-    /// ΔVth assignment, served from the per-`(vdd, deltas)` cache.
-    ///
-    /// On a miss the solve itself is accelerated: variation samples are
-    /// warm-started from this `vdd`'s *nominal* operating point. The warm
-    /// seed is always the deterministic nominal state — never "whatever
-    /// sample solved last" — so same-seed results cannot depend on thread
-    /// scheduling.
-    fn pre_strike_state(
-        &self,
-        vdd: Voltage,
-        deltas: &HashMap<TransistorRole, Voltage>,
-        cell: &SramCell,
-        state: CellState,
-    ) -> Result<Arc<Vec<f64>>, SpiceError> {
-        let key = op_key(vdd, deltas);
-        // Cached values are pure solve results, valid even if another
-        // thread panicked mid-insert — recover from poisoning rather than
-        // propagate it.
-        if let Some(hit) = lock_recovering(&self.op_cache).get(&key) {
-            finrad_observe::counter_add(finrad_observe::keys::SRAM_DCOP_CACHE_HITS, 1);
-            return Ok(hit.clone());
-        }
-        finrad_observe::counter_add(finrad_observe::keys::SRAM_DCOP_CACHE_MISSES, 1);
-        let op = if deltas.is_empty() {
-            // Nominal cell: cold solve seeded from the rail-idealized
-            // state, which selects the bistable basin.
-            analysis::dc_operating_point_from(
-                cell.circuit(),
-                &self.options.newton,
-                &cell.initial_conditions(state),
-            )?
-        } else {
-            // Variation sample: a near-identical circuit, so warm-start
-            // from the nominal operating point at this vdd.
-            let nominal_cell = SramCell::new(&self.tech, vdd);
-            let nominal = self.pre_strike_state(vdd, &HashMap::new(), &nominal_cell, state)?;
-            analysis::dc_operating_point_warm(cell.circuit(), &self.options.newton, &nominal)?
-        };
-        let entry = Arc::new(op.node_voltages().to_vec());
-        lock_recovering(&self.op_cache).insert(key, entry.clone());
-        Ok(entry)
-    }
-
-    /// The held-`One` cell with the given ΔVth, its cached pre-strike
-    /// operating point, and `event` injected.
-    fn struck_cell(
-        &self,
-        vdd: Voltage,
-        event: &StrikeEvent,
-        deltas: &HashMap<TransistorRole, Voltage>,
-    ) -> Result<(SramCell, Arc<Vec<f64>>), SpiceError> {
-        let state = CellState::One;
-        let mut cell = SramCell::new(&self.tech, vdd);
-        for (&role, &dv) in deltas {
-            let id = cell.mosfet_id(role);
-            let dev = cell.circuit().mosfet(id).with_delta_vth(dv);
-            *cell.circuit_mut().mosfet_mut(id) = dev;
-        }
-        let pre = self.pre_strike_state(vdd, deltas, &cell, state)?;
-        event.inject(&mut cell, state);
-        Ok((cell, pre))
-    }
-
-    /// Simulates one strike and returns the cell's normalized state margin
-    /// `(v_Q − v_QB)/vdd` at the decision (positive = held `One`, ≤ 0 =
-    /// flipped), and whether the verdict was decided before the horizon.
-    ///
-    /// The transient starts from the cached pre-strike operating point.
-    /// After the pulse window and its immediate aftermath (`t_start + 2 ×
-    /// width`), it stops at the first accepted step where the verdict is
-    /// decided: |margin| > ½ with both Q and QB within [`RAIL_BAND`] of a
-    /// rail. The returned margin is the margin at that step, not the
-    /// settled one; only its sign is the verdict. A cell parked near its
-    /// saddle (|margin| ≈ 0) never meets the rule and runs to the horizon.
-    /// The decision depends only on the trajectory, so results stay
-    /// deterministic.
-    fn strike_margin(
-        &self,
-        vdd: Voltage,
-        event: &StrikeEvent,
-        deltas: &HashMap<TransistorRole, Voltage>,
-    ) -> Result<(f64, bool), SpiceError> {
-        let (cell, pre) = self.struck_cell(vdd, event, deltas)?;
-        let plan = TimeStepPlan::for_pulse(event.t_start, event.width, self.options.settle);
-        let fine_span = event.t_start + event.width * 2.0;
-        let vdd_v = vdd.volts();
-        let (iq, iqb) = (cell.q().index(), cell.qb().index());
-        let at_rail = |x: f64| x.abs().min((x - vdd_v).abs()) < RAIL_BAND;
-        let (res, decided) = analysis::transient_until(
-            cell.circuit(),
-            &plan,
-            &pre,
-            &[cell.q(), cell.qb()],
-            &self.options.newton,
-            |t, v| {
-                t > fine_span
-                    && ((v[iq] - v[iqb]) / vdd_v).abs() > 0.5
-                    && at_rail(v[iq])
-                    && at_rail(v[iqb])
-            },
-        )?;
-        if decided {
-            finrad_observe::counter_add(finrad_observe::keys::SRAM_SETTLE_EARLY_EXITS, 1);
-        }
-        let vq = res.final_voltage(cell.q());
-        let vqb = res.final_voltage(cell.qb());
-        Ok(((vq - vqb) / vdd_v, decided))
-    }
-
-    /// Whether a strike of total charge `q` on `combo` (split equally)
-    /// flips the cell.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transient-analysis failures.
+    /// Propagates DC and transient-analysis failures.
     pub fn flips(
         &self,
         vdd: Voltage,
@@ -422,13 +407,10 @@ impl CellCharacterizer {
         q: Charge,
         deltas: &HashMap<TransistorRole, Voltage>,
     ) -> Result<bool, SpiceError> {
-        let event = StrikeEvent::with_shape(
-            combo.split_charge(q),
-            self.options.t_start,
-            self.pulse_width(vdd),
-            self.options.shape,
-        );
-        self.simulate_strike(vdd, &event, deltas)
+        let mut probe = StrikeProbe::nominal(self, vdd)?.with_deltas(deltas)?;
+        // Flipped ⇔ the decoded state differs from the held `One`, which
+        // `decode_state` defines as vq > vqb — i.e. margin ≤ 0.
+        Ok(probe.strike(&self.strike_event(vdd, combo, q))?.0 <= 0.0)
     }
 
     /// Finds the critical charge of `combo` at `vdd`: a bracketing walk
@@ -451,17 +433,16 @@ impl CellCharacterizer {
     ///
     /// # Errors
     ///
-    /// Propagates transient-analysis failures.
+    /// Propagates DC and transient-analysis failures.
     pub fn critical_charge(
         &self,
         vdd: Voltage,
         combo: StrikeCombo,
         deltas: &HashMap<TransistorRole, Voltage>,
     ) -> Result<Charge, SpiceError> {
+        let mut probe = StrikeProbe::nominal(self, vdd)?.with_deltas(deltas)?;
         let lattice = self.charge_lattice();
-        Ok(self
-            .critical_charge_from(vdd, combo, deltas, 1, &lattice)?
-            .0)
+        Ok(self.critical_charge_from(&mut probe, combo, 1, &lattice)?.0)
     }
 
     /// The probe charges the critical-charge search brackets on:
@@ -482,11 +463,11 @@ impl CellCharacterizer {
     }
 
     /// The critical-charge search of [`CellCharacterizer::critical_charge`]
-    /// with its bracketing walk started at lattice index `anchor`
-    /// (clamped to the probe points `1..lattice.len()`). Returns the
-    /// critical charge and the first-flip index on `lattice` (`1` when
-    /// the first probe point already flips, the top index when the
-    /// sample is saturated).
+    /// on `probe`'s cell, with its bracketing walk started at lattice
+    /// index `anchor` (clamped to the probe points `1..lattice.len()`).
+    /// Returns the critical charge and the first-flip index on `lattice`
+    /// (`1` when the first probe point already flips, the top index when
+    /// the sample is saturated).
     ///
     /// The flip response is not globally monotone: extreme charges can
     /// drive the struck node so far past the rail that the pass gate
@@ -504,9 +485,8 @@ impl CellCharacterizer {
     /// steps above the threshold.
     fn critical_charge_from(
         &self,
-        vdd: Voltage,
+        probe: &mut StrikeProbe<'_>,
         combo: StrikeCombo,
-        deltas: &HashMap<TransistorRole, Voltage>,
         anchor: usize,
         lattice: &[f64],
     ) -> Result<(Charge, usize), SpiceError> {
@@ -515,8 +495,7 @@ impl CellCharacterizer {
             // No probe point above the floor: saturated by construction.
             return Ok((Charge::from_coulombs(self.options.q_search_max), 0));
         }
-        let margin =
-            |k: usize| self.margin_counted(vdd, combo, Charge::from_coulombs(lattice[k]), deltas);
+        let mut margin = |k: usize| probe.margin(combo, Charge::from_coulombs(lattice[k]));
         // `m <= 0.0` is a flip; a NaN margin counts as "no flip".
         let start = anchor.clamp(1, top);
         let m_start = margin(start)?;
@@ -567,7 +546,7 @@ impl CellCharacterizer {
                     // it stops immediately with a typed error.
                     return f64::NAN;
                 }
-                match self.margin_counted(vdd, combo, Charge::from_coulombs(x.exp()), deltas) {
+                match probe.margin(combo, Charge::from_coulombs(x.exp())) {
                     Ok(m) => m,
                     Err(e) => {
                         err = Some(e);
@@ -592,25 +571,6 @@ impl CellCharacterizer {
         }
     }
 
-    /// Flip margin of one probe charge, plus the bracketing/refinement
-    /// transient-evaluation counter (`sram.characterize.bisection_steps`).
-    fn margin_counted(
-        &self,
-        vdd: Voltage,
-        combo: StrikeCombo,
-        q: Charge,
-        deltas: &HashMap<TransistorRole, Voltage>,
-    ) -> Result<f64, SpiceError> {
-        finrad_observe::counter_add(finrad_observe::keys::SRAM_BISECTION_STEPS, 1);
-        let event = StrikeEvent::with_shape(
-            combo.split_charge(q),
-            self.options.t_start,
-            self.pulse_width(vdd),
-            self.options.shape,
-        );
-        Ok(self.strike_margin(vdd, &event, deltas)?.0)
-    }
-
     /// Draws one per-transistor ΔVth assignment.
     fn sample_deltas<R: Rng + ?Sized>(
         &self,
@@ -623,7 +583,7 @@ impl CellCharacterizer {
             .collect()
     }
 
-    /// The critical charge of a sample predicted at `ln_pred` (Q in
+    /// The critical charge of `probe`'s sample predicted at `ln_pred` (Q in
     /// coulombs: the nominal critical charge for a pilot sample, the
     /// surrogate's prediction for a later one), found by the fine walk:
     /// probe points sit at `ln_pred + (k + ½)·ln(1 + bisect_rel_tol)`,
@@ -640,33 +600,32 @@ impl CellCharacterizer {
     /// Propagates transient-analysis failures.
     fn fine_walk_qcrit(
         &self,
-        vdd: Voltage,
+        probe: &mut StrikeProbe<'_>,
         combo: StrikeCombo,
-        deltas: &HashMap<TransistorRole, Voltage>,
         ln_pred: f64,
     ) -> Result<Option<f64>, SpiceError> {
         let step = (1.0 + self.options.bisect_rel_tol).ln();
         let range = Q_FLOOR..=self.options.q_search_max;
         // `Some(flipped)` at lattice point `k`, or `None` outside the range
         // (a NaN prediction lands here too).
-        let probe = |k: i32| -> Result<Option<(f64, bool)>, SpiceError> {
+        let mut probe_at = |k: i32| -> Result<Option<(f64, bool)>, SpiceError> {
             let x = ln_pred + (f64::from(k) + 0.5) * step;
             let q = x.exp();
             if !range.contains(&q) {
                 return Ok(None);
             }
-            let m = self.margin_counted(vdd, combo, Charge::from_coulombs(q), deltas)?;
+            let m = probe.margin(combo, Charge::from_coulombs(q))?;
             // `m <= 0.0` is a flip; a NaN margin counts as "no flip".
             Ok(Some((x, m <= 0.0)))
         };
         let mut k = -1;
-        let Some((mut x, first)) = probe(k)? else {
+        let Some((mut x, first)) = probe_at(k)? else {
             return Ok(None);
         };
         let dir = if first { -1 } else { 1 };
         for _ in 0..MAX_FINE_STEPS {
             k += dir;
-            let Some((next, flipped)) = probe(k)? else {
+            let Some((next, flipped)) = probe_at(k)? else {
                 return Ok(None);
             };
             if flipped != first {
@@ -678,8 +637,8 @@ impl CellCharacterizer {
     }
 
     /// The critical charges of `samples` variation samples of `combo` at
-    /// `vdd`, in sample-index order, each with whether it fell back to the
-    /// lattice search.
+    /// the `nominal` probe's supply, in sample-index order, each with
+    /// whether it fell back to the lattice search.
     ///
     /// Every sample runs the [`fine walk`](Self::fine_walk_qcrit); only its
     /// centre differs. The first [`PILOT`] samples centre it on the nominal
@@ -689,8 +648,9 @@ impl CellCharacterizer {
     /// its bracket falls back to the anchored lattice search. Both phases
     /// claim samples through `available_parallelism()` workers; each sample
     /// draws its ΔVth from its own stream derived from `seed` and its
-    /// index, and the fit reads the pilot in index order, so the result
-    /// does not depend on the worker count.
+    /// index, solves its pre-strike state warm from the nominal one, and
+    /// the fit reads the pilot in index order, so the result does not
+    /// depend on the worker count.
     ///
     /// # Errors
     ///
@@ -698,7 +658,7 @@ impl CellCharacterizer {
     /// sample that failed.
     fn monte_carlo_qcrits(
         &self,
-        vdd: Voltage,
+        nominal: &mut StrikeProbe<'_>,
         combo: StrikeCombo,
         samples: usize,
         seed: u64,
@@ -706,12 +666,11 @@ impl CellCharacterizer {
         let var = VariationModel::pelgrom(&self.tech);
         let lattice = self.charge_lattice();
         // One nominal search before the workers spawn: its critical charge
-        // centres the pilot walks, its first-flip index anchors every
+        // centres the pilot walks, and its first-flip index anchors every
         // fallback lattice search, independent of which worker runs the
-        // sample, and it caches the nominal pre-strike state before any
-        // worker could race to solve it.
-        let (q_nominal, anchor) =
-            self.critical_charge_from(vdd, combo, &HashMap::new(), 1, &lattice)?;
+        // sample.
+        let (q_nominal, anchor) = self.critical_charge_from(nominal, combo, 1, &lattice)?;
+        let nominal = &*nominal;
         let ln_nominal = q_nominal.coulombs().ln();
         let threads = std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN);
         let deltas_of = |i: usize| {
@@ -720,10 +679,11 @@ impl CellCharacterizer {
         };
         // `(Q_crit, fell back)` of one sample whose walk centres on `ln_centre`.
         let qcrit = |deltas: &HashMap<TransistorRole, Voltage>, ln_centre: f64| {
-            if let Some(q) = self.fine_walk_qcrit(vdd, combo, deltas, ln_centre)? {
+            let mut probe = nominal.with_deltas(deltas)?;
+            if let Some(q) = self.fine_walk_qcrit(&mut probe, combo, ln_centre)? {
                 return Ok((q, false));
             }
-            self.critical_charge_from(vdd, combo, deltas, anchor, &lattice)
+            self.critical_charge_from(&mut probe, combo, anchor, &lattice)
                 .map(|(q, _)| (q.coulombs(), true))
         };
         // Collecting in index order returns the lowest-index error.
@@ -760,11 +720,28 @@ impl CellCharacterizer {
     ///
     /// # Errors
     ///
-    /// Propagates the transient-analysis failure of the lowest-index
+    /// Propagates the DC or transient-analysis failure of the lowest-index
     /// sample that failed.
+    ///
+    /// # Panics
+    ///
+    /// Panics on [`Variation::MonteCarlo`] with zero samples.
     pub fn characterize_combo(
         &self,
         vdd: Voltage,
+        combo: StrikeCombo,
+        variation: Variation,
+        seed: u64,
+    ) -> Result<PofCurve, SpiceError> {
+        let mut nominal = StrikeProbe::nominal(self, vdd)?;
+        self.combo_curve(&mut nominal, combo, variation, seed)
+    }
+
+    /// [`CellCharacterizer::characterize_combo`] at the `nominal` probe's
+    /// supply, from its already solved pre-strike state.
+    fn combo_curve(
+        &self,
+        nominal: &mut StrikeProbe<'_>,
         combo: StrikeCombo,
         variation: Variation,
         seed: u64,
@@ -773,12 +750,13 @@ impl CellCharacterizer {
         finrad_observe::counter_add(finrad_observe::keys::SRAM_COMBOS, 1);
         match variation {
             Variation::Nominal => {
-                let q = self.critical_charge(vdd, combo, &HashMap::new())?;
+                let lattice = self.charge_lattice();
+                let (q, _) = self.critical_charge_from(nominal, combo, 1, &lattice)?;
                 Ok(PofCurve::from_critical_charges(vec![q.coulombs()]))
             }
             Variation::MonteCarlo { samples } => {
                 assert!(samples > 0, "need at least one MC sample");
-                let (qs, fell_back) = self.monte_carlo_qcrits(vdd, combo, samples, seed)?;
+                let (qs, fell_back) = self.monte_carlo_qcrits(nominal, combo, samples, seed)?;
                 finrad_observe::counter_add(
                     finrad_observe::keys::SRAM_SURROGATE_FALLBACKS,
                     fell_back.iter().filter(|&&f| f).count() as u64,
@@ -788,21 +766,29 @@ impl CellCharacterizer {
         }
     }
 
-    /// Builds the full POF table at `vdd`: all seven strike combinations.
+    /// Builds the full POF table at `vdd`: all seven strike combinations,
+    /// sharing one solve of the nominal pre-strike state (the nominal
+    /// searches start from it and every variation sample warm-starts from
+    /// it), so a table costs `7 · samples + 1` DC solves.
     ///
     /// # Errors
     ///
-    /// Propagates the first transient-analysis failure encountered.
+    /// Propagates the first DC or transient-analysis failure encountered.
+    ///
+    /// # Panics
+    ///
+    /// Panics on [`Variation::MonteCarlo`] with zero samples.
     pub fn build_table(
         &self,
         vdd: Voltage,
         variation: Variation,
         seed: u64,
     ) -> Result<PofTable, SpiceError> {
+        let mut nominal = StrikeProbe::nominal(self, vdd)?;
         let mut curves = BTreeMap::new();
         for (k, combo) in StrikeCombo::all().into_iter().enumerate() {
             let curve =
-                self.characterize_combo(vdd, combo, variation, seed.wrapping_add(k as u64))?;
+                self.combo_curve(&mut nominal, combo, variation, seed.wrapping_add(k as u64))?;
             curves.insert(combo, curve);
         }
         Ok(PofTable::new(vdd, curves))
@@ -962,25 +948,24 @@ mod tests {
         assert!(p > 0.0 && p < 1.0, "pof at nominal {p}");
     }
 
-    /// The geometric bisection this PR retired, kept here verbatim as the
-    /// golden reference: scan up by ×1.6 to bracket the first flip, then
-    /// halve the bracket in log-space to `bisect_rel_tol`.
-    fn retired_geometric_bisection(
-        ch: &CellCharacterizer,
-        vdd: Voltage,
-        combo: StrikeCombo,
-        deltas: &HashMap<TransistorRole, Voltage>,
-    ) -> Charge {
+    /// Whether a strike of total charge `q` coulombs on `combo` flips
+    /// `probe`'s cell.
+    fn probe_flips(probe: &mut StrikeProbe<'_>, combo: StrikeCombo, q: f64) -> bool {
+        probe.margin(combo, Charge::from_coulombs(q)).unwrap() <= 0.0
+    }
+
+    /// The geometric bisection the ITP search retired, kept here verbatim
+    /// as the golden reference: scan up by ×1.6 to bracket the first flip,
+    /// then halve the bracket in log-space to `bisect_rel_tol`.
+    fn retired_geometric_bisection(probe: &mut StrikeProbe<'_>, combo: StrikeCombo) -> Charge {
+        let ch = probe.ch;
         let q_floor = 1.0e-18;
         let mut lo = q_floor;
         let mut hi = lo;
         let mut bracketed = false;
         while hi < ch.options().q_search_max {
             hi = (hi * 1.6).min(ch.options().q_search_max);
-            if ch
-                .flips(vdd, combo, Charge::from_coulombs(hi), deltas)
-                .unwrap()
-            {
+            if probe_flips(probe, combo, hi) {
                 bracketed = true;
                 break;
             }
@@ -994,10 +979,7 @@ mod tests {
         }
         while hi / lo > 1.0 + ch.options().bisect_rel_tol {
             let mid = (lo * hi).sqrt();
-            if ch
-                .flips(vdd, combo, Charge::from_coulombs(mid), deltas)
-                .unwrap()
-            {
+            if probe_flips(probe, combo, mid) {
                 hi = mid;
             } else {
                 lo = mid;
@@ -1025,7 +1007,10 @@ mod tests {
             ),
         ];
         for (combo, deltas) in cases {
-            let golden = retired_geometric_bisection(&ch, vdd, combo, &deltas);
+            let mut probe = StrikeProbe::nominal(&ch, vdd)
+                .and_then(|nominal| nominal.with_deltas(&deltas))
+                .unwrap();
+            let golden = retired_geometric_bisection(&mut probe, combo);
             let new = ch.critical_charge(vdd, combo, &deltas).unwrap();
             let ratio = new.coulombs() / golden.coulombs();
             assert!(
@@ -1039,13 +1024,11 @@ mod tests {
 
     #[test]
     fn deterministic_under_seed() {
-        // Two fresh characterizers: a shared one would answer every DC
-        // solve of the second call from its operating-point cache.
         let vdd = Voltage::from_volts(0.8);
         let combo = StrikeCombo::single(StrikeTarget::I3);
+        let ch = characterizer();
         let run = || {
-            characterizer()
-                .characterize_combo(vdd, combo, Variation::MonteCarlo { samples: 6 }, 42)
+            ch.characterize_combo(vdd, combo, Variation::MonteCarlo { samples: 6 }, 42)
                 .unwrap()
         };
         let (a, b) = (run(), run());
@@ -1067,9 +1050,7 @@ mod tests {
         // pinned by a `to_bits` hash per (vdd, combo). 66 samples are 16
         // pilot samples on the fine walk centred on the nominal critical
         // charge plus 50 centred on the surrogate's prediction, so the
-        // pins cover both centres and the fit between them. Built on a
-        // fresh characterizer so no other test's cached operating points
-        // feed the solves.
+        // pins cover both centres and the fit between them.
         const GOLDEN: [[u64; 7]; 2] = [
             [
                 0x9b66_228a_1730_759c,
@@ -1113,13 +1094,8 @@ mod tests {
     /// kept verbatim as the golden reference: scan up by ×1.6 to the
     /// first flip, then ITP on the scan's endpoint margins. Also returns
     /// the number of scan probes, i.e. the first-flip lattice index.
-    fn upward_scan_reference(
-        ch: &CellCharacterizer,
-        vdd: Voltage,
-        combo: StrikeCombo,
-        deltas: &HashMap<TransistorRole, Voltage>,
-    ) -> (Charge, usize) {
-        let (q, probes, _) = upward_scan_bracket(ch, vdd, combo, deltas);
+    fn upward_scan_reference(probe: &mut StrikeProbe<'_>, combo: StrikeCombo) -> (Charge, usize) {
+        let (q, probes, _) = upward_scan_bracket(probe, combo);
         (q, probes)
     }
 
@@ -1127,15 +1103,11 @@ mod tests {
     /// verified: the charges of its last no-flip and last flip probes,
     /// coulombs (`None` for a saturated or floored sample).
     fn upward_scan_bracket(
-        ch: &CellCharacterizer,
-        vdd: Voltage,
+        probe: &mut StrikeProbe<'_>,
         combo: StrikeCombo,
-        deltas: &HashMap<TransistorRole, Voltage>,
     ) -> (Charge, usize, Option<(f64, f64)>) {
-        let margin = |q: f64| {
-            ch.margin_counted(vdd, combo, Charge::from_coulombs(q), deltas)
-                .unwrap()
-        };
+        let ch = probe.ch;
+        let mut margin = |q: f64| probe.margin(combo, Charge::from_coulombs(q)).unwrap();
         let q_floor = 1.0e-18;
         let mut lo = q_floor;
         let mut m_lo: Option<f64> = None;
@@ -1194,25 +1166,24 @@ mod tests {
         let var = VariationModel::pelgrom(ch.technology());
         let lattice = ch.charge_lattice();
         let top = lattice.len() - 1;
+        let mut nominal_probe = StrikeProbe::nominal(ch, vdd).unwrap();
         for (c, combo) in StrikeCombo::all().into_iter().enumerate() {
             let (_, nominal) = ch
-                .critical_charge_from(vdd, combo, &HashMap::new(), 1, &lattice)
+                .critical_charge_from(&mut nominal_probe, combo, 1, &lattice)
                 .unwrap();
             for i in 0..16u64 {
                 let mut rng = Xoshiro256pp::salted_stream(c as u64, i, 0x9E37_79B9_7F4A_7C15);
                 let deltas = ch.sample_deltas(&var, &mut rng);
-                let (golden, first_flip) = upward_scan_reference(ch, vdd, combo, &deltas);
-                let flips_at = |j: usize| {
-                    let q = Charge::from_coulombs(lattice[j]);
-                    ch.margin_counted(vdd, combo, q, &deltas).unwrap() <= 0.0
-                };
+                let mut probe = nominal_probe.with_deltas(&deltas).unwrap();
+                let (golden, first_flip) = upward_scan_reference(&mut probe, combo);
                 for anchor in [nominal, 1, nominal.saturating_sub(3), nominal + 3, top] {
                     let (q, k) = ch
-                        .critical_charge_from(vdd, combo, &deltas, anchor, &lattice)
+                        .critical_charge_from(&mut probe, combo, anchor, &lattice)
                         .unwrap();
                     let in_contract = anchor == nominal
                         || anchor <= first_flip
-                        || (first_flip..=anchor).all(flips_at);
+                        || (first_flip..=anchor)
+                            .all(|j| probe_flips(&mut probe, combo, lattice[j]));
                     if in_contract {
                         assert_eq!(
                             (q.coulombs().to_bits(), k),
@@ -1260,12 +1231,12 @@ mod tests {
         let lattice = tiny.charge_lattice();
         let top = lattice.len() - 1;
         assert_eq!(lattice[top], 1.0e-17);
-        let none = HashMap::new();
-        let (golden, _) = upward_scan_reference(&tiny, vdd, combo, &none);
+        let mut probe = StrikeProbe::nominal(&tiny, vdd).unwrap();
+        let (golden, _) = upward_scan_reference(&mut probe, combo);
         assert_eq!(golden.coulombs(), 1.0e-17);
         for anchor in 1..=top {
             let (q, k) = tiny
-                .critical_charge_from(vdd, combo, &none, anchor, &lattice)
+                .critical_charge_from(&mut probe, combo, anchor, &lattice)
                 .unwrap();
             assert_eq!(
                 (q.coulombs().to_bits(), k),
@@ -1287,11 +1258,14 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        let (golden, first_flip) = upward_scan_reference(&ch, vdd, combo, &deltas);
+        let mut probe = StrikeProbe::nominal(&ch, vdd)
+            .and_then(|nominal| nominal.with_deltas(&deltas))
+            .unwrap();
+        let (golden, first_flip) = upward_scan_reference(&mut probe, combo);
         assert_eq!((golden.coulombs(), first_flip), (Q_FLOOR, 1));
         for anchor in [1, 4, 10, lattice.len() - 1] {
             let (q, k) = ch
-                .critical_charge_from(vdd, combo, &deltas, anchor, &lattice)
+                .critical_charge_from(&mut probe, combo, anchor, &lattice)
                 .unwrap();
             assert_eq!((q.coulombs().to_bits(), k), (Q_FLOOR.to_bits(), 1));
         }
@@ -1339,9 +1313,12 @@ mod tests {
         let width = (1.0 + ch.options().bisect_rel_tol).ln();
         let q_max = ch.options().q_search_max;
         let mut agreement = Agreement::default();
+        let mut nominal = StrikeProbe::nominal(ch, vdd).unwrap();
         for (c, combo) in StrikeCombo::all().into_iter().enumerate() {
             let seed = 17 + c as u64;
-            let (qs, fell_back) = ch.monte_carlo_qcrits(vdd, combo, samples, seed).unwrap();
+            let (qs, fell_back) = ch
+                .monte_carlo_qcrits(&mut nominal, combo, samples, seed)
+                .unwrap();
             assert_eq!(qs.len(), samples);
             let count = |flags: &[bool]| flags.iter().filter(|&&f| f).count();
             let fallbacks = count(&fell_back[PILOT..]);
@@ -1353,14 +1330,15 @@ mod tests {
             agreement.pilot_fallbacks += count(&fell_back[..PILOT]);
             agreement.fallbacks += fallbacks;
             let (_, anchor) = ch
-                .critical_charge_from(vdd, combo, &HashMap::new(), 1, &lattice)
+                .critical_charge_from(&mut nominal, combo, 1, &lattice)
                 .unwrap();
             for (i, &q) in qs.iter().enumerate().skip(PILOT) {
                 assert!((Q_FLOOR..=q_max).contains(&q), "sample {i}: {q} C");
                 let mut rng = Xoshiro256pp::salted_stream(seed, i as u64, SAMPLE_SALT);
                 let deltas = ch.sample_deltas(&var, &mut rng);
+                let mut probe = nominal.with_deltas(&deltas).unwrap();
                 let (reference, _) = ch
-                    .critical_charge_from(vdd, combo, &deltas, anchor, &lattice)
+                    .critical_charge_from(&mut probe, combo, anchor, &lattice)
                     .unwrap();
                 if (q / reference.coulombs()).ln().abs() <= width {
                     continue;
@@ -1369,15 +1347,11 @@ mod tests {
                 // Verify both brackets: the lattice search's by its own
                 // probes (the upward scan it reproduces), the fine walk's
                 // by re-simulating its ends.
-                let (scanned, _, bracket) = upward_scan_bracket(ch, vdd, combo, &deltas);
-                let flips = |q: f64| {
-                    ch.flips(vdd, combo, Charge::from_coulombs(q), &deltas)
-                        .unwrap()
-                };
+                let (scanned, _, bracket) = upward_scan_bracket(&mut probe, combo);
                 let (fine_held, fine_flipped) = (q * (-0.5 * width).exp(), q * (0.5 * width).exp());
                 let verified = scanned.coulombs().to_bits() == reference.coulombs().to_bits()
-                    && !flips(fine_held)
-                    && flips(fine_flipped);
+                    && !probe_flips(&mut probe, combo, fine_held)
+                    && probe_flips(&mut probe, combo, fine_flipped);
                 let non_monotone = bracket
                     .is_some_and(|(held, flipped)| fine_flipped < held || flipped < fine_held);
                 let (held, flipped) = bracket.unwrap_or((f64::NAN, f64::NAN));
@@ -1486,38 +1460,30 @@ mod tests {
             table_hash(&tiny, 0.7, 24),
         ];
         assert_eq!(got, [PILOT_TABLE, SATURATED_TABLE], "got {got:#018x?}");
+        let mut nominal = StrikeProbe::nominal(&tiny, Voltage::from_volts(0.7)).unwrap();
         let (qs, fell_back) = tiny
-            .monte_carlo_qcrits(
-                Voltage::from_volts(0.7),
-                StrikeCombo::single(StrikeTarget::I1),
-                24,
-                5,
-            )
+            .monte_carlo_qcrits(&mut nominal, StrikeCombo::single(StrikeTarget::I1), 24, 5)
             .unwrap();
         assert!(qs.iter().all(|&q| q == 1.0e-17));
         assert_eq!(fell_back, [true; 24]);
     }
 
     /// The margin at the plan's horizon of the strike `event`: the same
-    /// struck cell, pre-strike state and plan as
-    /// [`CellCharacterizer::strike_margin`], simulated in full.
-    fn full_settle_margin(
-        ch: &CellCharacterizer,
-        vdd: Voltage,
-        event: &StrikeEvent,
-        deltas: &HashMap<TransistorRole, Voltage>,
-    ) -> f64 {
-        let (cell, pre) = ch.struck_cell(vdd, event, deltas).unwrap();
-        let plan = TimeStepPlan::for_pulse(event.t_start, event.width, ch.options().settle);
+    /// struck cell, pre-strike state and plan as [`StrikeProbe::strike`],
+    /// simulated in full.
+    fn full_settle_margin(probe: &StrikeProbe<'_>, event: &StrikeEvent) -> f64 {
+        let mut cell = probe.cell.clone();
+        event.inject(&mut cell, CellState::One);
+        let plan = TimeStepPlan::for_pulse(event.t_start, event.width, probe.ch.options().settle);
         let res = analysis::transient_from_state(
             cell.circuit(),
             &plan,
-            &pre,
+            &probe.pre,
             &[cell.q(), cell.qb()],
-            &ch.options().newton,
+            &probe.ch.options().newton,
         )
         .unwrap();
-        (res.final_voltage(cell.q()) - res.final_voltage(cell.qb())) / vdd.volts()
+        (res.final_voltage(cell.q()) - res.final_voltage(cell.qb())) / probe.vdd.volts()
     }
 
     #[test]
@@ -1530,11 +1496,10 @@ mod tests {
             Technology::soi_finfet_14nm(),
             CharacterizeOptions::default(),
         );
-        let vdd = Voltage::from_volts(0.8);
-        let none = HashMap::new();
+        let mut probe = StrikeProbe::nominal(&ch, Voltage::from_volts(0.8)).unwrap();
         let event = StrikeEvent::rectangular(vec![(StrikeTarget::I1, 0.4e-15)], 2.0e-15, 8.0e-15);
-        let (margin, decided) = ch.strike_margin(vdd, &event, &none).unwrap();
-        let full = full_settle_margin(&ch, vdd, &event, &none);
+        let (margin, decided) = probe.strike(&event).unwrap();
+        let full = full_settle_margin(&probe, &event);
         assert!(!decided, "the rule fired at margin {margin}");
         assert!(full.abs() < 0.5, "not metastable: settled margin {full}");
         assert_eq!(margin.to_bits(), full.to_bits());
@@ -1558,6 +1523,8 @@ mod tests {
     fn verdict_agreement(ch: &CellCharacterizer, vdd: Voltage, draws: u64) -> VerdictAgreement {
         let var = VariationModel::pelgrom(ch.technology());
         let ratio = 1.0 + ch.options().bisect_rel_tol;
+        let lattice = ch.charge_lattice();
+        let nominal = StrikeProbe::nominal(ch, vdd).unwrap();
         let mut got = VerdictAgreement::default();
         for (c, combo) in StrikeCombo::all().into_iter().enumerate() {
             let cells = std::iter::once(HashMap::new()).chain((0..draws).map(|i| {
@@ -1565,17 +1532,15 @@ mod tests {
                 ch.sample_deltas(&var, &mut rng)
             }));
             for deltas in cells {
-                let q_crit = ch.critical_charge(vdd, combo, &deltas).unwrap().coulombs();
+                let mut probe = nominal.with_deltas(&deltas).unwrap();
+                let (q_crit, _) = ch
+                    .critical_charge_from(&mut probe, combo, 1, &lattice)
+                    .unwrap();
                 for k in -3..=3 {
-                    let q = Charge::from_coulombs(q_crit * ratio.powi(k));
-                    let event = StrikeEvent::with_shape(
-                        combo.split_charge(q),
-                        ch.options().t_start,
-                        ch.pulse_width(vdd),
-                        ch.options().shape,
-                    );
-                    let (margin, decided) = ch.strike_margin(vdd, &event, &deltas).unwrap();
-                    let full = full_settle_margin(ch, vdd, &event, &deltas);
+                    let q = q_crit * ratio.powi(k);
+                    let event = ch.strike_event(vdd, combo, q);
+                    let (margin, decided) = probe.strike(&event).unwrap();
+                    let full = full_settle_margin(&probe, &event);
                     got.cases += 1;
                     got.decided += usize::from(decided);
                     if (margin <= 0.0) != (full <= 0.0) {

@@ -1,7 +1,10 @@
 //! Work counts of the variation Monte Carlo repeat exactly for the same
-//! seed, not just its results, and every kept hot-path mechanism (DC-op
-//! cache, warm-started Newton, `StructuredLu`, chord Jacobian reuse,
-//! LTE-adaptive settle stepping) fires. A 16-sample table runs the pilot's
+//! seed, not just its results, and every kept hot-path mechanism (one
+//! pre-strike solve per sample shared by all of its transients,
+//! warm-started Newton, `StructuredLu`, chord Jacobian reuse, LTE-adaptive
+//! settle stepping) fires. A table costs exactly `7 · samples + 1`
+//! pre-strike DC solves: one per variation sample plus the nominal cell,
+//! never one per transient. A 16-sample table runs the pilot's
 //! fine walk from the nominal threshold alone; a 24-sample table adds the
 //! surrogate-placed fine walk. The fallback count must repeat too (it may
 //! well be zero). Lives in its own binary because a
@@ -28,9 +31,8 @@ const COUNTED: [&str; 9] = [
 /// Counted too, but allowed to read zero.
 const MAY_BE_ZERO: [&str; 1] = [keys::SRAM_SURROGATE_FALLBACKS];
 
-/// Builds a reduced variation-MC POF table of `samples` samples on a
-/// fresh characterizer (so an empty operating-point cache) and returns
-/// the counter deltas of [`COUNTED`] and [`MAY_BE_ZERO`].
+/// Builds a reduced variation-MC POF table of `samples` samples and
+/// returns the counter deltas of [`COUNTED`] and [`MAY_BE_ZERO`].
 fn build_counts(
     recorder: &InMemoryRecorder,
     samples: usize,
@@ -75,6 +77,11 @@ fn variation_table_work_counts_repeat_exactly() {
             );
         }
         let count = |key: &str| first[COUNTED.iter().position(|k| *k == key).expect("counted")];
+        assert_eq!(
+            count(keys::SRAM_DCOP_CACHE_MISSES),
+            7 * samples as u64 + 1,
+            "{samples} samples: one pre-strike solve per sample plus the nominal cell"
+        );
         assert_eq!(
             count(keys::SPICE_NEWTON_JACOBIAN_REUSES) + count(keys::SPICE_NEWTON_REFACTORIZATIONS),
             count(keys::SPICE_NEWTON_ITERATIONS),

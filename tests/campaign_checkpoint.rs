@@ -221,3 +221,18 @@ fn missing_checkpoint_path_runs_fresh() {
         CampaignStatus::Paused { .. } => panic!("unbounded run paused"),
     }
 }
+
+#[test]
+fn invalid_config_is_a_typed_error() {
+    // A zero-sample variation Monte Carlo used to reach the
+    // characterizer's assertion and panic; the runner reports it instead.
+    let pipeline = PipelineConfig {
+        variation: Variation::MonteCarlo { samples: 0 },
+        ..tiny_pipeline()
+    };
+    let cfg = CampaignConfig::new(pipeline, Particle::Alpha, vdd());
+    match CampaignRunner::new(cfg).run() {
+        Err(CampaignError::Pipeline(CoreError::InvalidConfig(_))) => {}
+        other => panic!("expected InvalidConfig, got {other:?}"),
+    }
+}
