@@ -17,7 +17,6 @@ use crate::CoreError;
 use finrad_environment::{AlphaSpectrum, ProtonSpectrum, Spectrum, SpectrumBin};
 use finrad_finfet::Technology;
 use finrad_observe::keys;
-use finrad_spice::sync::lock_recovering;
 use finrad_sram::{CellCharacterizer, CharacterizeOptions, PofTable, Variation};
 use finrad_transport::fin::{FinGeometry, FinTraversal};
 use finrad_transport::lut::EhpLut;
@@ -25,7 +24,7 @@ use finrad_transport::stopping::StoppingModel;
 use finrad_transport::straggling::StragglingModel;
 use finrad_units::{Energy, Particle, Voltage};
 use std::borrow::Cow;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, OnceLock};
 
 /// Pipeline configuration.
 #[derive(Debug, Clone)]
@@ -177,10 +176,8 @@ pub struct SerPipeline {
     config: PipelineConfig,
     /// Each species' e-h pair LUT (proton, alpha), built on first use: it
     /// depends only on the seed, the particle and the traversal model, so
-    /// every V_dd and every run of this pipeline shares it. A mutex, not
-    /// a `OnceLock` per species: with two `OnceLock`s in the struct,
-    /// constructing a pipeline measured ~20 ns (~25%) slower.
-    luts: Mutex<[Option<Arc<EhpLut>>; 2]>,
+    /// every V_dd and every run of this pipeline shares it.
+    luts: [OnceLock<Arc<EhpLut>>; 2],
 }
 
 impl SerPipeline {
@@ -188,7 +185,7 @@ impl SerPipeline {
     pub fn new(config: PipelineConfig) -> Self {
         Self {
             config,
-            luts: Mutex::new([None, None]),
+            luts: [OnceLock::new(), OnceLock::new()],
         }
     }
 
@@ -292,14 +289,9 @@ impl SerPipeline {
             Particle::Proton => 0,
             Particle::Alpha => 1,
         };
-        let cached = lock_recovering(&self.luts)[k].clone();
-        if let Some(lut) = cached {
-            return lut;
-        }
-        // Built off-lock. Two threads that miss at once both build; the
-        // LUTs are identical and the first one stored is kept.
-        let lut = Arc::new(self.build_ehp_lut(particle));
-        Arc::clone(lock_recovering(&self.luts)[k].get_or_insert(lut))
+        // A second caller that arrives mid-build waits for the first one's
+        // LUT instead of building its own.
+        Arc::clone(self.luts[k].get_or_init(|| Arc::new(self.build_ehp_lut(particle))))
     }
 
     /// The ground-level spectrum for `particle`.
@@ -388,6 +380,11 @@ impl SerPipeline {
     /// Full pipeline reusing a prebuilt POF table (`vdd` must match the
     /// table's characterization voltage): the one-table case of
     /// [`SerPipeline::run_with_tables`].
+    ///
+    /// # Panics
+    ///
+    /// If the configuration is invalid, with the message
+    /// [`SerPipeline::run`] returns as [`CoreError::InvalidConfig`].
     pub fn run_with_table(&self, particle: Particle, vdd: Voltage, table: &PofTable) -> SerReport {
         // One table in, one report out.
         self.run_with_tables(particle, &[(vdd, table)])
@@ -403,11 +400,25 @@ impl SerPipeline {
     /// Here each ray is traced once and scored against every table, and
     /// each report equals [`SerPipeline::run_with_table`] on its table,
     /// bit for bit. No tables give no reports, and build nothing.
+    ///
+    /// # Panics
+    ///
+    /// If the configuration is invalid, with the message
+    /// [`SerPipeline::run`] returns as [`CoreError::InvalidConfig`]: a
+    /// prebuilt table skips the characterization that checks it, and the
+    /// strike pass has no error to report it with.
     pub fn run_with_tables(
         &self,
         particle: Particle,
         tables: &[(Voltage, &PofTable)],
     ) -> Vec<SerReport> {
+        #[expect(
+            clippy::panic,
+            reason = "documented contract: these signatures have no error to report an invalid config with"
+        )]
+        if let Err(e) = self.config.validate() {
+            panic!("{e}");
+        }
         if tables.is_empty() {
             return Vec::new();
         }
@@ -798,6 +809,18 @@ mod tests {
             assert_eq!(*first, p.build_ehp_lut(particle));
         }
         assert_ne!(*p.ehp_lut(Particle::Proton), *p.ehp_lut(Particle::Alpha));
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one sample per energy point")]
+    fn run_with_table_rejects_an_invalid_config() {
+        let cfg = PipelineConfig {
+            deposit: DepositMode::LutMean,
+            lut_samples: 0,
+            ..PipelineConfig::smoke_test()
+        };
+        let table = one_combo_table();
+        SerPipeline::new(cfg).run_with_table(Particle::Alpha, table.vdd(), &table);
     }
 
     #[test]

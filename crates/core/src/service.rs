@@ -267,6 +267,9 @@ struct State {
     dead_letters: Vec<DeadLetter>,
     draining: bool,
     stopping: bool,
+    /// The worker threads; `shutdown_now` takes them in the same critical
+    /// section that sets `stopping`, and joins them off-lock.
+    workers: Vec<JoinHandle<()>>,
     next_job: u64,
     cursor: usize,
 }
@@ -283,6 +286,7 @@ impl State {
             dead_letters: Vec::new(),
             draining: false,
             stopping: false,
+            workers: Vec::new(),
             next_job: 1,
             cursor: 0,
         }
@@ -408,7 +412,6 @@ impl Shared {
 /// contract; construction spawns the worker pool, drop stops it.
 pub struct CampaignService {
     shared: Arc<Shared>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl CampaignService {
@@ -426,10 +429,8 @@ impl CampaignService {
                 std::thread::spawn(move || worker_loop(&shared, widx))
             })
             .collect();
-        Self {
-            shared,
-            workers: Mutex::new(handles),
-        }
+        shared.lock().workers = handles;
+        Self { shared }
     }
 
     /// Submits a campaign. Identical specs (same checkpoint fingerprint)
@@ -543,12 +544,12 @@ impl CampaignService {
     /// gets its partial checkpoint flushed so a successor daemon resumes
     /// bit-identically. Idempotent; also run on drop.
     pub fn shutdown_now(&self) {
-        {
+        let handles = {
             let mut st = self.shared.lock();
             st.stopping = true;
-        }
+            std::mem::take(&mut st.workers)
+        };
         self.shared.cv.notify_all();
-        let handles = std::mem::take(&mut *lock_recovering(&self.workers));
         for handle in handles {
             #[expect(
                 clippy::let_underscore_must_use,

@@ -140,15 +140,22 @@ impl Drop for CancelScope {
     }
 }
 
+/// The token installed for the current thread, if any. A worker pool that
+/// runs a thread's solves on other threads installs it on each of them;
+/// the registry is per thread, so a fresh thread starts with none. One
+/// atomic load when no thread in the process has a token installed.
+pub fn current() -> Option<CancelToken> {
+    if ACTIVE.load(Ordering::SeqCst) == 0 {
+        return None;
+    }
+    lock_registry().get(&std::thread::current().id()).cloned()
+}
+
 /// Why the current thread's solve should abort, if it should: `None` when
 /// no token is installed for this thread or the installed token is live.
 /// One atomic load when no thread in the process has a token installed.
 pub(crate) fn cancelled_reason() -> Option<&'static str> {
-    if ACTIVE.load(Ordering::SeqCst) == 0 {
-        return None;
-    }
-    let token = lock_registry().get(&std::thread::current().id()).cloned();
-    token.and_then(|t| t.reason())
+    current().and_then(|t| t.reason())
 }
 
 #[cfg(test)]

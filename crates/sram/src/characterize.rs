@@ -40,6 +40,7 @@ use finrad_numerics::rng::{Rng, Xoshiro256pp};
 use finrad_numerics::roots::{itp_from, Endpoint};
 use finrad_numerics::NumericsError;
 use finrad_spice::analysis::{self, NewtonOptions, TimeStepPlan};
+use finrad_spice::cancel;
 use finrad_spice::{PulseShape, SpiceError};
 use finrad_units::{Charge, Voltage};
 use std::collections::{BTreeMap, HashMap};
@@ -650,7 +651,9 @@ impl CellCharacterizer {
     /// draws its ΔVth from its own stream derived from `seed` and its
     /// index, solves its pre-strike state warm from the nominal one, and
     /// the fit reads the pilot in index order, so the result does not
-    /// depend on the worker count.
+    /// depend on the worker count. The workers poll the calling thread's
+    /// cancellation token, so a cancelled or timed-out caller stops the
+    /// remaining samples at their next solve.
     ///
     /// # Errors
     ///
@@ -677,8 +680,12 @@ impl CellCharacterizer {
             let mut rng = Xoshiro256pp::salted_stream(seed, i as u64, SAMPLE_SALT);
             self.sample_deltas(&var, &mut rng)
         };
+        // The caller's cancellation token: the registry is per thread, so
+        // each sample re-installs it on the worker that runs the sample.
+        let token = cancel::current();
         // `(Q_crit, fell back)` of one sample whose walk centres on `ln_centre`.
         let qcrit = |deltas: &HashMap<TransistorRole, Voltage>, ln_centre: f64| {
+            let _scope = token.as_ref().map(cancel::install_scoped);
             let mut probe = nominal.with_deltas(deltas)?;
             if let Some(q) = self.fine_walk_qcrit(&mut probe, combo, ln_centre)? {
                 return Ok((q, false));

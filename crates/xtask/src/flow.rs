@@ -1,10 +1,9 @@
 //! Flow-sensitive concurrency lint families.
 //!
-//! Built on [`crate::cfg`] + [`crate::dataflow`], these families analyze
-//! every workspace `fn` body *together* (a lightweight interprocedural
-//! layer over a function index keyed by `Type::f` for path calls on a
-//! type and by bare name otherwise, see `call_key`) and emit three
-//! diagnostics:
+//! These families analyze every workspace `fn` body *together* (a
+//! lightweight interprocedural layer over a function index keyed by
+//! `Type::f` for path calls on a type and by bare name otherwise, see
+//! `call_key`) and emit three diagnostics:
 //!
 //! * `lock-order-audit` — the workspace lock-acquisition graph: while a
 //!   guard for lock `a` is live, acquiring lock `b` (directly or through a
@@ -13,8 +12,8 @@
 //!   inline poisoned-lock recovery idiom (`unwrap_or_else(|p|
 //!   p.into_inner())`) anywhere outside the sanctioned
 //!   `finrad_spice::sync` module.
-//! * `guard-lifetime-audit` — a lock guard provably live across a blocking
-//!   call: a SPICE solve, a `Condvar` wait consuming a *different* guard,
+//! * `guard-lifetime-audit` — a lock guard live across a blocking call: a
+//!   SPICE solve, a `Condvar` wait consuming a *different* guard,
 //!   `JoinHandle::join`, `sleep`, channel `recv`, checkpoint `save`, or any
 //!   function that transitively blocks. The guard a condvar wait consumes
 //!   is exempt (that is the sanctioned wait pattern).
@@ -25,6 +24,22 @@
 //!   transitively does. Bounded loops (`for`, `while let`, `while` with a
 //!   comparison in the condition) are exempt.
 //!
+//! Guard liveness comes from one walk over each function body in source
+//! order, with no control-flow graph. A guard lives from its binding's `;`
+//! until its block closes, it is dropped, it is rebound, or a condvar wait
+//! consumes it. Branches need no join, with one rule: a `drop(g)` in a
+//! block nested deeper than `g`'s binding kills `g` only until that block
+//! closes, because another path may have skipped the drop. The walk is
+//! deliberately stricter than a path-sensitive analysis in two cases: a
+//! guard dropped in every branch of an `if`/`match` is still live after
+//! it, and code after a `return`, `break`, `continue` or `?` is walked as
+//! if reachable. An unbound acquisition (a temporary guard) is live until
+//! its statement ends at the `;` or `}` at its own brace depth, or until
+//! the body opens after an `if`/`while` condition; a `match`, `if let`,
+//! `while let` or `for` scrutinee's stays live through the body, as in
+//! Rust. The cancellation family finds its loops by a token scan of the
+//! `loop`/`while`/`for` headers.
+//!
 //! Every approximation leans toward silence on idiomatic code: calls
 //! through function-typed *parameters* are opaque, bare-`self` receivers
 //! have unknown lock identity and are skipped, and guard bindings are only
@@ -33,8 +48,6 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::path::{Path, PathBuf};
 
-use crate::cfg::{self, Cfg, LoopKind};
-use crate::dataflow;
 use crate::lexer::{LexedFile, Token, TokenKind};
 use crate::lints::{LintId, Violation};
 
@@ -481,18 +494,45 @@ fn skip_parens(toks: &[Token], open: usize) -> usize {
 }
 
 // ---------------------------------------------------------------------------
-// The guard/lock dataflow
+// The guard/lock walk
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Absolute `{}` nesting depth of every token (Punct braces only — brace
+/// characters inside char/string literals don't count). A token's depth is
+/// the depth *at* that token; a closing `}` carries the outer depth. The
+/// walk uses this for scope kills: a binding made at depth `d` is dead at
+/// the first token with depth `< d`.
+fn brace_depths(tokens: &[Token]) -> Vec<u32> {
+    let mut out = Vec::with_capacity(tokens.len());
+    let mut depth = 0u32;
+    for t in tokens {
+        if t.kind == TokenKind::Punct {
+            match t.text.as_str() {
+                "{" => {
+                    out.push(depth);
+                    depth += 1;
+                    continue;
+                }
+                "}" => {
+                    depth = depth.saturating_sub(1);
+                    out.push(depth);
+                    continue;
+                }
+                _ => {}
+            }
+        }
+        out.push(depth);
+    }
+    out
+}
+
+#[derive(Debug, Clone)]
 struct Guard {
     lock: String,
     /// Brace depth of the binding; the guard dies when control reaches a
     /// shallower token.
     depth: u32,
 }
-
-type GuardFact = BTreeMap<String, Guard>;
 
 #[derive(Debug, Clone)]
 struct EdgeSite {
@@ -511,7 +551,7 @@ struct HeldSite {
     callee: String,
 }
 
-/// Everything the emission pass records across all functions.
+/// Everything the walks record across all functions.
 #[derive(Debug, Default)]
 struct LockFindings {
     /// `(held, acquired) → first site`.
@@ -522,10 +562,9 @@ struct LockFindings {
 /// A `let`/assignment binding in flight while its RHS is scanned.
 struct Binding {
     name: String,
-    /// Position in the block's token list of the terminating `;` (the
-    /// binding takes effect there).
+    /// Token index of the terminating `;` (the binding takes effect there).
     end: usize,
-    /// Position in the block's token list where the RHS starts.
+    /// Token index where the RHS starts.
     rhs_start: usize,
     depth: u32,
 }
@@ -571,32 +610,47 @@ impl<'a> GuardAnalysis<'a> {
         None
     }
 
-    /// Walks one block, transforming `fact`; with a sink, records edges and
-    /// held-across findings.
-    fn walk_block(
-        &self,
-        cfg: &Cfg,
-        block: usize,
-        fact: &GuardFact,
-        mut sink: Option<&mut LockFindings>,
-    ) -> GuardFact {
-        let idxs: Vec<usize> = cfg.block_tokens(block).collect();
-        let mut f = fact.clone();
-        // Lock identities of this statement's un-bound acquisitions.
-        let mut stmt_temps: Vec<String> = Vec::new();
+    /// Walks the body tokens `[start, end)` once, in source order,
+    /// recording lock-order edges and held-across sites into `sink`.
+    fn walk(&self, (start, end): (usize, usize), sink: &mut LockFindings) {
+        let mut f: BTreeMap<String, Guard> = BTreeMap::new();
+        // Guards dropped in a block deeper than their binding, with the
+        // depth of the drop: live again once that block closes.
+        let mut dropped_inside: Vec<(String, Guard, u32)> = Vec::new();
+        // Lock identities of un-bound acquisitions (temporary guards), with
+        // the brace depth of the statement that made them. It ends at a `;`
+        // or `}` at that depth, or where the body opens after an `if`/
+        // `while` condition (a `match`, `if let` or `while let`
+        // scrutinee's temporaries live through the body).
+        let mut stmt_temps: Vec<(String, u32)> = Vec::new();
+        // Body openers of the enclosing `if`/`while` conditions.
+        let mut cond_ends: Vec<usize> = Vec::new();
         let mut pending: Option<Binding> = None;
         let mut bound_lock: Option<String> = None;
 
-        let mut p = 0;
-        while p < idxs.len() {
-            let i = idxs[p];
+        for i in start..end {
             let t = &self.toks[i];
             let d = self.depths[i];
+            let cond_end = cond_ends.last() == Some(&i);
+            if cond_end {
+                cond_ends.pop();
+            }
+            if cond_end || (t.kind == TokenKind::Punct && matches!(t.text.as_str(), ";" | "}")) {
+                stmt_temps.retain(|(_, at)| *at < d);
+            }
+            // A block that dropped a guard has closed: the path that
+            // skipped it still holds the guard.
+            dropped_inside.retain(|(name, g, at)| {
+                if *at <= d {
+                    return true;
+                }
+                f.entry(name.clone()).or_insert_with(|| g.clone());
+                false
+            });
             // Scope kill: bindings made deeper than this token are gone.
             f.retain(|_, g| g.depth <= d);
 
-            if pending.as_ref().is_some_and(|b| p >= b.end) {
-                let b = pending.take().unwrap();
+            if let Some(b) = pending.take_if(|b| i >= b.end) {
                 match bound_lock.take() {
                     Some(lock) => {
                         f.insert(
@@ -614,31 +668,29 @@ impl<'a> GuardAnalysis<'a> {
                 }
             }
 
-            if t.kind == TokenKind::Punct && t.text == ";" {
-                stmt_temps.clear();
-                p += 1;
-                continue;
-            }
             if t.kind != TokenKind::Ident {
-                p += 1;
                 continue;
             }
 
             match t.text.as_str() {
+                "if" | "while" if self.toks[i + 1].text != "let" => {
+                    cond_ends.extend(body_open(self.toks, i + 1, end));
+                    continue;
+                }
                 "let" => {
                     // A nested `let` means any outer pending binding's RHS
                     // is a block expression, which cannot be a plain guard
                     // binding — the inner statement wins.
-                    pending = self.parse_binding(&idxs, p, d);
+                    pending = self.parse_binding(i, d);
                     bound_lock = None;
-                    p += 1;
                     continue;
                 }
                 "drop" if is_punct(self.toks, i + 1, "(") => {
                     for a in arg_idents(self.toks, i + 1) {
-                        f.remove(&a);
+                        if let Some(g) = f.remove(&a).filter(|g| g.depth < d) {
+                            dropped_inside.push((a, g, d));
+                        }
                     }
-                    p += 1;
                     continue;
                 }
                 _ => {}
@@ -683,158 +735,141 @@ impl<'a> GuardAnalysis<'a> {
                 pending = Some(Binding {
                     depth: f.get(&t.text).map(|g| g.depth).unwrap_or(d),
                     name: t.text.clone(),
-                    end: self.stmt_end(&idxs, p + 2),
-                    rhs_start: p + 2,
+                    end: self.stmt_end(i + 2),
+                    rhs_start: i + 2,
                 });
-                p += 1;
                 continue;
             }
 
-            if let Some(key) = call_key(self.toks, i, self.owner) {
-                let name = self.toks[i].text.clone();
-                // Condvar wait: only when an argument is a tracked guard
-                // (methods merely *named* `wait` exist on other types).
-                let wait_like = WAIT_CALLS.contains(&name.as_str())
-                    && !self.params.contains(&name)
-                    && arg_idents(self.toks, i + 1)
-                        .iter()
-                        .any(|a| f.contains_key(a));
-                if wait_like {
-                    let mut consumed = None;
-                    for a in arg_idents(self.toks, i + 1) {
-                        if let Some(g) = f.remove(&a) {
-                            consumed = Some(g.lock);
-                        }
+            let Some(key) = call_key(self.toks, i, self.owner) else {
+                continue;
+            };
+            let name = t.text.clone();
+            // Condvar wait: only when an argument is a tracked guard
+            // (methods merely *named* `wait` exist on other types).
+            let wait_like = WAIT_CALLS.contains(&name.as_str())
+                && !self.params.contains(&name)
+                && arg_idents(self.toks, i + 1)
+                    .iter()
+                    .any(|a| f.contains_key(a));
+            if wait_like {
+                let mut consumed = None;
+                for a in arg_idents(self.toks, i + 1) {
+                    if let Some(g) = f.remove(&a) {
+                        consumed = Some(g.lock);
                     }
-                    if let Some(s) = sink.as_deref_mut() {
-                        for (gname, g) in &f {
-                            s.held_across.push(HeldSite {
-                                file: self.file,
-                                line: t.line,
-                                col: t.col,
-                                guard: gname.clone(),
-                                lock: g.lock.clone(),
-                                callee: name.clone(),
-                            });
-                        }
-                    }
-                    // The wait hands the re-acquired guard to the binding
-                    // in flight (`st = cv.wait(st)…` / `let (g, _) = …`).
-                    if pending.is_some() {
-                        bound_lock = consumed;
-                    }
-                    p += 1;
-                    continue;
                 }
+                self.record_held(sink, &f, t, &name);
+                // The wait hands the re-acquired guard to the binding
+                // in flight (`st = cv.wait(st)…` / `let (g, _) = …`).
+                if pending.is_some() {
+                    bound_lock = consumed;
+                }
+                continue;
+            }
 
-                if let Some(lock) = self.acquisition_at(i) {
-                    if let Some(s) = sink.as_deref_mut() {
+            if let Some(lock) = self.acquisition_at(i) {
+                for g in f.values() {
+                    record_edge(sink, &g.lock, &lock, self.file, t);
+                }
+                for (h, _) in &stmt_temps {
+                    record_edge(sink, h, &lock, self.file, t);
+                }
+                // The acquisition feeds the binding only when it heads
+                // the RHS chain and the chain is transparent through to
+                // the statement end.
+                let is_binding = pending.as_ref().is_some_and(|b| {
+                    i >= b.rhs_start
+                        && self.rhs_top_level(b.rhs_start, i)
+                        && self.transparent_to_stmt_end(i)
+                });
+                if is_binding {
+                    bound_lock = Some(lock);
+                } else {
+                    stmt_temps.push((lock, d));
+                }
+                continue;
+            }
+
+            // A plain call: guard-lifetime check + interprocedural
+            // lock-order edges through the callee's transitive locks.
+            if self.is_blocking_call(&name, &key) {
+                self.record_held(sink, &f, t, &key);
+            }
+            if !self.params.contains(&name) && !primitive_name(&name) && name != self.fn_name {
+                if let Some(cf) = self.facts_by_key.get(&key) {
+                    for l in &cf.locks {
                         for g in f.values() {
-                            record_edge(s, &g.lock, &lock, self.file, t);
+                            record_edge(sink, &g.lock, l, self.file, t);
                         }
-                        for h in &stmt_temps {
-                            record_edge(s, h, &lock, self.file, t);
-                        }
-                    }
-                    // The acquisition feeds the binding only when it heads
-                    // the RHS chain and the chain is transparent through to
-                    // the statement end.
-                    let is_binding = pending.as_ref().is_some_and(|b| {
-                        p >= b.rhs_start
-                            && self.rhs_top_level(&idxs, b.rhs_start, p)
-                            && self.transparent_to_stmt_end(&idxs, p)
-                    });
-                    if is_binding {
-                        bound_lock = Some(lock);
-                    } else {
-                        stmt_temps.push(lock);
-                    }
-                    p += 1;
-                    continue;
-                }
-
-                // A plain call: guard-lifetime check + interprocedural
-                // lock-order edges through the callee's transitive locks.
-                if let Some(s) = sink.as_deref_mut() {
-                    if self.is_blocking_call(&name, &key) {
-                        for (gname, g) in &f {
-                            s.held_across.push(HeldSite {
-                                file: self.file,
-                                line: t.line,
-                                col: t.col,
-                                guard: gname.clone(),
-                                lock: g.lock.clone(),
-                                callee: key.clone(),
-                            });
-                        }
-                    }
-                    if !self.params.contains(&name)
-                        && !primitive_name(&name)
-                        && name != self.fn_name
-                    {
-                        if let Some(cf) = self.facts_by_key.get(&key) {
-                            for l in &cf.locks {
-                                for g in f.values() {
-                                    record_edge(s, &g.lock, l, self.file, t);
-                                }
-                                for h in &stmt_temps {
-                                    record_edge(s, h, l, self.file, t);
-                                }
-                            }
+                        for (h, _) in &stmt_temps {
+                            record_edge(sink, h, l, self.file, t);
                         }
                     }
                 }
             }
-            p += 1;
         }
-        // A binding whose statement ran to the end of the block.
-        if let (Some(b), Some(lock)) = (pending, bound_lock) {
-            f.insert(
-                b.name,
-                Guard {
-                    lock,
-                    depth: b.depth,
-                },
-            );
-        }
-        f
     }
 
-    /// Parses `let [mut] name =` / `let (name, _) =` at `idxs[let_pos]`.
-    fn parse_binding(&self, idxs: &[usize], let_pos: usize, depth: u32) -> Option<Binding> {
-        let tok = |q: usize| idxs.get(q).map(|&i| &self.toks[i]);
+    /// Records every guard in `live` as held across the blocking call
+    /// `callee` at token `t`.
+    fn record_held(
+        &self,
+        sink: &mut LockFindings,
+        live: &BTreeMap<String, Guard>,
+        t: &Token,
+        callee: &str,
+    ) {
+        for (guard, g) in live {
+            sink.held_across.push(HeldSite {
+                file: self.file,
+                line: t.line,
+                col: t.col,
+                guard: guard.clone(),
+                lock: g.lock.clone(),
+                callee: callee.to_string(),
+            });
+        }
+    }
+
+    /// Parses the binding of the `let` at token `let_pos`: `let [mut] name
+    /// =`, `let (name, _) =`, or a refutable pattern's first field, `let
+    /// Some(name) = … else` / `if let Ok(name) = …`. It takes effect at the
+    /// statement's `;`, or, after `if`/`while`, where the body opens and
+    /// scoped to that body.
+    fn parse_binding(&self, let_pos: usize, depth: u32) -> Option<Binding> {
+        let tok = |q: usize| self.toks.get(q);
+        let is_ident =
+            |q: usize, s: &str| tok(q).is_some_and(|t| t.kind == TokenKind::Ident && t.text == s);
         let mut q = let_pos + 1;
-        if tok(q).is_some_and(|t| t.kind == TokenKind::Ident && t.text == "mut") {
+        // A refutable pattern's path (`Some`, `Slot::Job`) before its fields.
+        let mut refutable = false;
+        while tok(q).is_some_and(|t| {
+            (t.kind == TokenKind::Ident && t.text.starts_with(char::is_uppercase))
+                || (t.kind == TokenKind::Punct && t.text == ":")
+        }) {
+            refutable = true;
             q += 1;
         }
-        let t = tok(q)?;
-        let name = if t.kind == TokenKind::Ident && t.text != "_" {
-            t.text.clone()
-        } else if t.kind == TokenKind::Punct && t.text == "(" {
-            // Tuple pattern: first non-`_` ident.
-            let mut r = q + 1;
-            if tok(r).is_some_and(|t| t.text == "mut") {
-                r += 1;
-            }
-            let t = tok(r)?;
-            if t.kind != TokenKind::Ident || t.text == "_" {
-                return None;
-            }
-            t.text.clone()
-        } else {
+        if is_punct(self.toks, q, "(") {
+            q += 1;
+        } else if refutable {
             return None;
-        };
+        }
+        while is_ident(q, "mut") || is_ident(q, "ref") {
+            q += 1;
+        }
+        let name = tok(q)
+            .filter(|t| t.kind == TokenKind::Ident && t.text != "_")?
+            .text
+            .clone();
         // Find the `=` (skipping the pattern and any `: Type` annotation).
         let mut r = q + 1;
         let eq = loop {
             let t = tok(r)?;
             if t.kind == TokenKind::Punct {
                 match t.text.as_str() {
-                    "=" if !tok(r + 1)
-                        .is_some_and(|n| n.kind == TokenKind::Punct && n.text == "=") =>
-                    {
-                        break r;
-                    }
+                    "=" if !is_punct(self.toks, r + 1, "=") => break r,
                     ";" => return None,
                     _ => {}
                 }
@@ -844,21 +879,25 @@ impl<'a> GuardAnalysis<'a> {
                 return None;
             }
         };
+        let header = let_pos > 0 && (is_ident(let_pos - 1, "if") || is_ident(let_pos - 1, "while"));
+        let (end, depth) = if header {
+            (body_open(self.toks, eq + 1, self.toks.len())?, depth + 1)
+        } else {
+            (self.stmt_end(eq + 1), depth)
+        };
         Some(Binding {
             name,
-            end: self.stmt_end(idxs, eq + 1),
+            end,
             rhs_start: eq + 1,
             depth,
         })
     }
 
-    /// Position in `idxs` of the `;` (or unmatched closer) ending the
-    /// statement that starts at `from`.
-    fn stmt_end(&self, idxs: &[usize], from: usize) -> usize {
+    /// Token index of the `;` (or unmatched closer) ending the statement
+    /// that starts at `from`.
+    fn stmt_end(&self, from: usize) -> usize {
         let mut pd = 0i32;
-        let mut q = from;
-        while let Some(&i) = idxs.get(q) {
-            let t = &self.toks[i];
+        for (q, t) in self.toks.iter().enumerate().skip(from) {
             if t.kind == TokenKind::Punct {
                 match t.text.as_str() {
                     "(" | "[" | "{" => pd += 1,
@@ -872,19 +911,17 @@ impl<'a> GuardAnalysis<'a> {
                     _ => {}
                 }
             }
-            q += 1;
         }
-        idxs.len()
+        self.toks.len()
     }
 
-    /// True when `idxs[at]` sits at paren/brace depth 0 relative to the RHS
+    /// True when token `at` sits at paren/brace depth 0 relative to the RHS
     /// start — the acquisition heads the binding's own call chain rather
     /// than being an argument of a wrapping call or a statement inside a
     /// block expression.
-    fn rhs_top_level(&self, idxs: &[usize], rhs_start: usize, at: usize) -> bool {
+    fn rhs_top_level(&self, rhs_start: usize, at: usize) -> bool {
         let mut depth = 0i32;
-        for &q in idxs.iter().take(at).skip(rhs_start) {
-            let t = &self.toks[q];
+        for t in &self.toks[rhs_start..at] {
             if t.kind == TokenKind::Punct {
                 match t.text.as_str() {
                     "(" | "[" | "{" => depth += 1,
@@ -899,8 +936,7 @@ impl<'a> GuardAnalysis<'a> {
     /// True when everything between the acquisition's closing paren and the
     /// statement end is a chain of transparent combinators — the binding
     /// receives the guard itself, not a value derived from it.
-    fn transparent_to_stmt_end(&self, idxs: &[usize], call_pos: usize) -> bool {
-        let i = idxs[call_pos];
+    fn transparent_to_stmt_end(&self, i: usize) -> bool {
         let mut next = skip_parens(self.toks, i + 1);
         loop {
             if !is_punct(self.toks, next, ".") {
@@ -918,8 +954,13 @@ impl<'a> GuardAnalysis<'a> {
                 return false;
             }
         }
-        // `;`, end of file, or end of the block's tokens (tail expression).
-        is_punct(self.toks, next, ";") || self.toks.get(next).is_none() || !idxs.contains(&next)
+        // `;`, the end of the file or of the enclosing block (tail
+        // expression), an `if let`/`while let` body, or a `let … else`.
+        self.toks.get(next).is_none_or(|t| match t.kind {
+            TokenKind::Punct => matches!(t.text.as_str(), ";" | "{" | "}"),
+            TokenKind::Ident => t.text == "else",
+            _ => false,
+        })
     }
 }
 
@@ -933,32 +974,83 @@ fn record_edge(s: &mut LockFindings, from: &str, to: &str, file: usize, t: &Toke
         });
 }
 
-impl<'a> dataflow::Analysis for GuardAnalysis<'a> {
-    type Fact = GuardFact;
-    fn entry_fact(&self) -> GuardFact {
-        GuardFact::new()
-    }
-    fn empty_fact(&self) -> GuardFact {
-        GuardFact::new()
-    }
-    fn join(&self, into: &mut GuardFact, other: &GuardFact) -> bool {
-        let mut changed = false;
-        for (k, v) in other {
-            if !into.contains_key(k) {
-                into.insert(k.clone(), v.clone());
-                changed = true;
-            }
-        }
-        changed
-    }
-    fn transfer(&self, cfg: &Cfg, block: usize, fact: &GuardFact) -> GuardFact {
-        self.walk_block(cfg, block, fact, None)
-    }
+// ---------------------------------------------------------------------------
+// Loop and range scans for the cancellation family
+// ---------------------------------------------------------------------------
+
+/// The kind of a loop construct, for the cancellation-responsiveness rules.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum LoopKind {
+    /// `loop { … }` — unconditionally unbounded.
+    Loop,
+    /// `while cond { … }`.
+    While,
+    /// `while let pat = expr { … }` — bounded by the iterator/queue.
+    WhileLet,
+    /// `for pat in iter { … }` — bounded by the iterator.
+    For,
 }
 
-// ---------------------------------------------------------------------------
-// Range scans for the cancellation family
-// ---------------------------------------------------------------------------
+/// One loop of a function body.
+#[derive(Debug)]
+struct LoopInfo {
+    kind: LoopKind,
+    /// Token range of the condition (`while`) or iterator expression
+    /// (`for`); empty for `loop`.
+    cond: (usize, usize),
+    /// Token range of the body, *excluding* the braces.
+    body: (usize, usize),
+    /// 1-indexed source position of the loop keyword.
+    line: usize,
+    /// Column of the loop keyword.
+    col: usize,
+}
+
+/// The `{` that opens the body of the `if`/`while`/`for`/`loop` header
+/// starting at `from`: the first `{` at paren/bracket depth 0 before `end`
+/// (Rust forbids a struct literal there).
+fn body_open(toks: &[Token], from: usize, end: usize) -> Option<usize> {
+    let mut depth = 0i32;
+    (from..end).find(|&j| {
+        match (toks[j].kind, toks[j].text.as_str()) {
+            (TokenKind::Punct, "(" | "[") => depth += 1,
+            (TokenKind::Punct, ")" | "]") => depth -= 1,
+            (TokenKind::Punct, "{") => return depth == 0,
+            _ => {}
+        }
+        false
+    })
+}
+
+/// Every `loop`/`while`/`for` in the body whose braces are at `body`, in
+/// source order; a header runs from its keyword to its [`body_open`].
+fn loops(toks: &[Token], body: (usize, usize)) -> Vec<LoopInfo> {
+    let mut out = Vec::new();
+    for i in body.0 + 1..body.1 {
+        let t = &toks[i];
+        if t.kind != TokenKind::Ident || !matches!(t.text.as_str(), "loop" | "while" | "for") {
+            continue;
+        }
+        let Some(open) = body_open(toks, i + 1, body.1) else {
+            continue;
+        };
+        let kind = match t.text.as_str() {
+            "loop" => LoopKind::Loop,
+            "while" if toks[i + 1].text == "let" => LoopKind::WhileLet,
+            "while" => LoopKind::While,
+            _ => LoopKind::For,
+        };
+        let cond_end = if kind == LoopKind::Loop { i + 1 } else { open };
+        out.push(LoopInfo {
+            kind,
+            cond: (i + 1, cond_end),
+            body: (open + 1, matching_brace(toks, open)),
+            line: t.line,
+            col: t.col,
+        });
+    }
+    out
+}
 
 fn range_blocking(
     toks: &[Token],
@@ -1091,7 +1183,7 @@ fn canonical_cycle(mut nodes: Vec<String>) -> Vec<String> {
 pub fn analyze(units: &[FileUnit]) -> Vec<Violation> {
     let depths: Vec<Vec<u32>> = units
         .iter()
-        .map(|u| cfg::brace_depths(&u.lexed.tokens))
+        .map(|u| brace_depths(&u.lexed.tokens))
         .collect();
     let fns = extract_fns(units);
     let mut by_key: BTreeMap<String, Vec<usize>> = BTreeMap::new();
@@ -1235,8 +1327,7 @@ pub fn analyze(units: &[FileUnit]) -> Vec<Violation> {
             continue;
         }
         let toks = &units[f.file].lexed.tokens;
-        let graph = cfg::build(toks, f.body);
-        let analysis = GuardAnalysis {
+        GuardAnalysis {
             toks,
             depths: &depths[f.file],
             file: f.file,
@@ -1244,15 +1335,12 @@ pub fn analyze(units: &[FileUnit]) -> Vec<Violation> {
             owner: f.owner.as_deref(),
             params: &f.params,
             facts_by_key: &facts_by_key,
-        };
-        let facts = dataflow::solve(&graph, &analysis);
-        for (b, fact) in facts.iter().enumerate() {
-            analysis.walk_block(&graph, b, fact, Some(&mut findings));
         }
+        .walk((f.body.0 + 1, f.body.1), &mut findings);
 
         // Cancellation responsiveness for loops in supervised fns.
         if let Some(entry) = f.keys().find_map(|key| origin.get(&key)) {
-            for lp in &graph.loops {
+            for lp in loops(toks, f.body) {
                 let unbounded = matches!(lp.kind, LoopKind::Loop)
                     || (matches!(lp.kind, LoopKind::While) && !cond_has_comparison(toks, lp.cond));
                 if !unbounded {
@@ -1588,5 +1676,177 @@ impl S {
 "#;
         let vs = analyze(&[unit("crates/core/src/fake.rs", src)]);
         assert_eq!(count(&vs, LintId::LockOrderAudit), 1, "{vs:?}");
+    }
+
+    #[test]
+    fn guard_live_after_let_else_return_is_flagged() {
+        // The `return` ends only the `else` path: the guard is live on the
+        // path that bound `job`.
+        let src = r#"
+impl S {
+    fn step(&self, id: u32) {
+        let mut st = self.state.lock().unwrap();
+        let Some(job) = st.job_mut(id) else {
+            return;
+        };
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        job.touch();
+    }
+}
+"#;
+        let vs = analyze(&[unit("crates/core/src/fake.rs", src)]);
+        assert_eq!(count(&vs, LintId::GuardLifetimeAudit), 1, "{vs:?}");
+        assert_eq!(vs[0].line, 8, "{vs:?}");
+    }
+
+    #[test]
+    fn guard_live_after_returning_closure_is_flagged() {
+        // A `return` inside a closure body leaves the closure, not the
+        // function.
+        let src = r#"
+impl S {
+    fn step(&self, xs: &[u32]) {
+        let g = self.state.lock().unwrap();
+        let total: u32 = xs.iter().map(|x| {
+            return x * 2;
+        }).sum();
+        std::thread::sleep(std::time::Duration::from_millis(u64::from(total)));
+        drop(g);
+    }
+}
+"#;
+        let vs = analyze(&[unit("crates/core/src/fake.rs", src)]);
+        assert_eq!(count(&vs, LintId::GuardLifetimeAudit), 1, "{vs:?}");
+        assert_eq!(vs[0].line, 8, "{vs:?}");
+    }
+
+    #[test]
+    fn guard_bound_after_blocking_call_in_loop_is_clean() {
+        // The guard dies when the loop body closes; it is not live at the
+        // next iteration's sleep or re-acquisition.
+        let src = r#"
+impl S {
+    fn pump(&self) {
+        loop {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            let g = self.state.lock().unwrap();
+            g.touch();
+        }
+    }
+}
+"#;
+        let vs = analyze(&[unit("crates/core/src/fake.rs", src)]);
+        assert_eq!(count(&vs, LintId::GuardLifetimeAudit), 0, "{vs:?}");
+        assert_eq!(count(&vs, LintId::LockOrderAudit), 0, "{vs:?}");
+    }
+
+    #[test]
+    fn pattern_bound_guards_are_tracked_by_their_field() {
+        // `if let Ok(g)` holds `g` for its body only; `let Ok(h) = … else`
+        // holds `h` for the rest of the block.
+        let src = r#"
+impl S {
+    fn f(&self) {
+        if let Ok(g) = self.state.lock() {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        let Ok(h) = self.state.lock() else {
+            return;
+        };
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+}
+"#;
+        let vs = analyze(&[unit("crates/core/src/fake.rs", src)]);
+        let held: Vec<_> = vs
+            .iter()
+            .map(|v| (v.line, v.message.contains("`g`")))
+            .collect();
+        assert_eq!(held, vec![(5, true), (11, false)], "{vs:?}");
+        assert!(vs[1].message.contains("`h`"), "{vs:?}");
+    }
+
+    #[test]
+    fn drop_in_a_branch_kills_the_guard_only_inside_it() {
+        let src = r#"
+impl S {
+    fn maybe(&self, early: bool) {
+        let g = self.state.lock().unwrap();
+        if early {
+            drop(g);
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+}
+"#;
+        let vs = analyze(&[unit("crates/core/src/fake.rs", src)]);
+        assert_eq!(count(&vs, LintId::GuardLifetimeAudit), 1, "{vs:?}");
+        assert_eq!(vs[0].line, 9, "{vs:?}");
+    }
+
+    #[test]
+    fn temporary_guards_live_to_the_end_of_their_statement() {
+        // A temporary guard taken in `head` orders `beta`, taken in the
+        // block after it, after `alpha` (against `reverse`) only while it
+        // is still live: an `if` condition's is dropped before the body
+        // runs, an `if let` scrutinee's lives through the body, and a
+        // `match` statement's ends with the match.
+        let src = |head: &str| {
+            format!(
+                r#"
+impl S {{
+    fn f(&self) {{
+        {head} {{
+            let b = self.beta.lock().unwrap();
+            b.touch();
+        }}
+    }}
+    fn reverse(&self) {{
+        let gb = self.beta.lock().unwrap();
+        let ga = self.alpha.lock().unwrap();
+        drop(ga);
+        drop(gb);
+    }}
+}}
+"#
+            )
+        };
+        for (head, cycles) in [
+            ("if self.alpha.lock().unwrap().ready", 0),
+            ("if let Some(_) = self.alpha.lock().unwrap().k", 1),
+            ("match self.alpha.lock().unwrap().k { _ => {} }", 0),
+        ] {
+            let vs = analyze(&[unit("crates/core/src/fake.rs", &src(head))]);
+            assert_eq!(count(&vs, LintId::LockOrderAudit), cycles, "{head}: {vs:?}");
+        }
+    }
+
+    #[test]
+    fn brace_depths_ignore_literal_braces() {
+        let lexed = lex("fn f() { let c = '{'; let s = \"}}}\"; g(); }");
+        let depths = brace_depths(&lexed.tokens);
+        let g = lexed.tokens.iter().position(|t| t.text == "g").unwrap();
+        assert_eq!(depths[g], 1);
+    }
+
+    #[test]
+    fn while_and_for_and_while_let_classify() {
+        let toks = lex(
+            "fn f() { while x < n { a(); } for i in it { b(); } while let Some(v) = q.pop() { c(); } }",
+        )
+        .tokens;
+        let open = toks.iter().position(|t| t.text == "{").unwrap();
+        let found = loops(&toks, (open, toks.len() - 1));
+        let kinds: Vec<_> = found.iter().map(|l| l.kind).collect();
+        assert_eq!(
+            kinds,
+            vec![LoopKind::While, LoopKind::For, LoopKind::WhileLet]
+        );
+        // Condition range of the `while` covers `x < n`.
+        let cond = found[0].cond;
+        let cond_text: Vec<_> = (cond.0..cond.1).map(|i| toks[i].text.as_str()).collect();
+        assert_eq!(cond_text, vec!["x", "<", "n"]);
     }
 }

@@ -28,9 +28,10 @@
 //! * `unused-suppression` — `allow(...)` directives must still fire.
 //!
 //! Phase 2 runs the flow-sensitive concurrency families (see [`flow`]),
-//! which build a control-flow graph per function ([`cfg`](mod@cfg)), solve a
-//! forward dataflow problem over it ([`dataflow`]), and reason across
-//! files through a name-keyed function index:
+//! which walk each function body once in source order to track live lock
+//! guards (no control-flow graph: a `drop` in a nested block holds only
+//! until that block closes, and code after an early exit is still
+//! checked), and reason across files through a name-keyed function index:
 //!
 //! * `lock-order-audit` — cycles in the workspace lock-acquisition graph
 //!   (potential deadlocks), plus inline poisoned-lock recovery outside the
@@ -56,8 +57,6 @@
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 
-pub mod cfg;
-pub mod dataflow;
 pub mod flow;
 pub mod lexer;
 pub mod lints;

@@ -223,6 +223,19 @@ fn guard_lifetime_fixture() {
 }
 
 #[test]
+fn guard_lifetime_after_let_else_fixture() {
+    // The `else { return; }` ends only its own path: the sleep after it
+    // runs under the state guard. The block-scoped twin stays clean.
+    let v = flow_fixture("guard_lifetime_let_else.rs");
+    assert_eq!(v.len(), 1, "{v:#?}");
+    assert_eq!(v[0].lint, LintId::GuardLifetimeAudit);
+    assert_eq!(v[0].line, 20);
+    assert!(v[0].message.contains("`st`"), "{}", v[0].message);
+    assert!(v[0].message.contains("`state`"), "{}", v[0].message);
+    assert!(v[0].message.contains("sleep"), "{}", v[0].message);
+}
+
+#[test]
 fn guard_lifetime_resolves_path_calls_by_type() {
     // Two types each define `new` and only `Slow::new` blocks: the guard
     // held across `Quick::new` stays clean.

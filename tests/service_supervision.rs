@@ -16,6 +16,7 @@ use finrad::core::service::fault as service_fault;
 use finrad::prelude::*;
 use finrad::spice::fault as spice_fault;
 use finrad_observe::keys;
+use std::collections::HashMap;
 use std::fs;
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -220,6 +221,41 @@ fn solver_stall_trips_the_job_deadline_as_a_typed_error() {
         report.fit.total.to_bits(),
         plain_report().fit.total.to_bits()
     );
+}
+
+#[test]
+fn variation_samples_poll_the_job_deadline() {
+    let _g = fault_guard();
+    let recorder = recorder();
+    let counter = |key| recorder.snapshot().counter(key);
+    let mut cfg = campaign_config();
+    cfg.pipeline.variation = Variation::MonteCarlo { samples: 8 };
+
+    // The preparing thread runs the nominal pre-strike solve and the first
+    // combo's nominal search before the sample workers spawn; a standalone
+    // nominal search makes exactly those Newton solves.
+    let before = counter(keys::SPICE_NEWTON_SOLVES);
+    CellCharacterizer::new(cfg.pipeline.tech.clone(), cfg.pipeline.characterize.clone())
+        .critical_charge(vdd(), StrikeCombo::all()[0], &HashMap::new())
+        .expect("nominal search");
+    let on_preparing_thread = counter(keys::SPICE_NEWTON_SOLVES) - before;
+
+    // The first solve on a sample worker stalls past the job deadline (the
+    // preparing thread takes ~20 ms to reach it in a debug build on a
+    // 2-vCPU host). The workers poll the job's token, so the first combo
+    // fails there and its remaining samples are not characterized; without
+    // the token they would finish every sample and fail only in the second
+    // combo.
+    spice_fault::arm_stall(on_preparing_thread, 1, Duration::from_millis(500));
+    let combos = counter(keys::SRAM_COMBOS);
+    let service = CampaignService::start(ServiceConfig {
+        workers: 1,
+        job_deadline: Some(Duration::from_millis(250)),
+        ..ServiceConfig::default()
+    });
+    let job = service.submit(cfg);
+    assert!(matches!(service.wait(job), Err(JobError::DeadlineExceeded)));
+    assert_eq!(counter(keys::SRAM_COMBOS), combos + 1);
 }
 
 #[test]
