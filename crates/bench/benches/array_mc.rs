@@ -10,7 +10,7 @@ use finrad_core::strike::{
 };
 use finrad_finfet::Technology;
 use finrad_geometry::trace::TraceScratch;
-use finrad_geometry::{Ray, Vec3};
+use finrad_geometry::{sampling, Ray};
 use finrad_numerics::rng::Xoshiro256pp;
 use finrad_sram::{CellCharacterizer, CharacterizeOptions, PofCurve, PofTable, Variation};
 use finrad_transport::fin::FinTraversal;
@@ -50,25 +50,44 @@ fn synthetic_variation_table(table: &PofTable, samples: usize) -> PofTable {
     PofTable::new(table.vdd(), curves)
 }
 
+/// Rays per traced batch in `bench_ray_trace`.
+const RAY_BATCH: usize = 4096;
+
 fn bench_ray_trace(c: &mut Harness) {
-    // Tracing one ray through the 486 fin boxes of the paper's 9x9 array,
-    // on the bucketed index the strike Monte Carlo uses.
+    // Tracing the sampled ray mix through the 486 fin boxes of the paper's
+    // 9x9 array, on the index the strike Monte Carlo uses. Each call traces
+    // a seeded batch of rays launched from the top face as
+    // `StrikeSimulator` launches them; one repeated ray would let the
+    // branch predictor learn the query. Reported per ray.
     let array = MemoryArray::build(
         &Technology::soi_finfet_14nm(),
         9,
         9,
         DataPattern::Checkerboard,
     );
-    let bounds = array.bounds();
-    let center = bounds.center();
-    let ray = Ray::new(
-        Vec3::new(center.x, center.y, bounds.max_corner().z + 1e-7),
-        Vec3::new(0.3, 0.2, -1.0),
-    );
-    let mut scratch = TraceScratch::default();
-    c.bench_function("trace_9x9_array_indexed", |b| {
-        b.iter(|| black_box(array.trace_into(black_box(&ray), &mut scratch).len()))
-    });
+    let top = array.bounds();
+    for (name, law) in [
+        ("cosine", DirectionLaw::CosineDown),
+        ("isotropic_down", DirectionLaw::IsotropicDown),
+    ] {
+        let mut rng = Xoshiro256pp::seed_from_u64(5);
+        let rays: Vec<Ray> = (0..RAY_BATCH)
+            .map(|_| {
+                Ray::new(
+                    sampling::point_on_top_face(&mut rng, &top),
+                    law.sample(&mut rng),
+                )
+            })
+            .collect();
+        let mut scratch = TraceScratch::default();
+        c.bench_items(&format!("trace_9x9_array/{name}"), RAY_BATCH as u64, |b| {
+            b.iter(|| {
+                rays.iter()
+                    .map(|ray| array.trace_into(black_box(ray), &mut scratch).len())
+                    .sum::<usize>()
+            })
+        });
+    }
 }
 
 fn bench_strike_chunk(c: &mut Harness) {

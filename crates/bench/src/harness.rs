@@ -4,7 +4,8 @@
 //! depend on `criterion`. This module provides what the benches use:
 //! named benchmarks, a calibrated measurement loop, and per-iteration
 //! setup via [`Bencher::iter_batched`]. Timings are printed as
-//! `name ... <ns>/iter`.
+//! `name ... <ns>/iter`, or `<ns>/item` for a batch routine timed with
+//! [`Harness::bench_items`].
 //!
 //! The per-benchmark time budget defaults to 300 ms and can be changed with
 //! the `FINRAD_BENCH_MS` environment variable (whole milliseconds, e.g.
@@ -44,7 +45,17 @@ impl Harness {
     /// Runs one named benchmark. The closure receives a [`Bencher`] and
     /// must call [`Bencher::iter`] or [`Bencher::iter_batched`] exactly
     /// once.
-    pub fn bench_function(&mut self, name: &str, mut f: impl FnMut(&mut Bencher)) {
+    pub fn bench_function(&mut self, name: &str, f: impl FnMut(&mut Bencher)) {
+        self.measure(name, 1, "iter", f);
+    }
+
+    /// Like [`Self::bench_function`] for a routine that does `items` units
+    /// of work per call (a batch of rays, say): prints the time per item.
+    pub fn bench_items(&mut self, name: &str, items: u64, f: impl FnMut(&mut Bencher)) {
+        self.measure(name, items.max(1), "item", f);
+    }
+
+    fn measure(&mut self, name: &str, items: u64, unit: &str, mut f: impl FnMut(&mut Bencher)) {
         let mut b = Bencher {
             budget: self.budget,
             iters: 0,
@@ -52,11 +63,11 @@ impl Harness {
         };
         f(&mut b);
         let per = if b.iters > 0 {
-            b.elapsed.as_nanos() / u128::from(b.iters)
+            b.elapsed.as_nanos() / (u128::from(b.iters) * u128::from(items))
         } else {
             0
         };
-        println!("{name:<40} {per:>12} ns/iter  ({} iters)", b.iters);
+        println!("{name:<40} {per:>12} ns/{unit}  ({} iters)", b.iters);
     }
 }
 
@@ -192,5 +203,13 @@ mod tests {
             budget: Duration::from_millis(10),
         };
         h.bench_function("batched", |b| b.iter_batched(|| vec![1u8; 16], |v| v.len()));
+    }
+
+    #[test]
+    fn bench_items_measures_something() {
+        let mut h = Harness {
+            budget: Duration::from_millis(10),
+        };
+        h.bench_items("batch", 64, |b| b.iter(|| (0..64u64).sum::<u64>()));
     }
 }

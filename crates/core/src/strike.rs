@@ -15,7 +15,7 @@
 
 use crate::array::{clamp_pof, MemoryArray};
 use finrad_geometry::trace::{Crossing, TraceScratch};
-use finrad_geometry::{sampling, Ray};
+use finrad_geometry::{sampling, Ray, Vec3};
 use finrad_numerics::par;
 use finrad_numerics::rng::{Rng, Xoshiro256pp};
 use finrad_numerics::stats::RunningStats;
@@ -86,6 +86,30 @@ pub enum DirectionLaw {
     /// Uniform over the downward hemisphere (more grazing tracks; useful
     /// to stress MBU behaviour).
     IsotropicDown,
+}
+
+impl DirectionLaw {
+    /// Draws one downward direction from this law, to be normalised by
+    /// [`Ray::new`]. It is never horizontal: a zero z (`-0.0` from the
+    /// cosine law's `u = 0` draw) is widened to `-1e-6`.
+    pub fn sample<R: Rng + ?Sized>(self, rng: &mut R) -> Vec3 {
+        let mut d = match self {
+            Self::CosineDown => sampling::cosine_law_hemisphere(rng),
+            Self::IsotropicDown => {
+                let mut d = sampling::isotropic_direction(rng);
+                if d.z > 0.0 {
+                    d.z = -d.z;
+                }
+                d
+            }
+        };
+        // Exact-zero guards the degenerate horizontal-ray case only.
+        // finrad-lint: allow(float-discipline)
+        if d.z == 0.0 {
+            d.z = -1.0e-6;
+        }
+        d
+    }
 }
 
 /// How deposited pairs are obtained for a struck fin.
@@ -701,22 +725,7 @@ impl<'a> StrikeSimulator<'a> {
     /// face and a downward direction from the configured law.
     fn sample_ray<R: Rng + ?Sized>(&self, rng: &mut R) -> Ray {
         let launch = sampling::point_on_top_face(rng, &self.array.bounds());
-        let dir = match self.direction {
-            DirectionLaw::CosineDown => sampling::cosine_law_hemisphere(rng),
-            DirectionLaw::IsotropicDown => {
-                let mut d = sampling::isotropic_direction(rng);
-                if d.z > 0.0 {
-                    d.z = -d.z;
-                }
-                // Exact-zero guards the degenerate horizontal-ray case only.
-                // finrad-lint: allow(float-discipline)
-                if d.z == 0.0 {
-                    d.z = -1.0e-6;
-                }
-                d
-            }
-        };
-        Ray::new(launch, dir)
+        Ray::new(launch, self.direction.sample(rng))
     }
 
     /// Simulates one explicit ray against the first table (used by tests
@@ -1172,6 +1181,27 @@ mod tests {
         let ray = sim.sample_ray(&mut Scripted(vec![0, 0, z_bits]));
         let z = ray.direction().z;
         assert!((-6.0e-7..-4.0e-7).contains(&z), "z = {z}");
+    }
+
+    #[test]
+    fn cosine_ray_is_never_horizontal() {
+        // All-zero draws: the cosine law's u = 0 gives cos θ = 0 and a
+        // direction z of -0.0, which `DirectionLaw::sample` widens to
+        // -1e-6 as it does for the isotropic law.
+        let tech = Technology::soi_finfet_14nm();
+        let array = MemoryArray::build(&tech, 2, 2, DataPattern::Checkerboard);
+        let table = pof_table(0.8);
+        let sim = StrikeSimulator::new(
+            &array,
+            FinTraversal::paper_default(),
+            &table,
+            DirectionLaw::CosineDown,
+            DepositMode::ChordExact,
+            FlipModel::Expected,
+            None,
+        );
+        let ray = sim.sample_ray(&mut Scripted(vec![]));
+        assert!(ray.direction().z < 0.0, "z = {}", ray.direction().z);
     }
 
     #[test]

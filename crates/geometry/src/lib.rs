@@ -13,7 +13,9 @@
 //!   points on boxes and rectangles.
 //! * [`trace`] — chord extraction: given a ray and a collection of boxes,
 //!   the ordered list of (box index, entry, exit, chord length) crossings,
-//!   by linear scan or through a bucketed [`trace::BoxIndex`].
+//!   by linear scan or through [`trace::BoxIndex`], a uniform xy grid that
+//!   lists each box once, in the bin of its min corner, and gathers one
+//!   contiguous run of boxes per grid row of the ray's bounding rectangle.
 //!
 //! # Examples
 //!

@@ -5,7 +5,12 @@
 //! then walks these crossings in order, degrading the particle energy and
 //! depositing charge fin by fin — exactly the "simple 3-D analysis" of the
 //! paper's Section 5.1. [`BoxIndex`] returns the same crossings from a
-//! uniform xy bucket grid, testing only the boxes near the ray.
+//! uniform xy bucket grid, testing only the boxes near the ray: each box is
+//! listed once, in the bin of its min corner, and a query reads one slice
+//! of boxes per grid row of the ray's bounding rectangle, widened on its
+//! low side by the largest box extent. Min-corner binning plus that
+//! widening, with a monotone bin lookup, covers every box whose footprint
+//! meets the padded rectangle, so the crossings are exact.
 
 use crate::{Aabb, Ray, RayHit, SlabRay};
 use finrad_units::Length;
@@ -107,12 +112,20 @@ pub struct TraceScratch {
 /// tracer.
 ///
 /// The grid spans the union of the boxes with `⌈√n⌉` bins per axis, and
-/// each box is listed in every bin its (padded) footprint overlaps. A
-/// query clips the ray to the union box, visits the bins its padded xy
-/// segment overlaps and slab-tests only the boxes listed there, through
-/// the same routine as [`trace_boxes`]. Clipping is exact — a box's
-/// slab interval always lies inside the union's, bit for bit — and the
-/// padding only ever adds candidates, so [`BoxIndex::trace`] returns
+/// each box is listed once, in the bin holding its min corner. A query
+/// clips the ray to the union box and takes the xy bounding rectangle of
+/// the clipped segment, widened on its low side by the largest box extent
+/// in each axis and padded on both sides. Each grid row of that rectangle
+/// is one contiguous run of the row-major bin lists; the boxes there are
+/// slab-tested through the same routine as [`trace_boxes`].
+///
+/// Exactness: clipping is exact — a box's slab interval always lies
+/// inside the union's, bit for bit — so a box the ray crosses meets the
+/// clipped segment, and its footprint meets the segment's rectangle. Its
+/// min corner then lies at most one largest extent below that rectangle,
+/// inside the widened one; the padding absorbs the rounding, and the bin
+/// lookup is monotone, so its bin is in the queried range. Extra
+/// candidates only cost a slab test, so [`BoxIndex::trace`] returns
 /// exactly `trace_boxes(ray, boxes)`.
 ///
 /// # Examples
@@ -140,6 +153,8 @@ pub struct BoxIndex {
     magnitude: f64,
     x: Axis,
     y: Axis,
+    /// The largest box extent in x and in y.
+    extent: (f64, f64),
     /// Bin `row * x.bins + col` lists `items[start[bin]..start[bin + 1]]`.
     start: Vec<usize>,
     items: Vec<usize>,
@@ -159,38 +174,25 @@ impl BoxIndex {
             None => (Axis::new(0.0, 0.0, 1), Axis::new(0.0, 0.0, 1)),
         };
         let magnitude = bounds.map_or(0.0, |u| xy_magnitude(&u));
-        let pad = PAD_REL * magnitude;
-        let footprint = |b: &Aabb| {
-            (
-                y.bins_over(b.min.y, b.max.y, pad),
-                x.bins_over(b.min.x, b.max.x, pad),
-            )
-        };
+        let extent = boxes.iter().fold((0.0f64, 0.0f64), |(ex, ey), b| {
+            (ex.max(b.max.x - b.min.x), ey.max(b.max.y - b.min.y))
+        });
+        let bin_of = |b: &Aabb| y.bin(b.min.y) * x.bins + x.bin(b.min.x);
 
-        // Counting sort into the flat bin lists: count, prefix-sum, fill.
+        // Counting sort, one entry per box: count, prefix-sum, fill.
         let mut start = vec![0usize; x.bins * y.bins + 1];
         for b in &boxes {
-            let (rows, cols) = footprint(b);
-            for row in rows {
-                for col in cols.clone() {
-                    start[row * x.bins + col + 1] += 1;
-                }
-            }
+            start[bin_of(b) + 1] += 1;
         }
         for bin in 1..start.len() {
             start[bin] += start[bin - 1];
         }
         let mut fill = start.clone();
-        let mut items = vec![0usize; start[start.len() - 1]];
+        let mut items = vec![0usize; boxes.len()];
         for (index, b) in boxes.iter().enumerate() {
-            let (rows, cols) = footprint(b);
-            for row in rows {
-                for col in cols.clone() {
-                    let slot = &mut fill[row * x.bins + col];
-                    items[*slot] = index;
-                    *slot += 1;
-                }
-            }
+            let slot = &mut fill[bin_of(b)];
+            items[*slot] = index;
+            *slot += 1;
         }
         Self {
             boxes,
@@ -198,6 +200,7 @@ impl BoxIndex {
             magnitude,
             x,
             y,
+            extent,
             start,
             items,
         }
@@ -228,10 +231,11 @@ impl BoxIndex {
         &scratch.crossings
     }
 
-    /// Fills `out` with the indices of the boxes listed in the bins the
-    /// ray's xy segment through the union box overlaps, each once, in the
-    /// order the bins are visited (the crossing sort fixes the final
-    /// order).
+    /// Fills `out` with the indices of the boxes whose min corner lies in
+    /// the widened bounding rectangle of the ray's xy segment through the
+    /// union box, one grid row at a time. Every box is listed in one bin
+    /// and every bin is visited once, so no index repeats; the crossing
+    /// sort fixes the final order.
     fn candidates_into(&self, ray: &Ray, slabs: &SlabRay, out: &mut Vec<usize>) {
         out.clear();
         let Some(hit) = self.bounds.and_then(|u| u.intersect_slabs(slabs)) else {
@@ -244,40 +248,13 @@ impl BoxIndex {
         let reach = self.magnitude.max(o.x.abs().max(o.y.abs())).max(hit.t_exit);
         let pad = PAD_REL * reach;
 
-        // Walk the bins along the segment's major xy axis; on each, the
-        // minor-axis span follows by interpolation with slope ≤ 1, so its
-        // rounding stays within the padding.
-        let x_major = (p1.x - p0.x).abs() >= (p1.y - p0.y).abs();
-        let (major, minor, (a0, a1), (b0, b1)) = if x_major {
-            (&self.x, &self.y, (p0.x, p1.x), (p0.y, p1.y))
-        } else {
-            (&self.y, &self.x, (p0.y, p1.y), (p0.x, p1.x))
-        };
-        let (a_lo, a_hi) = (a0.min(a1), a0.max(a1));
-        let span = a1 - a0;
-        for i in major.bins_over(a_lo, a_hi, pad) {
-            let (edge_lo, edge_hi) = major.edges(i);
-            let (lo, hi) = ((edge_lo - pad).max(a_lo), (edge_hi + pad).min(a_hi));
-            let (m0, m1) = if span.abs() > 0.0 {
-                let at = |a: f64| b0 + (b1 - b0) * ((a - a0) / span).clamp(0.0, 1.0);
-                (at(lo), at(hi))
-            } else {
-                (b0, b1)
-            };
-            for j in minor.bins_over(m0.min(m1), m0.max(m1), pad) {
-                let bin = if x_major {
-                    j * self.x.bins + i
-                } else {
-                    i * self.x.bins + j
-                };
-                // A box spans several bins; a ray touches only a handful
-                // of candidates, so a linear scan is the cheapest dedup.
-                for &item in &self.items[self.start[bin]..self.start[bin + 1]] {
-                    if !out.contains(&item) {
-                        out.push(item);
-                    }
-                }
-            }
+        let (ex, ey) = self.extent;
+        let cols = self.x.bins_over(p0.x.min(p1.x) - ex, p0.x.max(p1.x), pad);
+        let rows = self.y.bins_over(p0.y.min(p1.y) - ey, p0.y.max(p1.y), pad);
+        for row in rows {
+            let bin = row * self.x.bins;
+            let run = self.start[bin + cols.start()]..self.start[bin + cols.end() + 1];
+            out.extend_from_slice(&self.items[run]);
         }
     }
 }
@@ -286,8 +263,8 @@ impl BoxIndex {
 #[derive(Debug, Clone, Copy)]
 struct Axis {
     min: f64,
-    size: f64,
-    /// `1 / size`, or 0 for a degenerate (zero-extent) axis with one bin.
+    /// `1 / bin size`, or 0 for a degenerate (zero-extent) axis with one
+    /// bin.
     inv_size: f64,
     bins: usize,
 }
@@ -298,14 +275,12 @@ impl Axis {
         if extent > 0.0 && bins > 1 {
             Self {
                 min,
-                size: extent / bins as f64,
                 inv_size: bins as f64 / extent,
                 bins,
             }
         } else {
             Self {
                 min,
-                size: extent,
                 inv_size: 0.0,
                 bins: 1,
             }
@@ -324,14 +299,6 @@ impl Axis {
     /// The bins overlapping `[lo - pad, hi + pad]`.
     fn bins_over(&self, lo: f64, hi: f64, pad: f64) -> RangeInclusive<usize> {
         self.bin(lo - pad)..=self.bin(hi + pad)
-    }
-
-    /// The coordinate interval of bin `i`.
-    fn edges(&self, i: usize) -> (f64, f64) {
-        (
-            self.min + i as f64 * self.size,
-            self.min + (i + 1) as f64 * self.size,
-        )
     }
 }
 
@@ -411,7 +378,9 @@ mod tests {
     /// by `ray`, returning the mean candidate count per ray. Both index
     /// paths are checked: the allocating `trace`, and `trace_into` with one
     /// scratch reused across all `n` rays, so anything a ray leaves behind
-    /// in the buffers would show up in the next ray's crossings.
+    /// in the buffers would show up in the next ray's crossings. Each
+    /// candidate list must hold every index at most once: the index lists
+    /// a box in one bin and visits each bin once, and nothing filters.
     fn assert_matches_scan(
         boxes: &[Aabb],
         n: usize,
@@ -427,6 +396,10 @@ mod tests {
             let want = trace_boxes(&r, boxes);
             assert_same_bits(index.trace_into(&r, &mut scratch), &want, &r);
             assert_same_bits(&index.trace(&r), &want, &r);
+            let mut distinct = scratch.candidates.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            assert_eq!(distinct.len(), scratch.candidates.len(), "{r:?}");
             candidates += scratch.candidates.len();
         }
         candidates as f64 / n as f64
@@ -457,16 +430,126 @@ mod tests {
         assert!(mean < 10.0, "mean candidates per ray {mean}");
     }
 
+    /// A downward isotropic ray launched from the top face of `top`.
+    fn downward_isotropic(rng: &mut Xoshiro256pp, top: &Aabb) -> Ray {
+        let launch = sampling::point_on_top_face(rng, top);
+        let mut d = sampling::isotropic_direction(rng);
+        d.z = -d.z.abs().max(1e-6);
+        Ray::new(launch, d)
+    }
+
     #[test]
     fn index_matches_scan_downward_isotropic_rays() {
         let boxes = fin_layout();
         let top = union(&boxes);
-        assert_matches_scan(&boxes, RAYS_PER_SHAPE, 2, |rng| {
-            let launch = sampling::point_on_top_face(rng, &top);
-            let mut d = sampling::isotropic_direction(rng);
-            d.z = -d.z.abs().max(1e-6);
-            Ray::new(launch, d)
+        let mean = assert_matches_scan(&boxes, RAYS_PER_SHAPE, 2, |rng| {
+            downward_isotropic(rng, &top)
         });
+        // Grazing rays widen the query rectangle the most; ~6 candidates
+        // on average, far from gathering the whole array.
+        assert!(mean < 10.0, "mean candidates per ray {mean}");
+    }
+
+    #[test]
+    fn index_matches_scan_with_one_box_covering_the_grid() {
+        // One thin plate spans the whole grid among small boxes: the
+        // largest extent is the grid itself, so every query widens to the
+        // grid's low edge.
+        let mut rng = Xoshiro256pp::seed_from_u64(7);
+        let mut boxes: Vec<Aabb> = (0..150)
+            .map(|_| {
+                let min = Vec3::new(
+                    rng.gen_range(0.0..1.0),
+                    rng.gen_range(0.0..1.0),
+                    rng.gen_range(0.0..0.2),
+                );
+                Aabb::from_min_size(min, Vec3::new(0.02, 0.03, 0.05))
+            })
+            .collect();
+        boxes.insert(
+            60,
+            Aabb::new(Vec3::new(-0.5, -0.5, 0.1), Vec3::new(1.5, 1.5, 0.11)),
+        );
+        let u = union(&boxes);
+        assert_matches_scan(&boxes, 20_000, 8, |rng| downward_isotropic(rng, &u));
+        assert_matches_scan(&boxes, 20_000, 9, |rng| {
+            Ray::new(
+                sampling::point_in_box(rng, &u),
+                sampling::isotropic_direction(rng),
+            )
+        });
+    }
+
+    #[test]
+    fn index_matches_scan_on_boxes_wider_than_a_bin_in_one_axis() {
+        // Strips long in x and thin in y, strips long in y and thin in x,
+        // and small cubes: ~11 bins per axis, so a 0.6-long strip spans
+        // several bins along one axis and lies inside one along the other.
+        let mut rng = Xoshiro256pp::seed_from_u64(11);
+        let boxes: Vec<Aabb> = (0..120)
+            .map(|i| {
+                let min = Vec3::new(
+                    rng.gen_range(0.0..1.0),
+                    rng.gen_range(0.0..1.0),
+                    rng.gen_range(0.0..0.2),
+                );
+                let size = match i % 3 {
+                    0 => Vec3::new(0.6, 0.004, 0.05),
+                    1 => Vec3::new(0.004, 0.6, 0.05),
+                    _ => Vec3::new(0.01, 0.01, 0.05),
+                };
+                Aabb::from_min_size(min, size)
+            })
+            .collect();
+        let u = union(&boxes);
+        assert_matches_scan(&boxes, 30_000, 12, |rng| downward_isotropic(rng, &u));
+        assert_matches_scan(&boxes, 30_000, 13, |rng| {
+            Ray::new(
+                sampling::point_in_box(rng, &u),
+                sampling::isotropic_direction(rng),
+            )
+        });
+    }
+
+    #[test]
+    fn index_matches_scan_on_fins_at_negative_coordinates() {
+        // The fin layout moved wholly below zero in x, y and z: the grid
+        // origin is negative and every bin lookup subtracts it.
+        let shift = Vec3::new(-5e-6, -4e-6, -1e-7);
+        let boxes: Vec<Aabb> = fin_layout()
+            .iter()
+            .map(|b| Aabb::new(b.min_corner() + shift, b.max_corner() + shift))
+            .collect();
+        let top = union(&boxes);
+        assert!(top.max.x < 0.0 && top.max.y < 0.0);
+        let mean = assert_matches_scan(&boxes, 50_000, 14, |rng| {
+            let launch = sampling::point_on_top_face(rng, &top);
+            Ray::new(launch, sampling::cosine_law_hemisphere(rng))
+        });
+        assert!(mean < 10.0, "mean candidates per ray {mean}");
+        assert_matches_scan(&boxes, 50_000, 15, |rng| downward_isotropic(rng, &top));
+    }
+
+    #[test]
+    fn index_matches_scan_with_two_identical_boxes() {
+        // A fin listed twice: both copies land in the same bin, both are
+        // crossed, and the index tie-break orders them.
+        let mut boxes = fin_layout();
+        let twin = boxes[40];
+        boxes.push(twin);
+        let top = union(&boxes);
+        assert_matches_scan(&boxes, 50_000, 16, |rng| {
+            let launch = sampling::point_on_top_face(rng, &top);
+            Ray::new(launch, sampling::cosine_law_hemisphere(rng))
+        });
+        let c = twin.center();
+        let down = Ray::new(Vec3::new(c.x, c.y, top.max.z), Vec3::new(0.0, 0.0, -1.0));
+        let order: Vec<usize> = BoxIndex::new(boxes.clone())
+            .trace(&down)
+            .iter()
+            .map(|c| c.index)
+            .collect();
+        assert_eq!(order, vec![40, boxes.len() - 1]);
     }
 
     #[test]
@@ -655,8 +738,13 @@ mod tests {
             -1e30,
         ];
         for axis in &axes {
+            let size = if axis.inv_size > 0.0 {
+                1.0 / axis.inv_size
+            } else {
+                0.0
+            };
             for k in -3..=(axis.bins as i64 + 3) {
-                let v = axis.min + k as f64 * axis.size;
+                let v = axis.min + k as f64 * size;
                 values.extend([v, v.next_down(), v.next_up()]);
                 let u = k as f64;
                 values.extend([u, u.next_down(), u.next_up()]);
